@@ -9,6 +9,10 @@ graph-width quantities (treewidth, cutwidth, isoperimetric ratios, diameter),
 and drives deterministic Monte Carlo sweeps over (n, q) grids.
 """
 
+# The package's one version string: pyproject.toml and the sweep metadata
+# read it.  Defined before the submodule imports so they can import it.
+__version__ = "0.1.0"
+
 from .errors import CapabilityError, StatisticalCheckError
 from .events import (
     CutProbWindow,
@@ -70,8 +74,6 @@ from .mallows import (
     sample_trace,
     sample_trace_matrix,
     standardize,
-    tg_pmf,
-    tg_tail,
     tv_distance_to_uniform,
 )
 from .rng import SplitMix64, derive, derive_array, mix64, stream_u64, uniform_matrix
@@ -103,5 +105,3 @@ from .widths import (
     unit_separator,
     vertex_iso,
 )
-
-__version__ = "0.1.0"

@@ -6,14 +6,17 @@ edges collapsed.  It is always connected (it contains the path), has at most
 2(n-1) edges, and maximum degree at most 4.  Reversing sigma produces the same
 graph, which is why process outputs r_n can be used without reversal.
 
-Structural functions here accept either a :class:`TangledGraph` or a plain
-``(n, edges)`` pair with 1-based vertices, so they also apply to the reference
-graphs (paths, cycles, cliques) used when validating the width machinery.
+Every routine here and in :mod:`tangledpath.widths` takes a
+:class:`TangledGraph` from :func:`build_tangled`, :func:`graph_from_trace`,
+:func:`make_graph` (which also builds the reference graphs, such as cycles and
+cliques, used to test the width machinery) or :func:`parse_edge_list`.  Those
+constructors validate their input; the routines trust it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,8 +25,6 @@ from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from .mallows import InsertionTrace, Permutation, mallows_process
 
-GraphLike = "TangledGraph | tuple[int, Iterable[tuple[int, int]]]"
-
 # Above this size diameter() switches from the pure-Python BFS loop to
 # scipy.sparse.csgraph; both routes are exact and the tests compare them.
 _SPARSE_DIAMETER_CUTOVER = 256
@@ -31,7 +32,8 @@ _SPARSE_DIAMETER_CUTOVER = 256
 
 @dataclass(frozen=True)
 class TangledGraph:
-    """An undirected graph on {1..n} with sorted, deduplicated edges."""
+    """An undirected graph on {1..n} with sorted, deduplicated edges;
+    ``adjacency[v - 1]`` lists the neighbors of vertex v in increasing order."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -45,47 +47,37 @@ class TangledGraph:
         return self.adjacency[v - 1]
 
 
-def _normalize(g) -> tuple[int, list[tuple[int, int]]]:
-    """Accept a TangledGraph or an (n, edges) pair; return clean 1-based edges."""
-    if isinstance(g, TangledGraph):
-        return g.n, list(g.edges)
-    n, raw = g
+def _from_pairs(
+    n: int, pairs: Iterable[tuple[int, int]], provenance: dict | None = None
+) -> TangledGraph:
+    """Graph on 1..n from vertex pairs already known to be valid edges."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a - 1].add(b)
+        nbrs[b - 1].add(a)
+    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
+    edges = tuple((u, w) for u, ns in enumerate(adjacency, 1) for w in ns if u < w)
+    return TangledGraph(n, edges, adjacency, provenance)
+
+
+def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
+    """Build a TangledGraph from an arbitrary 1-based edge list.
+
+    This is where edge lists are validated: vertices must lie in 1..n and
+    self-loops are refused; duplicate and reversed edges collapse.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("graph needs at least one vertex")
-    seen: set[tuple[int, int]] = set()
-    for u, v in raw:
+    clean = []
+    for u, v in edges:
         u, v = int(u), int(v)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
         if u == v:
             raise ValueError(f"self-loop at {u}")
-        seen.add((min(u, v), max(u, v)))
-    return n, sorted(seen)
-
-
-def adjacency_lists(g) -> tuple[int, list[list[int]]]:
-    """0-based adjacency lists (index v-1 for vertex v), neighbors sorted."""
-    n, edges = _normalize(g)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u - 1].append(v - 1)
-        adj[v - 1].append(u - 1)
-    for lst in adj:
-        lst.sort()
-    return n, adj
-
-
-def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
-    """Build a TangledGraph-shaped value from an arbitrary edge list."""
-    n, clean = _normalize((n, edges))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in clean:
-        adj[u - 1].append(v)
-        adj[v - 1].append(u)
-    return TangledGraph(
-        n, tuple(clean), tuple(tuple(sorted(a)) for a in adj), None
-    )
+        clean.append((u, v))
+    return _from_pairs(n, clean)
 
 
 def build_tangled(
@@ -96,20 +88,21 @@ def build_tangled(
 
     Duplicate edges collapse, so the edge count is at most 2(n-1); every vertex
     keeps degree at most 4 (two path neighbors, two permuted-path neighbors).
-    An optional trace is recorded as provenance.
+    A raw sequence is checked to be a permutation; a :class:`Permutation`
+    already is one.  An optional trace is recorded as provenance.
     """
-    img = sigma.image if isinstance(sigma, Permutation) else tuple(int(x) for x in sigma)
+    if isinstance(sigma, Permutation):
+        img = sigma.image
+    else:
+        img = tuple(int(x) for x in sigma)
+        if sorted(img) != list(range(1, len(img) + 1)):
+            raise ValueError("sigma is not a permutation of 1..n")
     n = len(img)
-    if sorted(img) != list(range(1, n + 1)):
-        raise ValueError("sigma is not a permutation of 1..n")
-    edges = {(i, i + 1) for i in range(1, n)}
-    for a, b in zip(img, img[1:]):
-        edges.add((min(a, b), max(a, b)))
     prov = None
     if trace is not None:
         prov = {"positions": trace.positions, "q": trace.q, "seed": trace.seed}
-    base = make_graph(n, edges)
-    return TangledGraph(base.n, base.edges, base.adjacency, prov)
+    pairs = chain(zip(range(1, n), range(2, n + 1)), zip(img, img[1:]))
+    return _from_pairs(n, pairs, prov)
 
 
 def graph_from_trace(trace: InsertionTrace | Sequence[int]) -> TangledGraph:
@@ -123,50 +116,48 @@ def graph_from_trace(trace: InsertionTrace | Sequence[int]) -> TangledGraph:
 # ---------------------------------------------------------------------------
 
 
-def bfs_distances(g, source: int) -> list[int]:
-    """Hop distances from ``source`` (1-based); -1 marks unreachable vertices."""
-    n, adj = adjacency_lists(g)
+def bfs_distances(g: TangledGraph, source: int) -> list[int]:
+    """Hop distances from ``source`` (1-based), at index v-1 for vertex v;
+    -1 marks unreachable vertices."""
+    n, adj = g.n, g.adjacency
     if not 1 <= source <= n:
         raise ValueError(f"source {source} outside 1..{n}")
-    dist = [-1] * n
-    dist[source - 1] = 0
-    frontier = [source - 1]
+    dist = [-1] * (n + 1)
+    dist[source] = 0
+    frontier = [source]
     d = 0
     while frontier:
         d += 1
         nxt = []
         for u in frontier:
-            for w in adj[u]:
+            for w in adj[u - 1]:
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
-    return dist
+    return dist[1:]
 
 
-def is_connected(g) -> bool:
-    n, _ = _normalize(g)
-    return -1 not in bfs_distances(g, 1) if n > 0 else True
+def is_connected(g: TangledGraph) -> bool:
+    return -1 not in bfs_distances(g, 1)
 
 
-def _csr(g) -> csr_matrix:
-    n, edges = _normalize(g)
-    if not edges:
-        return csr_matrix((n, n))
-    rows = [u - 1 for u, v in edges] + [v - 1 for u, v in edges]
-    cols = [v - 1 for u, v in edges] + [u - 1 for u, v in edges]
-    data = np.ones(len(rows), dtype=np.int8)
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+def _csr(g: TangledGraph) -> csr_matrix:
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2) - 1
+    rows = np.r_[ends[:, 0], ends[:, 1]]
+    cols = np.r_[ends[:, 1], ends[:, 0]]
+    data = np.ones(rows.size, dtype=np.int8)
+    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
-def diameter(g, method: str = "auto") -> int:
+def diameter(g: TangledGraph, method: str = "auto") -> int:
     """Exact diameter (max eccentricity); requires a connected graph.
 
     ``method`` selects the route: "bfs" runs the in-package BFS from every
     vertex, "sparse" delegates the all-pairs pass to scipy.sparse.csgraph,
     "auto" picks by size.  Both are exact; the tests cross-check them.
     """
-    n, _ = _normalize(g)
+    n = g.n
     if n == 1:
         return 0
     if method == "auto":
@@ -192,32 +183,31 @@ def diameter(g, method: str = "auto") -> int:
 # ---------------------------------------------------------------------------
 
 
-def articulation_points(g) -> set[int]:
+def articulation_points(g: TangledGraph) -> set[int]:
     """Cut vertices of a connected graph, via one iterative lowpoint DFS.
 
     Disconnected input is a domain error: articulation structure of separate
     components is not what callers of this package mean.
     """
-    n, adj = adjacency_lists(g)
-    if n == 0:
-        return set()
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    child_count = [0] * n
-    is_cut = [False] * n
-    timer = 0
+    n, adj = g.n, g.adjacency
+    # Indexed by 1-based vertex; slot 0 is unused, so parent 0 means "root".
+    disc = [-1] * (n + 1)
+    low = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    child_count = [0] * (n + 1)
+    is_cut = [False] * (n + 1)
 
     # Explicit stack of (vertex, neighbor iterator index) so deep path-like
     # graphs never hit the recursion limit.
-    stack: list[tuple[int, int]] = [(0, 0)]
-    disc[0] = low[0] = timer
-    timer += 1
+    stack: list[tuple[int, int]] = [(1, 0)]
+    disc[1] = low[1] = 0
+    timer = 1
     while stack:
         u, ptr = stack[-1]
-        if ptr < len(adj[u]):
+        nbrs = adj[u - 1]
+        if ptr < len(nbrs):
             stack[-1] = (u, ptr + 1)
-            w = adj[u][ptr]
+            w = nbrs[ptr]
             if disc[w] < 0:
                 parent[w] = u
                 child_count[u] += 1
@@ -229,15 +219,15 @@ def articulation_points(g) -> set[int]:
         else:
             stack.pop()
             p = parent[u]
-            if p >= 0:
+            if p:
                 low[p] = min(low[p], low[u])
-                if parent[p] >= 0 and low[u] >= disc[p]:
+                if parent[p] and low[u] >= disc[p]:
                     is_cut[p] = True
-    if -1 in disc:
+    if timer < n:
         raise ValueError("articulation points require a connected graph")
-    if child_count[0] >= 2:
-        is_cut[0] = True
-    return {v + 1 for v in range(n) if is_cut[v]}
+    if child_count[1] >= 2:
+        is_cut[1] = True
+    return {v for v in range(1, n + 1) if is_cut[v]}
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +235,10 @@ def articulation_points(g) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def format_edge_list(g) -> str:
+def format_edge_list(g: TangledGraph) -> str:
     """'n=<n>' on the first line, then one sorted 'u v' pair per line."""
-    n, edges = _normalize(g)
-    lines = [f"n={n}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
+    lines = [f"n={g.n}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines)
 
 

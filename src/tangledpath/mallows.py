@@ -19,9 +19,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _iter_product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -135,14 +135,6 @@ class TruncatedGeometric:
 
     def pmf_vector(self) -> np.ndarray:
         return np.array([self.pmf(j) for j in range(1, self.n + 1)])
-
-
-def tg_pmf(dist: TruncatedGeometric, j: int) -> float:
-    return dist.pmf(j)
-
-
-def tg_tail(dist: TruncatedGeometric, x: int) -> float:
-    return dist.tail(x)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +357,10 @@ def displacement_samples(
 ) -> np.ndarray:
     """Monte Carlo samples distributed as |sigma(i) - i| under sigma ~ mu_{n,q}.
 
-    Tracks the final position p of value i in the process output r_n: after its
-    own insertion p = v_i, and each later insertion at v_j <= p pushes it right
-    by one.  Then n + 1 - p = sigma^{-1}(i), and because inv(sigma) =
-    inv(sigma^{-1}) the Mallows measure is closed under inverse, so
-    |sigma^{-1}(i) - i| has exactly the law of |sigma(i) - i|.  The position
-    scan vectorizes across trials; constructing sigma(i) directly would not.
+    Each sample is :func:`trace_displacements` of one sampled trace, that is
+    |sigma^{-1}(i) - i|; because inv(sigma) = inv(sigma^{-1}) the Mallows
+    measure is closed under inverse, so this has exactly the law of
+    |sigma(i) - i|.
     """
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} outside [1, {n}]")
@@ -382,12 +372,24 @@ def displacement_samples(
         m = min(chunk, trials - done)
         seeds = derive_array(seed, np.arange(done, done + m, dtype=np.uint64))
         v = sample_trace_matrix(n, q, seeds)
-        p = v[:, i - 1].copy()
-        for j in range(i + 1, n + 1):
-            p += v[:, j - 1] <= p
-        out[done : done + m] = np.abs((n + 1 - p) - i)
+        out[done : done + m] = trace_displacements(v, i)
         done += m
     return out
+
+
+def trace_displacements(v: np.ndarray, i: int) -> np.ndarray:
+    """|sigma^{-1}(i) - i| for each row of an (m, n) trace matrix ``v``.
+
+    Tracks the final position p of value i in the process output r_n: after
+    its own insertion p = v_i, and each later insertion at v_j <= p pushes it
+    right by one; then n + 1 - p = sigma^{-1}(i).  The scan vectorizes across
+    rows; constructing sigma(i) directly would not.
+    """
+    n = v.shape[1]
+    p = v[:, i - 1].copy()
+    for j in range(i + 1, n + 1):
+        p += v[:, j - 1] <= p
+    return np.abs((n + 1 - p) - i)
 
 
 def displacement_tail_empirical(

@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .errors import CapabilityError, StatisticalCheckError
 from .events import (
     event_flag_matrix,
@@ -51,12 +52,13 @@ from .mallows import (
     enumerate_traces,
     mallows_process,
     sample_trace_matrix,
+    trace_displacements,
 )
 from .rng import derive, derive_array, uniform_matrix
 from .widths import EXACT_CAP, cutwidth_identity, treewidth_exact, vertex_iso
 
 RNG_NAME = "splitmix64"
-CODE_VERSION = "0.1.0"
+CODE_VERSION = __version__
 
 EXPERIMENT_KINDS = (
     "separator",
@@ -294,17 +296,18 @@ def _chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
 
 def _run_cell(
     cfg: SweepConfig,
-    cell_index: int,
-    n: int,
+    cell: tuple[int, int, float],
     trial_fn: Callable[[np.ndarray], dict[str, np.ndarray]],
 ) -> dict[str, np.ndarray]:
     """Run all trials of one cell, chunked across worker threads.
 
-    ``trial_fn`` maps a vector of per-trial seeds to per-trial statistic
-    arrays.  Chunk results are concatenated in trial order, so the outcome is
-    independent of thread count; any trial failure aborts the sweep with the
-    cell context attached.
+    ``cell`` is a (cell_index, n, q) triple from :func:`_cells`.  ``trial_fn``
+    maps a vector of per-trial seeds to per-trial statistic arrays.  Chunk
+    results are concatenated in trial order, so the outcome is independent of
+    thread count; a trial failure aborts the sweep, keeping its exception
+    class, with the cell context prefixed to its message.
     """
+    cell_index, n, q = cell
     cell_seed = derive(cfg.master_seed, cell_index)
     bounds = _chunk_bounds(cfg.trials, n)
 
@@ -320,9 +323,12 @@ def _run_cell(
             with ThreadPoolExecutor(max_workers=cfg.thread_count) as pool:
                 parts = list(pool.map(work, bounds))
     except Exception as exc:
-        raise RuntimeError(
-            f"trial failure in cell {cell_index} (n={n}): {exc}"
-        ) from exc
+        # Rewriting args keeps the class (so the CLI's exit code) and puts the
+        # context into str(exc), which the CLI prints; add_note (Python 3.11+)
+        # would leave str(exc) unchanged.
+        context = f"trial failure in cell {cell_index} (n={n}, q={q})"
+        exc.args = (f"{context}: {exc}", *exc.args[1:])
+        raise
     merged: dict[str, np.ndarray] = {}
     for key in parts[0]:
         merged[key] = np.concatenate([p[key] for p in parts])
@@ -376,7 +382,7 @@ def run_separator_sweep(cfg: SweepConfig) -> SweepResult:
             counts = window.sum(axis=1).astype(np.int64)
             return {"count": counts, "indicator": (counts >= 1).astype(np.int64)}
 
-        data = _run_cell(cfg, cell_index, n, trial_fn)
+        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
         ms = (time.perf_counter() - start) * 1000.0
         exact = expected_cuts_in_range(n, q, k_lo, k_hi) if k_lo <= k_hi else 0.0
         mean, se = _mean_stderr(data["count"])
@@ -449,7 +455,7 @@ def run_flush_validation(cfg: SweepConfig) -> SweepResult:
             flush = event_flag_matrix(v)["flush"]
             return {f"k{k}": flush[:, k - 1].astype(np.int64) for k in ks}
 
-        data = _run_cell(cfg, cell_index, n, trial_fn)
+        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
         ms = (time.perf_counter() - start) * 1000.0
         for k in ks:
             mean, se = _mean_stderr(data[f"k{k}"])
@@ -498,7 +504,7 @@ def run_diameter_sweep(cfg: SweepConfig) -> SweepResult:
                 "violation": (diams < cuts + 1).astype(np.int64),
             }
 
-        data = _run_cell(cfg, cell_index, n, trial_fn)
+        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
         ms = (time.perf_counter() - start) * 1000.0
         mean, se = _mean_stderr(data["diameter"])
         rows.append(
@@ -555,7 +561,7 @@ def run_width_sweep(cfg: SweepConfig) -> SweepResult:
                 out["tw"] = tw
             return out
 
-        data = _run_cell(cfg, cell_index, n, trial_fn)
+        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
         ms = (time.perf_counter() - start) * 1000.0
         exact_path = 1.0 if q == 0.0 and n >= 2 else None
 
@@ -625,7 +631,7 @@ def run_expansion_check(cfg: SweepConfig) -> SweepResult:
                     out_iso[r] = float(cross.min()) / half
             return {"iso": out_iso}
 
-        data = _run_cell(cfg, cell_index, n, trial_fn)
+        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
         ms = (time.perf_counter() - start) * 1000.0
         iso = data["iso"]
         if small:
@@ -662,12 +668,9 @@ def run_displacement_sweep(cfg: SweepConfig) -> SweepResult:
 
         def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
             v = sample_trace_matrix(n, q, seeds)
-            p = v[:, i - 1].copy()
-            for j in range(i + 1, n + 1):
-                p += v[:, j - 1] <= p
-            return {"disp": np.abs((n + 1 - p) - i)}
+            return {"disp": trace_displacements(v, i)}
 
-        data = _run_cell(cfg, cell_index, n, trial_fn)
+        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
         ms = (time.perf_counter() - start) * 1000.0
         disp = data["disp"]
         for t in cfg.t_list:

@@ -11,20 +11,23 @@ The chain these quantities satisfy on every instance (max degree <= 4 graphs):
 
 with cutwidth_exact <= cutwidth_identity, since the identity layout is just one
 candidate vertex ordering.
+
+Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
+``build_tangled``, ``graph_from_trace``, ``make_graph`` or ``parse_edge_list``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
 from ._util import balanced_at_most
 from .errors import CapabilityError
-from .graph import _normalize, adjacency_lists, articulation_points
+from .graph import TangledGraph, articulation_points
 
 EXACT_CAP = 20
 
@@ -41,12 +44,9 @@ def _require_small(n: int, what: str) -> None:
         )
 
 
-def _bitmask_adjacency(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-    return adj
+def _bitmask_adjacency(g: TangledGraph) -> list[int]:
+    """Neighbors of vertex v as a bitmask with bit w-1 for neighbor w."""
+    return [sum(1 << (w - 1) for w in nbrs) for nbrs in g.adjacency]
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,8 @@ def _bitmask_adjacency(n: int, edges: list[tuple[int, int]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _is_forest(n: int, edges: list[tuple[int, int]]) -> bool:
-    parent = list(range(n))
+def _is_forest(g: TangledGraph) -> bool:
+    parent = list(range(g.n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -63,7 +63,7 @@ def _is_forest(n: int, edges: list[tuple[int, int]]) -> bool:
             x = parent[x]
         return x
 
-    for u, v in edges:
+    for u, v in g.edges:
         ru, rv = find(u - 1), find(v - 1)
         if ru == rv:
             return False
@@ -71,7 +71,7 @@ def _is_forest(n: int, edges: list[tuple[int, int]]) -> bool:
     return True
 
 
-def _series_reduce(n: int, edges: list[tuple[int, int]]) -> list[dict[int, set[int]]]:
+def _series_reduce(g: TangledGraph) -> list[dict[int, set[int]]]:
     """Strip degree <= 2 vertices (valid once tw >= 2) and split into cores.
 
     Degree-0/1 removal never changes treewidth; contracting a degree-2 vertex
@@ -79,10 +79,7 @@ def _series_reduce(n: int, edges: list[tuple[int, int]]) -> list[dict[int, set[i
     guarantees by only reducing graphs that contain a cycle.  Returns the
     connected components of the residue, each with minimum degree >= 3.
     """
-    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in edges:
-        nbrs[u - 1].add(v - 1)
-        nbrs[v - 1].add(u - 1)
+    nbrs = {v: set(ns) for v, ns in enumerate(g.adjacency, 1)}
     queue = [v for v, ns in nbrs.items() if len(ns) <= 2]
     while queue:
         v = queue.pop()
@@ -117,7 +114,7 @@ def _series_reduce(n: int, edges: list[tuple[int, int]]) -> list[dict[int, set[i
     return cores
 
 
-def _degeneracy(nbrs: dict[int, set[int]]) -> int:
+def _degeneracy(nbrs: dict[int, Collection[int]]) -> int:
     work = {v: set(ns) for v, ns in nbrs.items()}
     best = 0
     while work:
@@ -129,7 +126,7 @@ def _degeneracy(nbrs: dict[int, set[int]]) -> int:
     return best
 
 
-def _minfill_width(nbrs: dict[int, set[int]]) -> int:
+def _minfill_width(nbrs: dict[int, Collection[int]]) -> int:
     """Width of the greedy minimum-fill elimination order (treewidth upper bound)."""
     work = {v: set(ns) for v, ns in nbrs.items()}
     width = 0
@@ -213,21 +210,20 @@ def _tw_decide(adj: list[int], t: int) -> bool:
     return dfs(0, n)
 
 
-def treewidth_exact(g) -> int:
+def treewidth_exact(g: TangledGraph) -> int:
     """Exact treewidth for n <= 20.
 
     Forests are answered directly; otherwise degree <= 2 reductions shrink the
     graph, and each residual core is solved by iterative deepening on the
     elimination-order decision problem (memoized over vertex subsets).
     """
-    n, edges = _normalize(g)
-    _require_small(n, "treewidth_exact")
-    if not edges:
+    _require_small(g.n, "treewidth_exact")
+    if not g.edges:
         return 0
-    if _is_forest(n, edges):
+    if _is_forest(g):
         return 1
     best = 2
-    for core in _series_reduce(n, edges):
+    for core in _series_reduce(g):
         if not core:
             continue
         labels = sorted(core)
@@ -247,19 +243,15 @@ def treewidth_exact(g) -> int:
     return best
 
 
-def treewidth_bounds(g) -> tuple[int, int]:
+def treewidth_bounds(g: TangledGraph) -> tuple[int, int]:
     """(degeneracy lower bound, min-fill upper bound); brackets the exact value."""
-    n, edges = _normalize(g)
-    if n > BOUNDS_CAP:
+    if g.n > BOUNDS_CAP:
         raise CapabilityError(
-            f"treewidth_bounds supports n <= {BOUNDS_CAP}; got n={n}"
+            f"treewidth_bounds supports n <= {BOUNDS_CAP}; got n={g.n}"
         )
-    if not edges:
+    if not g.edges:
         return 0, 0
-    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in edges:
-        nbrs[u - 1].add(v - 1)
-        nbrs[v - 1].add(u - 1)
+    nbrs = dict(enumerate(g.adjacency, 1))
     return _degeneracy(nbrs), _minfill_width(nbrs)
 
 
@@ -268,28 +260,40 @@ def treewidth_bounds(g) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def cutwidth_exact(g) -> int:
+def _subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex subset as a bitmask (bit v-1 for vertex v), and its size."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    return masks, sizes
+
+
+def _edge_boundary(g: TangledGraph, masks: np.ndarray) -> np.ndarray:
+    """Number of edges between each subset in ``masks`` and its complement."""
+    boundary = np.zeros(masks.size, dtype=np.int64)
+    for u, v in g.edges:
+        crossing = (masks >> np.uint32(u - 1)) ^ (masks >> np.uint32(v - 1))
+        boundary += (crossing & np.uint32(1)).astype(np.int64)
+    return boundary
+
+
+def cutwidth_exact(g: TangledGraph) -> int:
     """Minimum over all vertex orderings of the maximum cut, for n <= 20.
 
     Subset DP: cost(S) = max(boundary(S), min over v in S of cost(S - v)),
     where boundary(S) counts edges between S and its complement.  Evaluated
     layer by layer over subset popcounts with vectorized gathers.
     """
-    n, edges = _normalize(g)
+    n = g.n
     _require_small(n, "cutwidth_exact")
-    if n == 1 or not edges:
+    if n == 1 or not g.edges:
         return 0
     size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    boundary = np.zeros(size, dtype=np.int32)
-    for u, v in edges:
-        crossing = (masks >> np.uint32(u - 1)) ^ (masks >> np.uint32(v - 1))
-        boundary += (crossing & np.uint32(1)).astype(np.int32)
-    pop = np.bitwise_count(masks)
+    masks, sizes = _subset_tables(n)
+    boundary = _edge_boundary(g, masks)
     cost = np.zeros(size, dtype=np.int32)
     big = np.int32(2**30)
     for layer in range(1, n + 1):
-        idx = np.nonzero(pop == layer)[0]
+        idx = np.nonzero(sizes == layer)[0]
         cand = np.full(idx.size, big, dtype=np.int32)
         for v in range(n):
             sel = ((idx >> v) & 1).astype(bool)
@@ -300,14 +304,14 @@ def cutwidth_exact(g) -> int:
     return int(cost[size - 1])
 
 
-def cutwidth_identity(g) -> tuple[int, tuple[int, ...]]:
+def cutwidth_identity(g: TangledGraph) -> tuple[int, tuple[int, ...]]:
     """Cut profile of the layout 1, 2, ..., n: value at x = i + 0.5 counts the
     edges {u, v} with u <= i < v.  Returns (max, per-cut profile)."""
-    n, edges = _normalize(g)
+    n = g.n
     if n == 1:
         return 0, ()
     diff = [0] * (n + 1)
-    for u, v in edges:
+    for u, v in g.edges:
         diff[u] += 1
         diff[v] -= 1
     profile = []
@@ -323,20 +327,14 @@ def cutwidth_identity(g) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _subset_tables(n: int, edges: list[tuple[int, int]]):
-    masks = np.arange(1 << n, dtype=np.uint32)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    return masks, sizes
-
-
-def vertex_iso(g) -> Fraction:
+def vertex_iso(g: TangledGraph) -> Fraction:
     """min over 0 < |S| <= n/2 of |N(S) \\ S| / |S|, as an exact rational."""
-    n, edges = _normalize(g)
+    n = g.n
     _require_small(n, "vertex_iso")
     if n < 2:
         raise ValueError("isoperimetric ratio needs at least 2 vertices")
-    masks, sizes = _subset_tables(n, edges)
-    adjm = _bitmask_adjacency(n, edges)
+    masks, sizes = _subset_tables(n)
+    adjm = _bitmask_adjacency(g)
     nb = np.zeros(1 << n, dtype=np.uint32)
     for v in range(n):
         sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
@@ -350,17 +348,14 @@ def vertex_iso(g) -> Fraction:
     )
 
 
-def edge_iso(g) -> Fraction:
+def edge_iso(g: TangledGraph) -> Fraction:
     """min over 0 < |S| <= n/2 of (edges leaving S) / |S|, as an exact rational."""
-    n, edges = _normalize(g)
+    n = g.n
     _require_small(n, "edge_iso")
     if n < 2:
         raise ValueError("isoperimetric ratio needs at least 2 vertices")
-    masks, sizes = _subset_tables(n, edges)
-    crossing = np.zeros(1 << n, dtype=np.int64)
-    for u, v in edges:
-        x = (masks >> np.uint32(u - 1)) ^ (masks >> np.uint32(v - 1))
-        crossing += (x & np.uint32(1)).astype(np.int64)
+    masks, sizes = _subset_tables(n)
+    crossing = _edge_boundary(g, masks)
     per_size = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(per_size, sizes, crossing)
     return min(
@@ -374,7 +369,7 @@ def edge_iso(g) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def unit_separator(g, alpha: float) -> tuple[int, tuple[int, int]] | None:
+def unit_separator(g: TangledGraph, alpha: float) -> tuple[int, tuple[int, int]] | None:
     """Smallest cut vertex k whose removal splits g into sides each <= alpha*n.
 
     The removed components may be grouped into two parts; the returned side
@@ -384,12 +379,12 @@ def unit_separator(g, alpha: float) -> tuple[int, tuple[int, int]] | None:
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (1/2, 1)")
-    n, adj = adjacency_lists(g)
+    n, adj = g.n, g.adjacency
     for k in sorted(articulation_points(g)):
         comp_sizes = []
-        seen = [False] * n
-        seen[k - 1] = True
-        for start in range(n):
+        seen = [False] * (n + 1)
+        seen[k] = True
+        for start in range(1, n + 1):
             if seen[start]:
                 continue
             count = 0
@@ -398,7 +393,7 @@ def unit_separator(g, alpha: float) -> tuple[int, tuple[int, int]] | None:
             while frontier:
                 x = frontier.pop()
                 count += 1
-                for y in adj[x]:
+                for y in adj[x - 1]:
                     if not seen[y]:
                         seen[y] = True
                         frontier.append(y)
@@ -488,19 +483,19 @@ class WidthReport:
         return out
 
 
-def build_width_report(g, exact: bool | None = None) -> WidthReport:
+def build_width_report(g: TangledGraph, exact: bool | None = None) -> WidthReport:
     """Compute the widths that are feasible at |g|'s size.
 
     ``exact=None`` picks exact solvers iff n <= 20; True forces them (refusing
     beyond the cap); False forces the bounds route.
     """
-    n, edges = _normalize(g)
+    n = g.n
     use_exact = n <= EXACT_CAP if exact is None else exact
     cw_val, cw_profile = cutwidth_identity(g)
     if use_exact:
         return WidthReport(
             n=n,
-            edge_count=len(edges),
+            edge_count=len(g.edges),
             treewidth=treewidth_exact(g),
             treewidth_method="exact-dp",
             cutwidth_identity=cw_val,
@@ -511,7 +506,7 @@ def build_width_report(g, exact: bool | None = None) -> WidthReport:
         )
     return WidthReport(
         n=n,
-        edge_count=len(edges),
+        edge_count=len(g.edges),
         treewidth=treewidth_bounds(g),
         treewidth_method="degeneracy-lower/minfill-upper",
         cutwidth_identity=cw_val,

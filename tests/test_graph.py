@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tangledpath import (
     InsertionTrace,
+    Permutation,
     articulation_points,
     bfs_distances,
     build_tangled,
@@ -53,6 +54,27 @@ def test_degree_bound_and_connectivity():
         g = build_tangled(mallows_process(trace), trace=trace)
         assert all(len(nbrs) <= 4 for nbrs in g.adjacency)
         assert is_connected(g)
+
+
+@given(st.integers(1, 30).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+@example([1])
+@example([1, 2])
+@example([2, 1])
+def test_build_tangled_matches_validated_edge_list(perm):
+    # build_tangled derives neighbors from sigma without validating edges;
+    # make_graph validates, deduplicates and sorts an explicit edge list.
+    n = len(perm)
+    path_edges = [(i, i + 1) for i in range(1, n)]
+    sigma_edges = list(zip(perm, perm[1:]))
+    ref = make_graph(n, path_edges + sigma_edges)
+    for sigma in (perm, Permutation(tuple(perm))):
+        g = build_tangled(sigma)
+        assert (g.n, g.edges, g.adjacency) == (ref.n, ref.edges, ref.adjacency)
+
+
+def test_build_tangled_rejects_non_permutation():
+    with pytest.raises(ValueError):
+        build_tangled((1, 1, 3))
 
 
 @given(st.permutations(list(range(1, 10))))

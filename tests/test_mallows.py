@@ -29,8 +29,6 @@ from tangledpath import (
     sample_trace,
     sample_trace_matrix,
     standardize,
-    tg_pmf,
-    tg_tail,
     tv_distance_to_uniform,
 )
 from tangledpath.errors import CapabilityError
@@ -195,9 +193,9 @@ def test_tg_pmf_normalized(n, q):
 
 
 def test_tg_endpoints():
-    assert tg_pmf(TruncatedGeometric(5, 0.0), 1) == 1.0
-    assert tg_pmf(TruncatedGeometric(5, 0.0), 2) == 0.0
-    assert math.isclose(tg_pmf(TruncatedGeometric(5, 1.0), 3), 0.2)
+    assert TruncatedGeometric(5, 0.0).pmf(1) == 1.0
+    assert TruncatedGeometric(5, 0.0).pmf(2) == 0.0
+    assert math.isclose(TruncatedGeometric(5, 1.0).pmf(3), 0.2)
 
 
 @given(
@@ -207,8 +205,8 @@ def test_tg_endpoints():
 def test_tg_tail_is_pmf_suffix_sum(n, q):
     dist = TruncatedGeometric(n, q)
     for x in range(1, n + 1):
-        suffix = sum(tg_pmf(dist, j) for j in range(x, n + 1))
-        assert math.isclose(tg_tail(dist, x), suffix, abs_tol=1e-10)
+        suffix = sum(dist.pmf(j) for j in range(x, n + 1))
+        assert math.isclose(dist.tail(x), suffix, abs_tol=1e-10)
 
 
 def test_tv_to_uniform_golden():

@@ -7,10 +7,12 @@ import math
 import pytest
 
 from tangledpath import (
+    CapabilityError,
     StatisticalCheckError,
     flush_prob,
     threshold_window,
 )
+from tangledpath.cli import main
 from tangledpath.sweeps import (
     CSV_COLUMNS,
     SweepConfig,
@@ -276,6 +278,24 @@ def test_check_bands_raises_on_doctored_row():
     with pytest.raises(StatisticalCheckError) as err:
         check_bands(doctored)
     assert err.value.rows
+
+
+def test_trial_error_keeps_its_class(monkeypatch, tmp_path, capsys):
+    import tangledpath.sweeps as sweeps
+
+    def refuse(v):
+        raise CapabilityError("too large")
+
+    monkeypatch.setattr(sweeps, "event_flag_matrix", refuse)
+    for threads in (1, 2):
+        # 130 trials at n=25 make three chunks, so the threaded run fails in
+        # more than one worker.
+        with pytest.raises(CapabilityError, match=r"cell 0 \(n=25, q=0\.5\): too large"):
+            run_sweep(small_cfg(n_list=[25], q_grid=[0.5], trials=130, thread_count=threads))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("experiment = separator\nn_list = 25\nq_grid = 0.5\ntrials = 20\n")
+    assert main(["sweep", "--config", str(cfg)]) == 3
+    assert "refused: trial failure in cell 0" in capsys.readouterr().err
 
 
 def test_width_sweep_medians_present():
