@@ -1,4 +1,5 @@
-"""Tangled graphs and basic structure: construction, BFS, articulation points.
+"""Tangled graphs and basic structure: construction, BFS, diameter,
+articulation points.
 
 The tangled graph of a permutation sigma of {1..n} is the union of the path
 1-2-...-n with the permuted path sigma(1)-sigma(2)-...-sigma(n), with duplicate
@@ -11,23 +12,36 @@ Every routine here and in :mod:`tangledpath.widths` takes a
 :func:`make_graph` (which also builds the reference graphs, such as cycles and
 cliques, used to test the width machinery) or :func:`parse_edge_list`.  Those
 constructors validate their input; the routines trust it.
+
+:func:`diameter` has one exact route, iFUB: a double sweep and the BFS runs
+of a few fringe levels, all in C through scipy.sparse.csgraph, in O(n)
+memory.  ``diameter(g, method="sparse")`` is the all-pairs reference that the
+tests and the benchmark check it against; it holds an n x n matrix, so it
+refuses n above 8192 with :class:`CapabilityError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _dijkstra
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
+from .errors import CapabilityError
 from .mallows import InsertionTrace, Permutation, mallows_process
 
-# Above this size diameter() switches from the pure-Python BFS loop to
-# scipy.sparse.csgraph; both routes are exact and the tests compare them.
-_SPARSE_DIAMETER_CUTOVER = 256
+# Distances one BFS call into C may return: diameter() sends a fringe level's
+# sources in blocks of at most this many // n, so its memory stays O(n)
+# (32 MB of float64) whatever the size of the level.
+_BFS_BLOCK_ENTRIES = 1 << 22
+
+# The all-pairs reference route holds a dense n x n float64 matrix; above
+# this size (0.5 GB) it refuses instead of running the machine out of memory.
+_ALL_PAIRS_MAX_N = 8192
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,8 @@ class TangledGraph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    provenance: dict | None = None
+    # A dict is unhashable; equality still compares it, so equal graphs hash equal.
+    provenance: dict | None = field(default=None, hash=False)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v - 1])
@@ -143,39 +158,68 @@ def is_connected(g: TangledGraph) -> bool:
 
 
 def _csr(g: TangledGraph) -> csr_matrix:
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2) - 1
-    rows = np.r_[ends[:, 0], ends[:, 1]]
-    cols = np.r_[ends[:, 1], ends[:, 0]]
-    data = np.ones(rows.size, dtype=np.int8)
-    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    """The adjacency as a CSR matrix, each edge stored in both directions."""
+    indptr = np.zeros(g.n + 1, dtype=np.int32)
+    np.cumsum([len(a) for a in g.adjacency], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g.adjacency), np.int32, indptr[-1]) - 1
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+
+
+def _bfs(csr: csr_matrix, sources) -> np.ndarray:
+    """Hop distances in C from 0-based ``sources``: one row per source, or a
+    single row for an int; ``inf`` marks unreachable vertices.
+    ``directed=True`` because the CSR already holds both directions of every
+    edge."""
+    return _dijkstra(csr, directed=True, unweighted=True, indices=sources)
 
 
 def diameter(g: TangledGraph, method: str = "auto") -> int:
     """Exact diameter (max eccentricity); requires a connected graph.
 
-    ``method`` selects the route: "bfs" runs the in-package BFS from every
-    vertex, "sparse" delegates the all-pairs pass to scipy.sparse.csgraph,
-    "auto" picks by size.  Both are exact; the tests cross-check them.
+    The default route is iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, "On
+    computing the diameter of real-world undirected graphs", TCS 2013).  A
+    double sweep from vertex 1 gives a lower bound lb = d(a, b) and a vertex u
+    halfway between a and b.  Then u's BFS levels are walked from the farthest
+    one in, each vertex's eccentricity raising lb, until lb >= 2i for the next
+    level i: two vertices both within i of u are at most 2i apart, and every
+    pair reaching farther out has had an endpoint's eccentricity counted.
+    Near-path graphs stop after about four BFS runs; every BFS runs in C on one
+    CSR, fringe levels in blocks of at most ``_BFS_BLOCK_ENTRIES // n``
+    sources, so memory stays O(n).
+
+    ``method="sparse"`` is the independent reference the tests compare
+    against: scipy's all-pairs pass over a dense n x n matrix.  It raises
+    :class:`CapabilityError` above n = ``_ALL_PAIRS_MAX_N``.
     """
-    n = g.n
-    if n == 1:
-        return 0
-    if method == "auto":
-        method = "sparse" if n > _SPARSE_DIAMETER_CUTOVER else "bfs"
-    if method == "bfs":
-        best = 0
-        for s in range(1, n + 1):
-            dist = bfs_distances(g, s)
-            if -1 in dist:
-                raise ValueError("diameter of a disconnected graph is undefined")
-            best = max(best, max(dist))
-        return best
     if method == "sparse":
+        if g.n > _ALL_PAIRS_MAX_N:
+            raise CapabilityError(
+                f"all-pairs diameter holds an n x n matrix; n={g.n} exceeds {_ALL_PAIRS_MAX_N}"
+            )
         dm = _sp_shortest_path(_csr(g), method="D", unweighted=True, directed=False)
         if np.isinf(dm).any():
             raise ValueError("diameter of a disconnected graph is undefined")
         return int(dm.max())
-    raise ValueError(f"unknown method {method!r}")
+    if method != "auto":
+        raise ValueError(f"unknown method {method!r}")
+    csr = _csr(g)
+    first = _bfs(csr, 0)
+    if np.isinf(first).any():
+        raise ValueError("diameter of a disconnected graph is undefined")
+    da = _bfs(csr, int(first.argmax()))
+    lb = int(da.max())
+    db = _bfs(csr, int(da.argmax()))
+    half = lb // 2
+    du = _bfs(csr, int(np.flatnonzero((da == half) & (db == lb - half))[0]))
+    i = int(du.max())
+    lb = max(lb, int(db.max()), i)
+    block = max(1, _BFS_BLOCK_ENTRIES // g.n)
+    while lb < 2 * i:
+        level = np.flatnonzero(du == i)
+        for k in range(0, level.size, block):
+            lb = max(lb, int(_bfs(csr, level[k:k + block]).max()))
+        i -= 1
+    return lb
 
 
 # ---------------------------------------------------------------------------

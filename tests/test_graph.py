@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tangledpath import (
+    CapabilityError,
     InsertionTrace,
     Permutation,
     articulation_points,
@@ -28,8 +31,11 @@ from tangledpath import (
 from conftest import (
     brute_articulation,
     brute_distance_matrix,
+    complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     star_graph,
 )
@@ -90,6 +96,17 @@ def test_provenance_recorded():
     assert graph_from_trace(trace).edges == g.edges
 
 
+def test_graph_with_provenance_hashes():
+    trace = sample_trace(12, 0.4, 5)
+    sigma = mallows_process(trace)
+    traced, bare = build_tangled(sigma, trace=trace), build_tangled(sigma)
+    again = graph_from_trace(trace)
+    assert hash(traced) == hash(bare)
+    assert again == traced and hash(again) == hash(traced)
+    # Equality still compares provenance.
+    assert traced != bare and len({traced, bare, again}) == 2
+
+
 def test_make_graph_validation():
     with pytest.raises(ValueError):
         make_graph(3, [(1, 4)])
@@ -118,17 +135,76 @@ def test_diameter_knowns():
     assert diameter(make_graph(*path_graph(9))) == 8
     assert diameter(make_graph(*cycle_graph(6))) == 3
     assert diameter(make_graph(*star_graph(5))) == 2
+    for method in ("auto", "sparse"):
+        with pytest.raises(ValueError):
+            diameter(make_graph(3, [(1, 2)]), method=method)
     with pytest.raises(ValueError):
-        diameter(make_graph(3, [(1, 2)]))
+        diameter(make_graph(*path_graph(4)), method="bfs")
 
 
-def test_diameter_methods_agree():
-    """The pure BFS route and the sparse-matrix route are dual
-    implementations; they must agree above and below the cutover."""
-    for seed, n in [(0, 30), (1, 120), (2, 300)]:
-        trace = sample_trace(n, 0.7, seed)
-        g = build_tangled(mallows_process(trace), trace=trace)
-        assert diameter(g, method="bfs") == diameter(g, method="sparse")
+def test_diameter_matches_all_pairs_reference():
+    """iFUB against scipy's all-pairs pass on tangled graphs, from the path
+    (q = 0) through q next to 1 (1 - q = 1/(n ln n)) to uniform sigma (q = 1)."""
+    for n in (1, 2, 3, 30, 300, 2000):
+        qs = [0.0, 0.5, 0.9, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
+        for q in qs:
+            for seed in range(1 if n == 2000 else 3):
+                g = build_tangled(mallows_process(sample_trace(n, q, seed)))
+                assert diameter(g) == diameter(g, method="sparse"), (n, q, seed)
+
+
+def test_diameter_matches_all_pairs_on_reference_graphs():
+    graphs = [random_connected_graph(n, extra, 40 + n) for n in (2, 5, 17, 60) for extra in (0, 3, 40)]
+    graphs += [cycle_graph(n) for n in (3, 4, 7, 10)]
+    graphs += [star_graph(k) for k in (1, 2, 9)]
+    graphs += [complete_graph(n) for n in (2, 3, 6)]
+    graphs += [path_graph(1), path_graph(2), grid_graph(5, 8), petersen_graph()]
+    for n, edges in graphs:
+        g = make_graph(n, edges)
+        assert diameter(g) == diameter(g, method="sparse"), (n, edges)
+
+
+def test_diameter_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [random_connected_graph(4 + seed % 20, seed % 9, 700 + seed) for seed in range(30)]
+    for seed, q in enumerate((0.3, 0.8, 0.95, 1.0)):
+        g = build_tangled(mallows_process(sample_trace(40, q, seed)))
+        graphs.append((g.n, list(g.edges)))
+    for n, edges in graphs:
+        ref = nx.Graph(edges)
+        ref.add_nodes_from(range(1, n + 1))
+        assert diameter(make_graph(n, edges)) == nx.diameter(ref)
+
+
+def test_diameter_large_n_in_linear_memory():
+    """n = 10^5, where the all-pairs matrix would take 80 GB: the result lies
+    between the double-sweep lower bound and 2 ecc(1), and above |cuts| + 1."""
+    n = 100_000
+    for q in (0.5, 0.99):
+        trace = sample_trace(n, q, 11)
+        g = build_tangled(mallows_process(trace))
+        first = bfs_distances(g, 1)
+        low = max(bfs_distances(g, first.index(max(first)) + 1))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        d = diameter(g)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert low <= d <= 2 * max(first)
+        assert d >= len(cut_vertices_from_trace(trace)) + 1
+        assert peak < 64 << 20, f"diameter peaked at {peak / 2**20:.0f} MB"
+        assert elapsed < 10, f"diameter took {elapsed:.1f} s"
+
+
+def test_all_pairs_reference_refuses_large_n():
+    g = make_graph(*path_graph(8193))
+    tracemalloc.start()
+    with pytest.raises(CapabilityError):
+        diameter(g, method="sparse")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_diameter_matches_brute_matrix():
