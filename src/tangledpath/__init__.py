@@ -74,6 +74,7 @@ from .mallows import (
     sample_trace,
     sample_trace_matrix,
     standardize,
+    trace_table,
     tv_distance_to_uniform,
 )
 from .rng import SplitMix64, derive, derive_array, mix64, stream_u64, uniform_matrix

@@ -1,8 +1,11 @@
-"""Small shared helpers: alpha-range snapping and probability clamping."""
+"""Small shared helpers: alpha-range snapping, probability clamping, and
+weighted sums over a trace table."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # Float alpha values like 2/3 land epsilon-close to a rational boundary; without
 # snapping, ceil((1 - 2/3) * 9) evaluates to 4 instead of 3.  All alpha-dependent
@@ -43,3 +46,12 @@ def clamp01(x: float) -> float:
             raise ValueError(f"probability {x} above 1 beyond tolerance")
         return 1.0
     return x
+
+
+def trace_order_sum(w: np.ndarray, values) -> float:
+    """sum_t w[t] * values[t], added in row order as a running total would.
+
+    A ``w @ values`` dot product adds in another order and changes the last
+    bits of the result.
+    """
+    return float(np.cumsum(w * values)[-1])

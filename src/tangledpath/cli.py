@@ -38,17 +38,17 @@ from .events import (
     flush_prob,
     reverse_flush_prob,
 )
-from ._util import alpha_cut_range
+from ._util import alpha_cut_range, trace_order_sum
 from .graph import articulation_points, build_tangled, diameter, format_edge_list
 from .mallows import (
     InsertionTrace,
-    enumerate_traces,
     format_permutation,
     format_trace,
     mallows_process,
     parse_permutation,
     parse_trace,
     sample_trace,
+    trace_table,
 )
 from .rng import derive
 from .sweeps import (
@@ -264,28 +264,34 @@ def cmd_events(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    import numpy as np
-
-    n, q = args.n, args.q
-    if args.event is None:
-        total = 0.0
-        count = 0
-        for _, w in enumerate_traces(n, q):
-            total += w
-            count += 1
-        _emit({"n": n, "q": q, "count": count, "total_weight": total})
-        return 0
-    if args.event.startswith("flush@"):
+    n, q, event = args.n, args.q, args.event
+    if event is not None and event.startswith("flush@"):
         try:
-            k = int(args.event.split("@", 1)[1])
+            k = int(event.split("@", 1)[1])
         except ValueError as exc:
-            raise UsageError(f"bad --event {args.event!r}") from exc
+            raise UsageError(f"bad --event {event!r}") from exc
         if not 1 <= k <= n:
             raise UsageError(f"flush index k={k} outside [1, {n}]")
-        p = 0.0
-        for trace, w in enumerate_traces(n, q):
-            flags = event_flag_matrix(np.asarray(trace.positions)[None, :])
-            p += w * bool(flags["flush"][0, k - 1])
+    elif event not in (None, "cut"):
+        raise UsageError(f"unknown --event {event!r}; use flush@K or cut")
+    V, w = trace_table(n, q)
+    if event is None:
+        _emit({"n": n, "q": q, "count": len(w), "total_weight": trace_order_sum(w, 1.0)})
+    elif event == "cut":
+        flags = event_flag_matrix(V)
+        cuts = (flags["cut_forward"] | flags["cut_reverse"])[:, 1 : n - 1].sum(axis=1)
+        _emit(
+            {
+                "n": n,
+                "q": q,
+                "event": "cut",
+                "enumerated_prob_any": trace_order_sum(w, cuts > 0),
+                "enumerated_expected": trace_order_sum(w, cuts),
+                "formula_expected": expected_cuts_in_range(n, q, 2, n - 1),
+            }
+        )
+    else:
+        p = trace_order_sum(w, event_flag_matrix(V)["flush"][:, k - 1])
         formula = flush_prob(n, k, q)
         _emit(
             {
@@ -297,26 +303,7 @@ def cmd_oracle(args) -> int:
                 "abs_error": abs(p - formula),
             }
         )
-        return 0
-    if args.event == "cut":
-        p_any = 0.0
-        expected = 0.0
-        for trace, w in enumerate_traces(n, q):
-            cuts = cut_vertices_from_trace(trace)
-            expected += w * len(cuts)
-            p_any += w * bool(cuts)
-        _emit(
-            {
-                "n": n,
-                "q": q,
-                "event": "cut",
-                "enumerated_prob_any": p_any,
-                "enumerated_expected": expected,
-                "formula_expected": expected_cuts_in_range(n, q, 2, n - 1),
-            }
-        )
-        return 0
-    raise UsageError(f"unknown --event {args.event!r}; use flush@K or cut")
+    return 0
 
 
 def cmd_sweep(args) -> int:

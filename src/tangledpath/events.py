@@ -35,6 +35,7 @@ from .errors import CapabilityError
 from .mallows import InsertionTrace
 
 _PI2_6 = math.pi * math.pi / 6.0
+_EULER_TOL = 1e-15
 
 
 def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...], float | None]:
@@ -81,6 +82,17 @@ def event_flag_matrix(v: np.ndarray) -> dict[str, np.ndarray]:
         "cut_forward": cut_forward,
         "cut_reverse": cut_reverse,
     }
+
+
+def _flags_and_cut_set(
+    positions: Sequence[int],
+) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
+    """:func:`event_flag_matrix` of the one-row batch holding ``positions``,
+    and the trace's cut set: the internal vertices 2 <= k <= n-1 where C_k^F or
+    C_k^R holds."""
+    flags = event_flag_matrix(np.asarray(positions, dtype=np.int64)[None, :])
+    hit = flags["cut_forward"][0, 1:-1] | flags["cut_reverse"][0, 1:-1]
+    return flags, tuple((np.flatnonzero(hit) + 2).tolist())
 
 
 def b_value(n: int, q: float) -> int:
@@ -156,14 +168,7 @@ def detect_events(
     """
     positions, q = _positions_of(trace)
     n = len(positions)
-    v = np.asarray(positions, dtype=np.int64)[None, :]
-    flags = event_flag_matrix(v)
-    flush = flags["flush"][0]
-    cf = flags["cut_forward"][0]
-    cr = flags["cut_reverse"][0]
-    cut_set = tuple(
-        int(k) for k in range(2, n) if cf[k - 1] or cr[k - 1]
-    )
+    flags, cut_set = _flags_and_cut_set(positions)
 
     bval: int | None = None
     local_flush: tuple[bool, ...] | None = None
@@ -197,10 +202,10 @@ def detect_events(
     return EventReport(
         n=n,
         q=q if q is not None else float("nan"),
-        flush=tuple(bool(x) for x in flush),
-        reverse_flush=tuple(bool(x) for x in flags["reverse_flush"][0]),
-        cut_forward=tuple(bool(x) for x in cf),
-        cut_reverse=tuple(bool(x) for x in cr),
+        flush=tuple(flags["flush"][0].tolist()),
+        reverse_flush=tuple(flags["reverse_flush"][0].tolist()),
+        cut_forward=tuple(flags["cut_forward"][0].tolist()),
+        cut_reverse=tuple(flags["cut_reverse"][0].tolist()),
         cut_set=cut_set,
         local_flush=local_flush,
         b=bval,
@@ -215,13 +220,7 @@ def cut_vertices_from_trace(trace: InsertionTrace | Sequence[int]) -> set[int]:
     trace; n < 3 has no internal vertices, so the set is empty.
     """
     positions, _ = _positions_of(trace)
-    n = len(positions)
-    if n < 3:
-        return set()
-    v = np.asarray(positions, dtype=np.int64)[None, :]
-    flags = event_flag_matrix(v)
-    hit = flags["cut_forward"][0] | flags["cut_reverse"][0]
-    return {int(k) for k in range(2, n) if hit[k - 1]}
+    return set(_flags_and_cut_set(positions)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +366,9 @@ def dilogarithm(x: float) -> float:
     return total
 
 
-def euler_log_product(q: float, tol: float = 1e-15) -> float:
-    """sum_{i>=1} log(1 - q^i), truncated when |log(1-q^i)| < tol."""
+def euler_log_product(q: float) -> float:
+    """sum_{i>=1} log(1 - q^i), truncated at the first |log(1-q^i)| below
+    _EULER_TOL."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"needs 0 < q < 1; got q={q}")
     total = 0.0
@@ -376,7 +376,7 @@ def euler_log_product(q: float, tol: float = 1e-15) -> float:
     while True:
         term = math.log1p(-(q**i))
         total += term
-        if abs(term) < tol:
+        if abs(term) < _EULER_TOL:
             return total
         i += 1
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -29,6 +28,9 @@ from .errors import CapabilityError
 from .rng import SplitMix64, derive_array, uniform_matrix
 
 ENUMERATION_CAP = 9
+
+# traces sampled per batch by displacement_samples
+_DISPLACEMENT_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +319,13 @@ def mallows_pmf(p: Permutation | Sequence[int], q: float) -> float:
     return math.exp(inversions(img) * math.log(q) - log_partition_function(n, q))
 
 
-def enumerate_traces(
-    n: int, q: float
-) -> Iterator[tuple[InsertionTrace, float]]:
-    """All prod_{i<=n} i traces with their probabilities; refuses n > 9.
+def trace_table(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """All prod_{i<=n} i = n! traces as an (n!, n) int64 matrix ``V`` with their
+    probabilities ``w``; refuses n > 9.
 
-    The weights are the products of truncated-geometric masses and sum to 1
-    over the full enumeration (up to float roundoff).
+    Rows run in lexicographic order (v_n varies fastest).  Each weight is the
+    product of truncated-geometric masses taken in index order, and the
+    weights sum to 1 up to float roundoff.
     """
     if n > ENUMERATION_CAP:
         raise CapabilityError(
@@ -331,12 +333,20 @@ def enumerate_traces(
         )
     if n < 1:
         raise ValueError("n must be >= 1")
-    pmfs = [TruncatedGeometric(i, q).pmf_vector() for i in range(1, n + 1)]
-    for combo in _iter_product(*(range(1, i + 1) for i in range(1, n + 1))):
-        w = 1.0
-        for i, v in enumerate(combo):
-            w *= pmfs[i][v - 1]
-        yield InsertionTrace(combo, q), w
+    V = np.indices(range(1, n + 1)).reshape(n, -1).T + 1
+    w = np.ones(len(V))
+    for i in range(n):
+        w *= TruncatedGeometric(i + 1, q).pmf_vector()[V[:, i] - 1]
+    return V, w
+
+
+def enumerate_traces(
+    n: int, q: float
+) -> Iterator[tuple[InsertionTrace, float]]:
+    """The rows of :func:`trace_table` one at a time, as (trace, weight)."""
+    V, w = trace_table(n, q)
+    for positions, weight in zip(V.tolist(), w):
+        yield InsertionTrace(positions, q), weight
 
 
 def tv_distance_to_uniform(k: int, q: float) -> float:
@@ -353,7 +363,7 @@ def tv_distance_to_uniform(k: int, q: float) -> float:
 
 
 def displacement_samples(
-    n: int, q: float, i: int, trials: int, seed: int, chunk: int = 4096
+    n: int, q: float, i: int, trials: int, seed: int
 ) -> np.ndarray:
     """Monte Carlo samples distributed as |sigma(i) - i| under sigma ~ mu_{n,q}.
 
@@ -369,7 +379,7 @@ def displacement_samples(
     out = np.empty(trials, dtype=np.int64)
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_DISPLACEMENT_CHUNK, trials - done)
         seeds = derive_array(seed, np.arange(done, done + m, dtype=np.uint64))
         v = sample_trace_matrix(n, q, seeds)
         out[done : done + m] = trace_displacements(v, i)

@@ -31,28 +31,28 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 import dataclasses
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .errors import CapabilityError, StatisticalCheckError
+from .errors import StatisticalCheckError
 from .events import (
     event_flag_matrix,
     expected_cuts_in_range,
     flush_prob,
     threshold_window,
 )
-from ._util import alpha_cut_range
+from ._util import alpha_cut_range, trace_order_sum
 from .graph import build_tangled, diameter
 from .mallows import (
-    ENUMERATION_CAP,
-    enumerate_traces,
     mallows_process,
     sample_trace_matrix,
     trace_displacements,
+    trace_table,
 )
 from .rng import derive, derive_array, uniform_matrix
 from .widths import EXACT_CAP, cutwidth_identity, treewidth_exact, vertex_iso
@@ -87,7 +87,7 @@ class SweepConfig:
     The extras beyond the common fields: ``k_fracs`` picks flush-validate k
     values as fractions of n, ``i_frac``/``t_list`` shape displacement cells,
     ``bisections`` sizes the large-n expansion estimate, and ``exhaustive``
-    switches flush-validate to weighted enumeration (n <= 9).
+    switches flush-validate to weighting every trace (n <= 9).
     """
 
     experiment: str
@@ -99,7 +99,6 @@ class SweepConfig:
     thread_count: int = 1
     out: str | None = None
     plot_out: str | None = None
-    margin: float = 3.0
     k_fracs: tuple[float, ...] = (0.5,)
     i_frac: float = 0.5
     t_list: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
@@ -270,7 +269,7 @@ def _finish_row(row: SweepRow) -> SweepRow:
             # exact * trials < 1 legitimately shows nothing, while a broken
             # statistic that should fire every few trials still fails.
             tol += 1.0 / max(1, row.trials)
-        row.within_band = abs(row.mean - row.exact) <= tol
+        row.within_band = bool(abs(row.mean - row.exact) <= tol)
     return row
 
 
@@ -355,127 +354,90 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
+#
+# One function per experiment kind computes a single cell.  It gets the
+# config, ``run`` (that cell's _run_cell: a per-trial function in, per-trial
+# statistic arrays out, in trial order) and the cell's n and q, and returns
+# (trials, stats) with stats a list of (stat, mean, stderr, exact) tuples.
+# run_sweep turns them into rows; a stat with an exact reference is checked
+# against its band there.  The trials call sample_trace_matrix,
+# event_flag_matrix, mallows_process, build_tangled and diameter through this
+# module's globals, so a caller can wrap them here.
+
+_Run = Callable[[Callable[[np.ndarray], dict[str, np.ndarray]]], dict[str, np.ndarray]]
+_CellStats = tuple[int, list[tuple[str, float, float | None, float | None]]]
 
 
-def run_separator_sweep(cfg: SweepConfig) -> SweepResult:
+def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Cut-vertex counts in the alpha range, from traces alone (no graphs).
 
-    Stats per cell: ``cut_count`` = |cut_set intersect [k_lo, k_hi]| with the
-    exact expectation as reference, and ``separator_prob`` = empirical
+    Stats: ``cut_count`` = |cut_set intersect [k_lo, k_hi]| with the exact
+    expectation as reference, and ``separator_prob`` = empirical
     Pr[cut_count >= 1].  The counting range is clipped to internal vertices
     {2..n-1}, matching what expected_cuts integrates whenever the alpha range
     is internal.
     """
-    cfg = replace(cfg, experiment="separator")
-    rows: list[SweepRow] = []
-    for cell_index, n, q in _cells(cfg):
-        start = time.perf_counter()
-        k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
-        k_lo = max(k_lo, 2)
-        k_hi = min(k_hi, n - 1)
+    k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
+    k_lo = max(k_lo, 2)
+    k_hi = min(k_hi, n - 1)
 
-        def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-            v = sample_trace_matrix(n, q, seeds)
-            flags = event_flag_matrix(v)
-            hit = flags["cut_forward"] | flags["cut_reverse"]
-            window = hit[:, k_lo - 1 : k_hi]
-            counts = window.sum(axis=1).astype(np.int64)
-            return {"count": counts, "indicator": (counts >= 1).astype(np.int64)}
+    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+        v = sample_trace_matrix(n, q, seeds)
+        flags = event_flag_matrix(v)
+        hit = flags["cut_forward"] | flags["cut_reverse"]
+        counts = hit[:, k_lo - 1 : k_hi].sum(axis=1).astype(np.int64)
+        return {"count": counts, "indicator": (counts >= 1).astype(np.int64)}
 
-        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
-        ms = (time.perf_counter() - start) * 1000.0
-        exact = expected_cuts_in_range(n, q, k_lo, k_hi) if k_lo <= k_hi else 0.0
-        mean, se = _mean_stderr(data["count"])
-        rows.append(
-            _finish_row(
-                SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials, "cut_count", mean, se, exact, ms)
-            )
-        )
-        mean, se = _mean_stderr(data["indicator"])
-        p_exact = 1.0 if q == 0.0 and k_lo <= k_hi else None
-        rows.append(
-            _finish_row(
-                SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials, "separator_prob", mean, se, p_exact, ms)
-            )
-        )
-    return _finalize(cfg, rows)
+    data = run(trial_fn)
+    exact = expected_cuts_in_range(n, q, k_lo, k_hi) if k_lo <= k_hi else 0.0
+    p_exact = 1.0 if q == 0.0 and k_lo <= k_hi else None
+    return cfg.trials, [
+        ("cut_count", *_mean_stderr(data["count"]), exact),
+        ("separator_prob", *_mean_stderr(data["indicator"]), p_exact),
+    ]
 
 
-def run_flush_validation(cfg: SweepConfig) -> SweepResult:
+def _flush_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Empirical flush frequencies against the exact product formula.
 
-    One sampling pass per cell serves every k from ``k_fracs``; with two or
-    more k values the empirical covariance of the flush indicators is reported
-    as an observational row (no sign asserted).  ``exhaustive=True`` switches
-    to weighted enumeration over all traces (n <= 9) with stderr 0.
+    One sampling pass serves every k from ``k_fracs``; with two or more k
+    values the covariance of the flush indicators is reported as an
+    observational row (no sign asserted).  ``exhaustive=True`` weighs all n!
+    traces of :func:`trace_table` instead (n <= 9), with stderr 0 and n! as
+    the trial count.
     """
-    cfg = replace(cfg, experiment="flush-validate")
-    rows: list[SweepRow] = []
-    for cell_index, n, q in _cells(cfg):
-        start = time.perf_counter()
-        ks = sorted(
-            {max(1, min(n, math.floor(f * n + 0.5))) for f in cfg.k_fracs}
-        )
-        if cfg.exhaustive:
-            if n > ENUMERATION_CAP:
-                raise CapabilityError(
-                    f"exhaustive flush validation needs n <= {ENUMERATION_CAP}, got {n}"
-                )
-            sums = {k: 0.0 for k in ks}
-            pair_sums = {(a, b): 0.0 for a in ks for b in ks if a < b}
-            count = 0
-            for trace, w in enumerate_traces(n, q):
-                count += 1
-                rep = event_flag_matrix(
-                    np.asarray(trace.positions, dtype=np.int64)[None, :]
-                )["flush"][0]
-                for k in ks:
-                    sums[k] += w * bool(rep[k - 1])
-                for a, b in pair_sums:
-                    pair_sums[(a, b)] += w * (bool(rep[a - 1]) and bool(rep[b - 1]))
-            ms = (time.perf_counter() - start) * 1000.0
-            for k in ks:
-                rows.append(
-                    _finish_row(
-                        SweepRow(cfg.experiment, n, q, cfg.alpha, count,
-                                 f"flush_freq_k{k}", sums[k], 0.0,
-                                 flush_prob(n, k, q), ms)
-                    )
-                )
-            for (a, b), s in pair_sums.items():
-                cov = s - sums[a] * sums[b]
-                rows.append(
-                    SweepRow(cfg.experiment, n, q, cfg.alpha, count,
-                             f"flush_cov_k{a}_k{b}", cov, None, None, ms)
-                )
-            continue
+    ks = sorted({max(1, min(n, math.floor(f * n + 0.5))) for f in cfg.k_fracs})
+    pairs = [(a, b) for i, a in enumerate(ks) for b in ks[i + 1 :]]
+    if cfg.exhaustive:
+        V, w = trace_table(n, q)
+        flush = event_flag_matrix(V)["flush"]
+        freq = {k: trace_order_sum(w, flush[:, k - 1]) for k in ks}
+        return len(w), [
+            (f"flush_freq_k{k}", freq[k], 0.0, flush_prob(n, k, q)) for k in ks
+        ] + [
+            (f"flush_cov_k{a}_k{b}",
+             trace_order_sum(w, flush[:, a - 1] & flush[:, b - 1]) - freq[a] * freq[b],
+             None, None)
+            for a, b in pairs
+        ]
 
-        def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-            v = sample_trace_matrix(n, q, seeds)
-            flush = event_flag_matrix(v)["flush"]
-            return {f"k{k}": flush[:, k - 1].astype(np.int64) for k in ks}
+    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+        flush = event_flag_matrix(sample_trace_matrix(n, q, seeds))["flush"]
+        return {f"k{k}": flush[:, k - 1].astype(np.int64) for k in ks}
 
-        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
-        ms = (time.perf_counter() - start) * 1000.0
-        for k in ks:
-            mean, se = _mean_stderr(data[f"k{k}"])
-            rows.append(
-                _finish_row(
-                    SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                             f"flush_freq_k{k}", mean, se, flush_prob(n, k, q), ms)
-                )
-            )
-        for i, a in enumerate(ks):
-            for b in ks[i + 1 :]:
-                cov = float(np.cov(data[f"k{a}"], data[f"k{b}"], ddof=1)[0, 1]) if cfg.trials > 1 else 0.0
-                rows.append(
-                    SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                             f"flush_cov_k{a}_k{b}", cov, None, None, ms)
-                )
-    return _finalize(cfg, rows)
+    data = run(trial_fn)
+    return cfg.trials, [
+        (f"flush_freq_k{k}", *_mean_stderr(data[f"k{k}"]), flush_prob(n, k, q))
+        for k in ks
+    ] + [
+        (f"flush_cov_k{a}_k{b}",
+         float(np.cov(data[f"k{a}"], data[f"k{b}"], ddof=1)[0, 1]) if cfg.trials > 1 else 0.0,
+         None, None)
+        for a, b in pairs
+    ]
 
 
-def run_diameter_sweep(cfg: SweepConfig) -> SweepResult:
+def _diameter_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Graph diameters with the |cut_set|+1 lower-bound companion.
 
     Stats: ``diameter`` (exact n-1 reference at q=0), ``cut_lower_bound``
@@ -484,55 +446,33 @@ def run_diameter_sweep(cfg: SweepConfig) -> SweepResult:
     diameter < |cut_set|+1; exact reference 0, so any violation fails the
     band).
     """
-    cfg = replace(cfg, experiment="diameter")
-    rows: list[SweepRow] = []
-    for cell_index, n, q in _cells(cfg):
-        start = time.perf_counter()
 
-        def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-            v = sample_trace_matrix(n, q, seeds)
-            flags = event_flag_matrix(v)
-            hit = flags["cut_forward"] | flags["cut_reverse"]
-            cuts = hit[:, 1 : n - 1].sum(axis=1).astype(np.int64) if n >= 3 else np.zeros(len(v), dtype=np.int64)
-            diams = np.empty(len(v), dtype=np.int64)
-            for r in range(len(v)):
-                sigma = mallows_process([int(x) for x in v[r]])
-                diams[r] = diameter(build_tangled(sigma))
-            return {
-                "diameter": diams,
-                "cut_lb": cuts + 1,
-                "violation": (diams < cuts + 1).astype(np.int64),
-            }
+    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+        v = sample_trace_matrix(n, q, seeds)
+        flags = event_flag_matrix(v)
+        hit = flags["cut_forward"] | flags["cut_reverse"]
+        cuts = hit[:, 1 : n - 1].sum(axis=1).astype(np.int64) if n >= 3 else np.zeros(len(v), dtype=np.int64)
+        diams = np.empty(len(v), dtype=np.int64)
+        for r in range(len(v)):
+            sigma = mallows_process([int(x) for x in v[r]])
+            diams[r] = diameter(build_tangled(sigma))
+        return {
+            "diameter": diams,
+            "cut_lb": cuts + 1,
+            "violation": (diams < cuts + 1).astype(np.int64),
+        }
 
-        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
-        ms = (time.perf_counter() - start) * 1000.0
-        mean, se = _mean_stderr(data["diameter"])
-        rows.append(
-            _finish_row(
-                SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials, "diameter",
-                         mean, se, float(n - 1) if q == 0.0 else None, ms)
-            )
-        )
-        lb_mean, lb_se = _mean_stderr(data["cut_lb"])
-        rows.append(
-            SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials, "cut_lower_bound",
-                     lb_mean, lb_se, None, ms)
-        )
-        rows.append(
-            SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials, "diameter_over_n",
-                     mean / n, se / n, None, ms)
-        )
-        viol_mean, _ = _mean_stderr(data["violation"])
-        rows.append(
-            _finish_row(
-                SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                         "diambound_violations", viol_mean, None, 0.0, ms)
-            )
-        )
-    return _finalize(cfg, rows)
+    data = run(trial_fn)
+    mean, se = _mean_stderr(data["diameter"])
+    return cfg.trials, [
+        ("diameter", mean, se, float(n - 1) if q == 0.0 else None),
+        ("cut_lower_bound", *_mean_stderr(data["cut_lb"]), None),
+        ("diameter_over_n", mean / n, se / n, None),
+        ("diambound_violations", _mean_stderr(data["violation"])[0], None, 0.0),
+    ]
 
 
-def run_width_sweep(cfg: SweepConfig) -> SweepResult:
+def _width_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Width distributions: exact treewidth when n <= 20, identity-layout
     cutwidth at every n, plus the theoretical shape values
     sqrt(log n / log(1/q)) and (1/(1-q)) log(1/(1-q)) for plotting.
@@ -541,163 +481,131 @@ def run_width_sweep(cfg: SweepConfig) -> SweepResult:
     the exact path references tw = cw = 1.  At q=1 the shape values are
     undefined and their rows are omitted.
     """
-    cfg = replace(cfg, experiment="width")
-    rows: list[SweepRow] = []
-    for cell_index, n, q in _cells(cfg):
-        start = time.perf_counter()
-        small = n <= EXACT_CAP
+    small = n <= EXACT_CAP
 
-        def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-            v = sample_trace_matrix(n, q, seeds)
-            tw = np.zeros(len(v), dtype=np.int64)
-            cw = np.empty(len(v), dtype=np.int64)
-            for r in range(len(v)):
-                g = build_tangled(mallows_process([int(x) for x in v[r]]))
-                cw[r], _ = cutwidth_identity(g)
-                if small:
-                    tw[r] = treewidth_exact(g)
-            out = {"cwid": cw}
+    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+        v = sample_trace_matrix(n, q, seeds)
+        tw = np.zeros(len(v), dtype=np.int64)
+        cw = np.empty(len(v), dtype=np.int64)
+        for r in range(len(v)):
+            g = build_tangled(mallows_process([int(x) for x in v[r]]))
+            cw[r], _ = cutwidth_identity(g)
             if small:
-                out["tw"] = tw
-            return out
+                tw[r] = treewidth_exact(g)
+        return {"cwid": cw, "tw": tw} if small else {"cwid": cw}
 
-        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
-        ms = (time.perf_counter() - start) * 1000.0
-        exact_path = 1.0 if q == 0.0 and n >= 2 else None
-
-        def quartile_rows(name: str, values: np.ndarray) -> None:
-            q1, q2, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-            rows.append(
-                _finish_row(
-                    SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                             f"{name}_median", float(q2), None, exact_path, ms)
-                )
-            )
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 f"{name}_q1", float(q1), None, None, ms))
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 f"{name}_q3", float(q3), None, None, ms))
-
-        quartile_rows("cwid", data["cwid"])
-        if small:
-            quartile_rows("tw", data["tw"])
-        if q < 1.0:
-            shape_sqrt = 0.0 if q == 0.0 else math.sqrt(math.log(n) / math.log(1.0 / q)) if n > 1 else 0.0
-            shape_lin = 0.0 if q == 0.0 else math.log(1.0 / (1.0 - q)) / (1.0 - q)
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 "shape_sqrt_log", shape_sqrt, None, None, ms))
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 "shape_loglinear", shape_lin, None, None, ms))
-    return _finalize(cfg, rows)
+    exact_path = 1.0 if q == 0.0 and n >= 2 else None
+    stats = []
+    for name, values in run(trial_fn).items():
+        q1, q2, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+        stats += [
+            (f"{name}_median", float(q2), None, exact_path),
+            (f"{name}_q1", float(q1), None, None),
+            (f"{name}_q3", float(q3), None, None),
+        ]
+    if q < 1.0:
+        shape_sqrt = 0.0 if q == 0.0 else math.sqrt(math.log(n) / math.log(1.0 / q)) if n > 1 else 0.0
+        shape_lin = 0.0 if q == 0.0 else math.log(1.0 / (1.0 - q)) / (1.0 - q)
+        stats += [
+            ("shape_sqrt_log", shape_sqrt, None, None),
+            ("shape_loglinear", shape_lin, None, None),
+        ]
+    return cfg.trials, stats
 
 
-def run_expansion_check(cfg: SweepConfig) -> SweepResult:
+def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Vertex expansion: exact isoperimetric ratios at n <= 20, random
     balanced-bisection edge-boundary estimates beyond (observational).
 
     Small-n stats: ``vertex_iso_mean`` (q=0 reference 1/floor(n/2), the path's
     worst set), ``vertex_iso_min``, and ``iso_ge_1_40_frac`` (fraction of
     trials meeting the asymptotic 1/40 constant; logged, never asserted).
+    Large-n stats: ``bisection_ratio_mean`` and ``bisection_ratio_min``.
     Every sampled graph's maximum degree is checked <= 4; a violation aborts.
     """
-    cfg = replace(cfg, experiment="expansion")
-    rows: list[SweepRow] = []
-    for cell_index, n, q in _cells(cfg):
-        start = time.perf_counter()
-        small = n <= EXACT_CAP
+    small = n <= EXACT_CAP
 
-        def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-            v = sample_trace_matrix(n, q, seeds)
-            out_iso = np.empty(len(v), dtype=np.float64)
-            for r in range(len(v)):
-                g = build_tangled(mallows_process([int(x) for x in v[r]]))
-                if any(len(a) > 4 for a in g.adjacency):
-                    raise AssertionError("max degree exceeded 4; model invariant broken")
-                if small:
-                    out_iso[r] = float(vertex_iso(g))
-                else:
-                    eu = np.array([e[0] - 1 for e in g.edges])
-                    ev = np.array([e[1] - 1 for e in g.edges])
-                    bis_seeds = derive_array(
-                        int(seeds[r]), np.arange(cfg.bisections, dtype=np.uint64)
-                    )
-                    keys = uniform_matrix(bis_seeds, n)
-                    ranks = np.argsort(keys, axis=1, kind="stable")
-                    side = np.zeros((cfg.bisections, n), dtype=bool)
-                    half = n // 2
-                    row_idx = np.repeat(np.arange(cfg.bisections), half)
-                    side[row_idx, ranks[:, :half].ravel()] = True
-                    cross = (side[:, eu] ^ side[:, ev]).sum(axis=1)
-                    out_iso[r] = float(cross.min()) / half
-            return {"iso": out_iso}
-
-        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
-        ms = (time.perf_counter() - start) * 1000.0
-        iso = data["iso"]
-        if small:
-            mean, se = _mean_stderr(iso)
-            exact = (1.0 / (n // 2)) if (q == 0.0 and n >= 2) else None
-            rows.append(
-                _finish_row(
-                    SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                             "vertex_iso_mean", mean, se, exact, ms)
+    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+        v = sample_trace_matrix(n, q, seeds)
+        out_iso = np.empty(len(v), dtype=np.float64)
+        for r in range(len(v)):
+            g = build_tangled(mallows_process([int(x) for x in v[r]]))
+            if any(len(a) > 4 for a in g.adjacency):
+                raise AssertionError("max degree exceeded 4; model invariant broken")
+            if small:
+                out_iso[r] = float(vertex_iso(g))
+            else:
+                eu = np.array([e[0] - 1 for e in g.edges])
+                ev = np.array([e[1] - 1 for e in g.edges])
+                bis_seeds = derive_array(
+                    int(seeds[r]), np.arange(cfg.bisections, dtype=np.uint64)
                 )
-            )
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 "vertex_iso_min", float(iso.min()), None, None, ms))
-            frac_mean, frac_se = _mean_stderr((iso >= 1.0 / 40.0).astype(np.float64))
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 "iso_ge_1_40_frac", frac_mean, frac_se, None, ms))
-        else:
-            mean, se = _mean_stderr(iso)
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 "bisection_ratio_mean", mean, se, None, ms))
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 "bisection_ratio_min", float(iso.min()), None, None, ms))
-    return _finalize(cfg, rows)
+                keys = uniform_matrix(bis_seeds, n)
+                ranks = np.argsort(keys, axis=1, kind="stable")
+                side = np.zeros((cfg.bisections, n), dtype=bool)
+                half = n // 2
+                row_idx = np.repeat(np.arange(cfg.bisections), half)
+                side[row_idx, ranks[:, :half].ravel()] = True
+                cross = (side[:, eu] ^ side[:, ev]).sum(axis=1)
+                out_iso[r] = float(cross.min()) / half
+        return {"iso": out_iso}
+
+    iso = run(trial_fn)["iso"]
+    if not small:
+        return cfg.trials, [
+            ("bisection_ratio_mean", *_mean_stderr(iso), None),
+            ("bisection_ratio_min", float(iso.min()), None, None),
+        ]
+    exact = (1.0 / (n // 2)) if (q == 0.0 and n >= 2) else None
+    return cfg.trials, [
+        ("vertex_iso_mean", *_mean_stderr(iso), exact),
+        ("vertex_iso_min", float(iso.min()), None, None),
+        ("iso_ge_1_40_frac", *_mean_stderr((iso >= 1.0 / 40.0).astype(np.float64)), None),
+    ]
 
 
-def run_displacement_sweep(cfg: SweepConfig) -> SweepResult:
+def _displacement_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Displacement tails Pr[|sigma(i) - i| >= t] at i = round(i_frac * n),
     with the 2 q^t reference bound reported alongside each tail row."""
-    cfg = replace(cfg, experiment="displacement")
-    rows: list[SweepRow] = []
-    for cell_index, n, q in _cells(cfg):
-        start = time.perf_counter()
-        i = max(1, min(n, math.floor(cfg.i_frac * n + 0.5)))
+    i = max(1, min(n, math.floor(cfg.i_frac * n + 0.5)))
 
-        def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-            v = sample_trace_matrix(n, q, seeds)
-            return {"disp": trace_displacements(v, i)}
+    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+        return {"disp": trace_displacements(sample_trace_matrix(n, q, seeds), i)}
 
-        data = _run_cell(cfg, (cell_index, n, q), trial_fn)
-        ms = (time.perf_counter() - start) * 1000.0
-        disp = data["disp"]
-        for t in cfg.t_list:
-            mean, se = _mean_stderr((disp >= t).astype(np.float64))
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 f"disp_tail_t{t}", mean, se, None, ms))
-            rows.append(SweepRow(cfg.experiment, n, q, cfg.alpha, cfg.trials,
-                                 f"disp_bound_t{t}", min(1.0, 2.0 * q**t), None, None, ms))
-    return _finalize(cfg, rows)
+    disp = run(trial_fn)["disp"]
+    stats = []
+    for t in cfg.t_list:
+        stats += [
+            (f"disp_tail_t{t}", *_mean_stderr((disp >= t).astype(np.float64)), None),
+            (f"disp_bound_t{t}", min(1.0, 2.0 * q**t), None, None),
+        ]
+    return cfg.trials, stats
 
 
-_RUNNERS = {
-    "separator": run_separator_sweep,
-    "width": run_width_sweep,
-    "diameter": run_diameter_sweep,
-    "expansion": run_expansion_check,
-    "flush-validate": run_flush_validation,
-    "displacement": run_displacement_sweep,
+_EXPERIMENTS = {
+    "separator": _separator_cell,
+    "width": _width_cell,
+    "diameter": _diameter_cell,
+    "expansion": _expansion_cell,
+    "flush-validate": _flush_cell,
+    "displacement": _displacement_cell,
 }
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Dispatch on cfg.experiment."""
-    return _RUNNERS[cfg.experiment](cfg)
-
-
-def _finalize(cfg: SweepConfig, rows: list[SweepRow]) -> SweepResult:
+    """Run every cell of cfg's experiment, timing each, and return its rows
+    sorted by (n, q, stat) with the sweep metadata."""
+    cell_fn = _EXPERIMENTS[cfg.experiment]
+    rows: list[SweepRow] = []
+    for cell in _cells(cfg):
+        _, n, q = cell
+        start = time.perf_counter()
+        trials, stats = cell_fn(cfg, partial(_run_cell, cfg, cell), n, q)
+        ms = (time.perf_counter() - start) * 1000.0
+        for stat, mean, stderr, exact in stats:
+            rows.append(_finish_row(SweepRow(
+                cfg.experiment, n, q, cfg.alpha, trials, stat, float(mean), stderr, exact, ms
+            )))
     rows.sort(key=lambda r: (r.n, r.q, r.stat))
     meta = {
         "experiment": cfg.experiment,

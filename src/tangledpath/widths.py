@@ -44,11 +44,6 @@ def _require_small(n: int, what: str) -> None:
         )
 
 
-def _bitmask_adjacency(g: TangledGraph) -> list[int]:
-    """Neighbors of vertex v as a bitmask with bit w-1 for neighbor w."""
-    return [sum(1 << (w - 1) for w in nbrs) for nbrs in g.adjacency]
-
-
 # ---------------------------------------------------------------------------
 # treewidth
 # ---------------------------------------------------------------------------
@@ -327,41 +322,35 @@ def cutwidth_identity(g: TangledGraph) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def vertex_iso(g: TangledGraph) -> Fraction:
-    """min over 0 < |S| <= n/2 of |N(S) \\ S| / |S|, as an exact rational."""
+def _vertex_boundary(g: TangledGraph, masks: np.ndarray) -> np.ndarray:
+    """|N(S) \\ S| for each subset S in ``masks``."""
+    nb = np.zeros(masks.size, dtype=np.uint32)
+    for v, nbrs in enumerate(g.adjacency):
+        sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
+        nb[sel] |= np.uint32(sum(1 << (w - 1) for w in nbrs))
+    return np.bitwise_count(nb & ~masks).astype(np.int64)
+
+
+def _isoperimetric(g: TangledGraph, what: str, boundary) -> Fraction:
+    """min over 0 < |S| <= n/2 of boundary(g, S) / |S|, as an exact rational."""
     n = g.n
-    _require_small(n, "vertex_iso")
+    _require_small(n, what)
     if n < 2:
         raise ValueError("isoperimetric ratio needs at least 2 vertices")
     masks, sizes = _subset_tables(n)
-    adjm = _bitmask_adjacency(g)
-    nb = np.zeros(1 << n, dtype=np.uint32)
-    for v in range(n):
-        sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
-        nb[sel] |= np.uint32(adjm[v])
-    outside = np.bitwise_count(nb & ~masks).astype(np.int64)
     per_size = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(per_size, sizes, outside)
-    return min(
-        Fraction(int(per_size[s]), s)
-        for s in range(1, n // 2 + 1)
-    )
+    np.minimum.at(per_size, sizes, boundary(g, masks))
+    return min(Fraction(int(per_size[s]), s) for s in range(1, n // 2 + 1))
+
+
+def vertex_iso(g: TangledGraph) -> Fraction:
+    """min over 0 < |S| <= n/2 of |N(S) \\ S| / |S|, as an exact rational."""
+    return _isoperimetric(g, "vertex_iso", _vertex_boundary)
 
 
 def edge_iso(g: TangledGraph) -> Fraction:
     """min over 0 < |S| <= n/2 of (edges leaving S) / |S|, as an exact rational."""
-    n = g.n
-    _require_small(n, "edge_iso")
-    if n < 2:
-        raise ValueError("isoperimetric ratio needs at least 2 vertices")
-    masks, sizes = _subset_tables(n)
-    crossing = _edge_boundary(g, masks)
-    per_size = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(per_size, sizes, crossing)
-    return min(
-        Fraction(int(per_size[s]), s)
-        for s in range(1, n // 2 + 1)
-    )
+    return _isoperimetric(g, "edge_iso", _edge_boundary)
 
 
 # ---------------------------------------------------------------------------

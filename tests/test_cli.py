@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from tangledpath import flush_prob, mallows_process, parse_trace
+from tangledpath import (
+    cut_vertices_from_trace,
+    detect_events,
+    enumerate_traces,
+    flush_prob,
+    mallows_process,
+    parse_trace,
+)
 from tangledpath.cli import main
 
 
@@ -204,6 +211,31 @@ def test_oracle_cut_summary(capsys):
     assert 0 <= doc["enumerated_prob_any"] <= 1
 
 
+def test_oracle_matches_per_trace_loop(capsys):
+    """The flag-matrix oracle against a running total over enumerate_traces,
+    with each trace's events read by detect_events and cut_vertices_from_trace."""
+    for n in (1, 2, 3, 6):
+        for q in (0.0, 0.45, 1.0):
+            total = expected = p_any = 0.0
+            flush = [0.0] * n
+            for trace, w in enumerate_traces(n, q):
+                total += w
+                cuts = cut_vertices_from_trace(trace)
+                expected += w * len(cuts)
+                p_any += w * bool(cuts)
+                rep = detect_events(trace, local=False)
+                flush = [f + w * hit for f, hit in zip(flush, rep.flush)]
+            base = ["oracle", "enumerate", "--n", str(n), "--q", str(q)]
+            doc = run_json(capsys, *base)
+            assert doc["total_weight"] == total
+            doc = run_json(capsys, *base, "--event", "cut")
+            assert doc["enumerated_expected"] == expected
+            assert doc["enumerated_prob_any"] == p_any
+            for k in range(1, n + 1):
+                doc = run_json(capsys, *base, "--event", f"flush@{k}")
+                assert doc["enumerated"] == flush[k - 1]
+
+
 def test_oracle_refuses_large_n(capsys):
     code, _, err = run(capsys, "oracle", "enumerate", "--n", "12", "--q", "0.5")
     assert code == 3 and "refused" in err
@@ -222,6 +254,21 @@ def test_sweep_writes_csv_and_json(capsys, tmp_path):
     assert "sweep ok" in err
     header = out.read_text().split("\n", 1)[0]
     assert header.startswith("experiment,n,q,")
+
+
+def test_exhaustive_sweep_writes_json(capsys, tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "experiment = flush-validate\nn_list = 5\nq_grid = 0.5\n"
+        "k_fracs = 0.4, 0.6\nexhaustive = true\n"
+    )
+    out = tmp_path / "rows.csv"
+    code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 0, err
+    doc = json.loads(out.with_suffix(".json").read_text())
+    freq = [r for r in doc["rows"] if r["stat"].startswith("flush_freq")]
+    assert len(freq) == 2
+    assert all(r["within_band"] is True and r["trials"] == 120 for r in freq)
 
 
 def test_sweep_stdout_when_no_out(capsys, tmp_path):

@@ -29,6 +29,7 @@ from tangledpath import (
     sample_trace,
     sample_trace_matrix,
     standardize,
+    trace_table,
     tv_distance_to_uniform,
 )
 from tangledpath.errors import CapabilityError
@@ -177,6 +178,31 @@ def test_sample_mallows_api():
 def test_enumeration_cap():
     with pytest.raises(CapabilityError):
         next(iter(enumerate_traces(10, 0.5)))
+    with pytest.raises(CapabilityError):
+        trace_table(10, 0.5)
+    with pytest.raises(ValueError):
+        trace_table(0, 0.5)
+
+
+def test_trace_table_matches_per_trace_products():
+    """Rows in lexicographic order; each weight the running product of the
+    per-index masses, bit for bit."""
+    for n in range(1, 8):
+        for q in (0.0, 0.3, 1.0):
+            V, w = trace_table(n, q)
+            pmfs = [TruncatedGeometric(i, q).pmf_vector() for i in range(1, n + 1)]
+            rows, weights = [], []
+            for combo in itertools.product(*(range(1, i + 1) for i in range(1, n + 1))):
+                x = 1.0
+                for i, v in enumerate(combo):
+                    x *= pmfs[i][v - 1]
+                rows.append(combo)
+                weights.append(x)
+            assert V.tolist() == [list(r) for r in rows]
+            assert w.tolist() == weights
+            assert [(t.positions, x) for t, x in enumerate_traces(n, q)] == list(
+                zip(rows, weights)
+            )
 
 
 # ---------------------------------------------------------------------------

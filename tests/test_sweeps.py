@@ -93,6 +93,8 @@ def test_config_rejects_bad_values():
         small_cfg(alpha=0.4)
     with pytest.raises(ValueError):
         parse_config_text("experiment = separator\nn_list = 10\nbogus_key = 1\n")
+    with pytest.raises(ValueError, match="margin"):
+        small_cfg(margin=3.0)
 
 
 def test_config_from_file(tmp_path):
@@ -128,12 +130,27 @@ def test_q_tokens_reject_garbage():
 # --- determinism ---
 
 
+# One config per experiment kind, plus exhaustive flush-validate; more than
+# 64 trials where that is cheap, so a cell spans several trial chunks.
+THREAD_CONFIGS = [
+    dict(experiment="separator", n_list=[30], q_grid=[0.0, 0.5], trials=130),
+    dict(experiment="width", n_list=[10, 22], q_grid=[0.0, 0.6], trials=70),
+    dict(experiment="diameter", n_list=[25], q_grid=[0.0, 0.7], trials=70),
+    dict(experiment="expansion", n_list=[10, 24], q_grid=[0.0, 0.6], trials=70, bisections=4),
+    dict(experiment="flush-validate", n_list=[30], q_grid=[0.5], k_fracs=[0.3, 0.6], trials=130),
+    dict(experiment="displacement", n_list=[30], q_grid=[0.6], trials=70, t_list=[1, 3]),
+    dict(experiment="flush-validate", n_list=[2, 6], q_grid=[0.0, 0.5], k_fracs=[0.3, 0.6], exhaustive=True),
+]
+
+
 def test_thread_count_does_not_change_csv():
-    base = small_cfg(thread_count=1)
-    threaded = dataclasses.replace(base, thread_count=3)
-    csv_one = render_csv(run_sweep(base))
-    csv_three = render_csv(run_sweep(threaded))
-    assert csv_one == csv_three
+    for raw in THREAD_CONFIGS:
+        base = make_config(master_seed=7, thread_count=1, **raw)
+        one = run_sweep(base)
+        threaded = run_sweep(dataclasses.replace(base, thread_count=3))
+        assert render_csv(one) == render_csv(threaded), raw
+        for r in one.rows + threaded.rows:
+            assert type(r.within_band) is (bool if r.exact is not None else type(None))
 
 
 def test_seed_changes_results():
