@@ -58,7 +58,6 @@ from .mallows import (
     TruncatedGeometric,
     contains_consecutively,
     displacement_samples,
-    displacement_tail_empirical,
     enumerate_traces,
     format_permutation,
     format_trace,

@@ -61,7 +61,6 @@ from .sweeps import (
     write_plot_data,
 )
 from .widths import (
-    EXACT_CAP,
     cutwidth_exact,
     cutwidth_identity,
     edge_iso,

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._util import alpha_cut_range, clamp01
 from .errors import CapabilityError
-from .mallows import InsertionTrace
+from .mallows import InsertionTrace, _checked_positions, mallows_process
 
 _PI2_6 = math.pi * math.pi / 6.0
 _EULER_TOL = 1e-15
@@ -41,11 +41,7 @@ _EULER_TOL = 1e-15
 def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...], float | None]:
     if isinstance(trace, InsertionTrace):
         return trace.positions, trace.q
-    pos = tuple(int(v) for v in trace)
-    for i, v in enumerate(pos, 1):
-        if not 1 <= v <= i:
-            raise ValueError(f"position v_{i}={v} outside [1, {i}]")
-    return pos, None
+    return tuple(_checked_positions(trace)), None
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +504,6 @@ def bad_edge_classification(
     above i partition into A_i = {i+1 .. i+L : v > ell} (late-insertion
     candidates), B_i = the rest of that window, and C_i = {i+L+1 .. n}.
     """
-    from .mallows import mallows_process
-
     positions, _ = _positions_of(trace)
     n = len(positions)
     if not 1 <= i <= n:

@@ -7,6 +7,13 @@ edges collapsed.  It is always connected (it contains the path), has at most
 2(n-1) edges, and maximum degree at most 4.  Reversing sigma produces the same
 graph, which is why process outputs r_n can be used without reversal.
 
+A :class:`TangledGraph` is a 0-based CSR adjacency: int32 arrays ``indptr``
+(n + 1 row offsets) and ``indices`` (each edge in both directions, every row
+sorted, no duplicates), built in numpy by sorting the keys a*n + b of the
+vertex pairs and dropping repeats.  The 1-based ``edges`` and ``adjacency``
+tuples that the width routines read are derived from it on first use and
+cached, as is the scipy matrix the diameter's BFS runs on.
+
 Every routine here and in :mod:`tangledpath.widths` takes a
 :class:`TangledGraph` from :func:`build_tangled`, :func:`graph_from_trace`,
 :func:`make_graph` (which also builds the reference graphs, such as cycles and
@@ -22,8 +29,8 @@ refuses n above 8192 with :class:`CapabilityError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,35 +51,69 @@ _BFS_BLOCK_ENTRIES = 1 << 22
 _ALL_PAIRS_MAX_N = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangledGraph:
-    """An undirected graph on {1..n} with sorted, deduplicated edges;
-    ``adjacency[v - 1]`` lists the neighbors of vertex v in increasing order."""
+    """An undirected graph on {1..n}: vertex v's neighbors are
+    ``indices[indptr[v - 1]:indptr[v]] + 1``, in increasing order.
+
+    Graphs are equal when n, the edge set and the provenance are; the hash
+    leaves the provenance out, so equal graphs hash equal.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    # A dict is unhashable; equality still compares it, so equal graphs hash equal.
-    provenance: dict | None = field(default=None, hash=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    provenance: dict | None = None
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v - 1])
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TangledGraph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and self.provenance == other.provenance
+        )
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v - 1]
+    def __hash__(self) -> int:
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[v - 1]`` lists the neighbors of vertex v in increasing order."""
+        flat, ptr = (self.indices + 1).tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once, as (u, w) with u < w, in increasing order."""
+        u = np.repeat(np.arange(1, self.n + 1), np.diff(self.indptr))
+        w = self.indices + 1
+        keep = u < w
+        return tuple(zip(u[keep].tolist(), w[keep].tolist()))
+
+    @cached_property
+    def _csr(self) -> csr_matrix:
+        """The adjacency as a scipy CSR matrix, built once."""
+        data = np.ones(self.indices.size)
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def _from_pairs(
-    n: int, pairs: Iterable[tuple[int, int]], provenance: dict | None = None
+    n: int, a: np.ndarray, b: np.ndarray, provenance: dict | None = None
 ) -> TangledGraph:
-    """Graph on 1..n from vertex pairs already known to be valid edges."""
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, b in pairs:
-        nbrs[a - 1].add(b)
-        nbrs[b - 1].add(a)
-    adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-    edges = tuple((u, w) for u, ns in enumerate(adjacency, 1) for w in ns if u < w)
-    return TangledGraph(n, edges, adjacency, provenance)
+    """Graph on 1..n from int64 arrays of 0-based endpoints of valid edges
+    (either orientation, repeats allowed)."""
+    keys = np.concatenate([a * n + b, b * n + a])
+    keys.sort()
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    keys = keys[keep]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indices = (keys % n).astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    return TangledGraph(n, indptr, indices, provenance)
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
@@ -84,15 +125,22 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
     n = int(n)
     if n < 1:
         raise ValueError("graph needs at least one vertex")
-    clean = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
-        if u == v:
-            raise ValueError(f"self-loop at {u}")
-        clean.append((u, v))
-    return _from_pairs(n, clean)
+    pairs = list(edges)
+    try:
+        e = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    except OverflowError:  # an endpoint beyond int64 is outside 1..n too
+        a, b = next((a, b) for a, b in pairs if not 1 <= int(a) <= n or not 1 <= int(b) <= n)
+        raise ValueError(f"edge ({a}, {b}) outside vertex range 1..{n}") from None
+    u, v = e.T
+    outside = (u < 1) | (u > n) | (v < 1) | (v > n)
+    bad = outside | (u == v)
+    if bad.any():
+        k = int(bad.argmax())
+        a, b = e[k].tolist()
+        if outside[k]:
+            raise ValueError(f"edge ({a}, {b}) outside vertex range 1..{n}")
+        raise ValueError(f"self-loop at {a}")
+    return _from_pairs(n, u - 1, v - 1)
 
 
 def build_tangled(
@@ -106,18 +154,17 @@ def build_tangled(
     A raw sequence is checked to be a permutation; a :class:`Permutation`
     already is one.  An optional trace is recorded as provenance.
     """
-    if isinstance(sigma, Permutation):
-        img = sigma.image
-    else:
-        img = tuple(int(x) for x in sigma)
-        if sorted(img) != list(range(1, len(img) + 1)):
-            raise ValueError("sigma is not a permutation of 1..n")
-    n = len(img)
+    if not isinstance(sigma, Permutation):
+        sigma = Permutation(sigma)
+    img = np.array(sigma.image, dtype=np.int64) - 1
+    n = img.size
     prov = None
     if trace is not None:
         prov = {"positions": trace.positions, "q": trace.q, "seed": trace.seed}
-    pairs = chain(zip(range(1, n), range(2, n + 1)), zip(img, img[1:]))
-    return _from_pairs(n, pairs, prov)
+    path = np.arange(n - 1)
+    a = np.concatenate([path, img[:-1]])
+    b = np.concatenate([path + 1, img[1:]])
+    return _from_pairs(n, a, b, prov)
 
 
 def graph_from_trace(trace: InsertionTrace | Sequence[int]) -> TangledGraph:
@@ -134,35 +181,28 @@ def graph_from_trace(trace: InsertionTrace | Sequence[int]) -> TangledGraph:
 def bfs_distances(g: TangledGraph, source: int) -> list[int]:
     """Hop distances from ``source`` (1-based), at index v-1 for vertex v;
     -1 marks unreachable vertices."""
-    n, adj = g.n, g.adjacency
+    n = g.n
     if not 1 <= source <= n:
         raise ValueError(f"source {source} outside 1..{n}")
-    dist = [-1] * (n + 1)
-    dist[source] = 0
-    frontier = [source]
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    dist = [-1] * n
+    dist[source - 1] = 0
+    frontier = [source - 1]
     d = 0
     while frontier:
         d += 1
         nxt = []
         for u in frontier:
-            for w in adj[u - 1]:
+            for w in nbr[ptr[u]:ptr[u + 1]]:
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
-    return dist[1:]
+    return dist
 
 
 def is_connected(g: TangledGraph) -> bool:
     return -1 not in bfs_distances(g, 1)
-
-
-def _csr(g: TangledGraph) -> csr_matrix:
-    """The adjacency as a CSR matrix, each edge stored in both directions."""
-    indptr = np.zeros(g.n + 1, dtype=np.int32)
-    np.cumsum([len(a) for a in g.adjacency], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(g.adjacency), np.int32, indptr[-1]) - 1
-    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
 
 
 def _bfs(csr: csr_matrix, sources) -> np.ndarray:
@@ -183,9 +223,9 @@ def diameter(g: TangledGraph, method: str = "auto") -> int:
     one in, each vertex's eccentricity raising lb, until lb >= 2i for the next
     level i: two vertices both within i of u are at most 2i apart, and every
     pair reaching farther out has had an endpoint's eccentricity counted.
-    Near-path graphs stop after about four BFS runs; every BFS runs in C on one
-    CSR, fringe levels in blocks of at most ``_BFS_BLOCK_ENTRIES // n``
-    sources, so memory stays O(n).
+    Near-path graphs stop after about four BFS runs; every BFS runs in C on the
+    graph's one CSR matrix, fringe levels in blocks of at most
+    ``_BFS_BLOCK_ENTRIES // n`` sources, so memory stays O(n).
 
     ``method="sparse"`` is the independent reference the tests compare
     against: scipy's all-pairs pass over a dense n x n matrix.  It raises
@@ -196,13 +236,13 @@ def diameter(g: TangledGraph, method: str = "auto") -> int:
             raise CapabilityError(
                 f"all-pairs diameter holds an n x n matrix; n={g.n} exceeds {_ALL_PAIRS_MAX_N}"
             )
-        dm = _sp_shortest_path(_csr(g), method="D", unweighted=True, directed=False)
+        dm = _sp_shortest_path(g._csr, method="D", unweighted=True, directed=False)
         if np.isinf(dm).any():
             raise ValueError("diameter of a disconnected graph is undefined")
         return int(dm.max())
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    csr = _csr(g)
+    csr = g._csr
     first = _bfs(csr, 0)
     if np.isinf(first).any():
         raise ValueError("diameter of a disconnected graph is undefined")
@@ -228,50 +268,53 @@ def diameter(g: TangledGraph, method: str = "auto") -> int:
 
 
 def articulation_points(g: TangledGraph) -> set[int]:
-    """Cut vertices of a connected graph, via one iterative lowpoint DFS.
+    """Cut vertices of a connected graph, via one iterative lowpoint DFS over
+    the CSR rows as flat int lists.
 
     Disconnected input is a domain error: articulation structure of separate
     components is not what callers of this package mean.
     """
-    n, adj = g.n, g.adjacency
-    # Indexed by 1-based vertex; slot 0 is unused, so parent 0 means "root".
-    disc = [-1] * (n + 1)
-    low = [0] * (n + 1)
-    parent = [0] * (n + 1)
-    child_count = [0] * (n + 1)
-    is_cut = [False] * (n + 1)
+    n = g.n
+    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
+    nxt = ptr[:-1]  # next unread slot of each vertex's row
+    # 0-based vertices; the root 0 has parent -1.
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    is_cut = [False] * n
+    root_children = 0
 
-    # Explicit stack of (vertex, neighbor iterator index) so deep path-like
-    # graphs never hit the recursion limit.
-    stack: list[tuple[int, int]] = [(1, 0)]
-    disc[1] = low[1] = 0
+    # An explicit stack, so deep path-like graphs never hit the recursion limit.
+    stack = [0]
+    disc[0] = 0
     timer = 1
     while stack:
-        u, ptr = stack[-1]
-        nbrs = adj[u - 1]
-        if ptr < len(nbrs):
-            stack[-1] = (u, ptr + 1)
-            w = nbrs[ptr]
+        u = stack[-1]
+        k = nxt[u]
+        if k < ptr[u + 1]:
+            nxt[u] = k + 1
+            w = nbr[k]
             if disc[w] < 0:
                 parent[w] = u
-                child_count[u] += 1
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append((w, 0))
-            elif w != parent[u]:
-                low[u] = min(low[u], disc[w])
+                stack.append(w)
+            elif w != parent[u] and disc[w] < low[u]:
+                low[u] = disc[w]
         else:
             stack.pop()
             p = parent[u]
-            if p:
-                low[p] = min(low[p], low[u])
-                if parent[p] and low[u] >= disc[p]:
+            if p > 0:
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                if low[u] >= disc[p]:
                     is_cut[p] = True
+            elif p == 0:
+                root_children += 1
     if timer < n:
         raise ValueError("articulation points require a connected graph")
-    if child_count[1] >= 2:
-        is_cut[1] = True
-    return {v for v in range(1, n + 1) if is_cut[v]}
+    is_cut[0] = root_children >= 2
+    return {v + 1 for v in range(n) if is_cut[v]}
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,6 +32,10 @@ ENUMERATION_CAP = 9
 
 # traces sampled per batch by displacement_samples
 _DISPLACEMENT_CHUNK = 4096
+
+# mallows_process keeps its output as a list of blocks of about this many
+# entries, split in two when one reaches twice the size
+_DECODE_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +50,21 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        img = tuple(int(x) for x in self.image)
-        object.__setattr__(self, "image", img)
-        if sorted(img) != list(range(1, len(img) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(img)}: {img}")
+        try:
+            img = np.asarray(self.image, dtype=np.int64)
+        except OverflowError:  # an entry beyond int64 is not in 1..n either
+            img = tuple(int(x) for x in self.image)
+            raise ValueError(f"not a permutation of 1..{len(img)}: {img}") from None
+        object.__setattr__(self, "image", tuple(img.tolist()))
+        if not np.array_equal(np.sort(img), np.arange(1, img.size + 1)):
+            raise ValueError(f"not a permutation of 1..{img.size}: {self.image}")
+
+    @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
+        """A Permutation of an image that is one by construction, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "image", image)
+        return p
 
     @property
     def n(self) -> int:
@@ -82,17 +98,29 @@ class InsertionTrace:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        pos = tuple(int(v) for v in self.positions)
-        object.__setattr__(self, "positions", pos)
-        for i, v in enumerate(pos, 1):
-            if not 1 <= v <= i:
-                raise ValueError(f"position v_{i}={v} outside [1, {i}]")
+        object.__setattr__(self, "positions", tuple(_checked_positions(self.positions)))
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q={self.q} outside [0, 1]")
 
     @property
     def n(self) -> int:
         return len(self.positions)
+
+
+def _checked_positions(positions: Sequence[int] | np.ndarray) -> list[int]:
+    """``positions`` as a list of ints, once 1 <= v_i <= i is checked for all
+    i in one numpy comparison; the ValueError names the first bad v_i."""
+    try:
+        v = np.asarray(positions, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64 is not in [1, i] either
+        v = [int(x) for x in positions]
+        i = next(i for i, x in enumerate(v, 1) if not 1 <= x <= i)
+        raise ValueError(f"position v_{i}={v[i - 1]} outside [1, {i}]") from None
+    bad = (v < 1) | (v > np.arange(1, v.size + 1))
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        raise ValueError(f"position v_{i}={v[i - 1]} outside [1, {i}]")
+    return v.tolist()
 
 
 @dataclass(frozen=True)
@@ -190,24 +218,50 @@ def sample_trace(n: int, q: float, rng: int | SplitMix64) -> InsertionTrace:
     else:
         stream, seed_rec = SplitMix64(rng), int(rng)
     u = stream.uniforms(n)[None, :]
-    v = _positions_from_uniforms(u, q)[0]
-    return InsertionTrace(tuple(int(x) for x in v), q, seed_rec)
+    return InsertionTrace(_positions_from_uniforms(u, q)[0], q, seed_rec)
 
 
-def mallows_process(trace: InsertionTrace | Sequence[int]) -> Permutation:
+def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permutation:
     """Run the insertion process: value i enters at position v_i from the left.
 
     Earlier entries at positions >= v_i shift right.  The all-ones trace gives
     the decreasing permutation; the trace (1, 2, 1, 3, 2, 5) gives
-    (3, 5, 1, 4, 6, 2).
+    (3, 5, 1, 4, 6, 2).  A raw sequence is checked as a trace; an
+    :class:`InsertionTrace` already is one.
+
+    The first ``_DECODE_BLOCK`` values go into one list.  Past that the
+    output is a list of blocks: value i walks in from the nearer end to the
+    block holding slot v_i, so an insert shifts one block, not the whole
+    output, and a block reaching twice the block size is split in two.
     """
-    positions = trace.positions if isinstance(trace, InsertionTrace) else trace
+    if isinstance(trace, InsertionTrace):
+        positions = trace.positions
+    else:
+        positions = _checked_positions(trace)
     out: list[int] = []
-    for i, v in enumerate(positions, 1):
-        if not 1 <= v <= i:
-            raise ValueError(f"position v_{i}={v} outside [1, {i}]")
+    for i, v in enumerate(positions[:_DECODE_BLOCK], 1):
         out.insert(v - 1, i)
-    return Permutation(tuple(out))
+    blocks = [out]
+    for i, v in enumerate(positions[_DECODE_BLOCK:], _DECODE_BLOCK + 1):
+        if 2 * v <= i:  # slot v - 1 has v - 1 entries left of it
+            k, j = v - 1, 0
+            block = blocks[0]
+            while k > len(block):
+                k -= len(block)
+                j += 1
+                block = blocks[j]
+        else:  # and i - v to its right: walk in from the right end
+            k, j = i - v, len(blocks) - 1
+            block = blocks[j]
+            while k > len(block):
+                k -= len(block)
+                j -= 1
+                block = blocks[j]
+            k = len(block) - k
+        block.insert(k, i)
+        if len(block) == 2 * _DECODE_BLOCK:
+            blocks[j:j + 1] = [block[:_DECODE_BLOCK], block[_DECODE_BLOCK:]]
+    return Permutation._trusted(tuple(chain.from_iterable(blocks)))
 
 
 def sample_mallows(
@@ -400,16 +454,6 @@ def trace_displacements(v: np.ndarray, i: int) -> np.ndarray:
     for j in range(i + 1, n + 1):
         p += v[:, j - 1] <= p
     return np.abs((n + 1 - p) - i)
-
-
-def displacement_tail_empirical(
-    n: int, q: float, i: int, t: int, trials: int, seed: int
-) -> float:
-    """Empirical estimate of Pr[|sigma(i) - i| >= t] for sigma ~ mu_{n,q}."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    samples = displacement_samples(n, q, i, trials, seed)
-    return float(np.count_nonzero(samples >= t)) / trials
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,14 @@ class SweepConfig:
             raise ValueError("thread_count must be >= 1")
         if not 0.5 < self.alpha < 1.0:
             raise ValueError(f"alpha={self.alpha} outside (1/2, 1)")
+        if self.bisections < 1:
+            raise ValueError("bisections must be >= 1")
+        if not self.k_fracs or any(not 0.0 < f <= 1.0 for f in self.k_fracs):
+            raise ValueError(f"k_fracs {self.k_fracs} must lie in (0, 1]")
+        if not 0.0 < self.i_frac <= 1.0:
+            raise ValueError(f"i_frac={self.i_frac} outside (0, 1]")
+        if not self.t_list or any(t < 1 for t in self.t_list):
+            raise ValueError(f"t_list {self.t_list} must hold positive values")
 
 
 def resolve_q_token(token: float | str, n: int) -> list[float]:
@@ -406,7 +414,7 @@ def _flush_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     traces of :func:`trace_table` instead (n <= 9), with stderr 0 and n! as
     the trial count.
     """
-    ks = sorted({max(1, min(n, math.floor(f * n + 0.5))) for f in cfg.k_fracs})
+    ks = sorted({max(1, math.floor(f * n + 0.5)) for f in cfg.k_fracs})
     pairs = [(a, b) for i, a in enumerate(ks) for b in ks[i + 1 :]]
     if cfg.exhaustive:
         V, w = trace_table(n, q)
@@ -454,8 +462,7 @@ def _diameter_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
         cuts = hit[:, 1 : n - 1].sum(axis=1).astype(np.int64) if n >= 3 else np.zeros(len(v), dtype=np.int64)
         diams = np.empty(len(v), dtype=np.int64)
         for r in range(len(v)):
-            sigma = mallows_process([int(x) for x in v[r]])
-            diams[r] = diameter(build_tangled(sigma))
+            diams[r] = diameter(build_tangled(mallows_process(v[r])))
         return {
             "diameter": diams,
             "cut_lb": cuts + 1,
@@ -488,7 +495,7 @@ def _width_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
         tw = np.zeros(len(v), dtype=np.int64)
         cw = np.empty(len(v), dtype=np.int64)
         for r in range(len(v)):
-            g = build_tangled(mallows_process([int(x) for x in v[r]]))
+            g = build_tangled(mallows_process(v[r]))
             cw[r], _ = cutwidth_identity(g)
             if small:
                 tw[r] = treewidth_exact(g)
@@ -529,14 +536,15 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
         v = sample_trace_matrix(n, q, seeds)
         out_iso = np.empty(len(v), dtype=np.float64)
         for r in range(len(v)):
-            g = build_tangled(mallows_process([int(x) for x in v[r]]))
-            if any(len(a) > 4 for a in g.adjacency):
+            g = build_tangled(mallows_process(v[r]))
+            degrees = np.diff(g.indptr)
+            if degrees.max(initial=0) > 4:
                 raise AssertionError("max degree exceeded 4; model invariant broken")
             if small:
                 out_iso[r] = float(vertex_iso(g))
             else:
-                eu = np.array([e[0] - 1 for e in g.edges])
-                ev = np.array([e[1] - 1 for e in g.edges])
+                # each edge is stored in both directions, so it crosses twice
+                tails = np.repeat(np.arange(n), degrees)
                 bis_seeds = derive_array(
                     int(seeds[r]), np.arange(cfg.bisections, dtype=np.uint64)
                 )
@@ -546,7 +554,7 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
                 half = n // 2
                 row_idx = np.repeat(np.arange(cfg.bisections), half)
                 side[row_idx, ranks[:, :half].ravel()] = True
-                cross = (side[:, eu] ^ side[:, ev]).sum(axis=1)
+                cross = (side[:, tails] ^ side[:, g.indices]).sum(axis=1) // 2
                 out_iso[r] = float(cross.min()) / half
         return {"iso": out_iso}
 
@@ -567,7 +575,7 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
 def _displacement_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Displacement tails Pr[|sigma(i) - i| >= t] at i = round(i_frac * n),
     with the 2 q^t reference bound reported alongside each tail row."""
-    i = max(1, min(n, math.floor(cfg.i_frac * n + 0.5)))
+    i = max(1, math.floor(cfg.i_frac * n + 0.5))
 
     def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
         return {"disp": trace_displacements(sample_trace_matrix(n, q, seeds), i)}

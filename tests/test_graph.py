@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tangledpath import (
     CapabilityError,
@@ -78,9 +78,51 @@ def test_build_tangled_matches_validated_edge_list(perm):
         assert (g.n, g.edges, g.adjacency) == (ref.n, ref.edges, ref.adjacency)
 
 
+def _assert_csr_invariants(g):
+    indptr, indices = g.indptr, g.indices
+    assert indptr.dtype == indices.dtype == np.int32
+    assert indptr[0] == 0 and indptr[-1] == indices.size and indptr.size == g.n + 1
+    degrees = np.diff(indptr)
+    assert degrees.min(initial=0) >= 0
+    tails = np.repeat(np.arange(g.n), degrees)
+    keys = tails.astype(np.int64) * g.n + indices
+    assert (np.diff(keys) > 0).all()  # rows sorted, no duplicate arcs
+    assert (tails != indices).all() and ((indices >= 0) & (indices < g.n)).all()
+    assert set(zip(tails.tolist(), indices.tolist())) == set(zip(indices.tolist(), tails.tolist()))
+    assert 2 * len(g.edges) == indices.size
+    for v, nbrs in enumerate(g.adjacency, 1):
+        assert nbrs == tuple(int(w) + 1 for w in indices[indptr[v - 1]:indptr[v]])
+
+
+def test_csr_invariants_and_equality_across_constructors():
+    """build_tangled and make_graph of the same edges: the same CSR, equal and
+    hashing equal; every tangled graph has degree at most 4."""
+    cases = [(1,), (1, 2), (2, 1), (2, 4, 1, 3), tuple(range(9, 0, -1))]
+    for n, q in ((7, 0.5), (60, 0.9), (300, 1.0), (300, 1 - 1 / (300 * math.log(300)))):
+        for seed in range(4):
+            cases.append(mallows_process(sample_trace(n, q, seed)).image)
+    for perm in cases:
+        n = len(perm)
+        g = build_tangled(perm)
+        _assert_csr_invariants(g)
+        assert np.diff(g.indptr).max() <= 4
+        ref = make_graph(n, [(i, i + 1) for i in range(1, n)] + list(zip(perm[::-1], perm[-2::-1])))
+        _assert_csr_invariants(ref)
+        assert g == ref and hash(g) == hash(ref)
+        assert len({g, ref, build_tangled(Permutation(perm))}) == 1
+    others = (random_connected_graph(30, 12, 4), petersen_graph(), (5, [(1, 2), (1, 2), (2, 1)]))
+    for n, edges in others:
+        _assert_csr_invariants(make_graph(n, edges))
+    assert build_tangled((1, 2, 3)) != build_tangled((1, 3, 2))
+    assert make_graph(3, [(1, 2)]) != make_graph(4, [(1, 2)])
+    assert build_tangled((1,)) != "not a graph"
+
+
 def test_build_tangled_rejects_non_permutation():
     with pytest.raises(ValueError):
         build_tangled((1, 1, 3))
+    with pytest.raises(ValueError):
+        build_tangled((1, 10**20))
 
 
 @given(st.permutations(list(range(1, 10))))
@@ -112,6 +154,18 @@ def test_make_graph_validation():
         make_graph(3, [(1, 4)])
     with pytest.raises(ValueError):
         make_graph(3, [(2, 2)])
+    # The first bad edge is named, whichever way it is bad.
+    with pytest.raises(ValueError, match=r"^edge \(1, 4\) outside vertex range 1\.\.3$"):
+        make_graph(3, [(1, 2), (1, 4), (0, 1)])
+    with pytest.raises(ValueError, match="^self-loop at 2$"):
+        make_graph(3, [(1, 2), (2, 2), (3, 9)])
+    with pytest.raises(ValueError, match=r"^edge \(2, 100000000000000000000\) outside"):
+        make_graph(3, [(1, 2), (2, 10**20)])
+    with pytest.raises(ValueError):
+        make_graph(3, [(1, 2, 3)])
+    with pytest.raises(ValueError):
+        make_graph(0, [])
+    assert make_graph(3, []).edges == ()
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +281,31 @@ def test_articulation_knowns():
     assert articulation_points(make_graph(*star_graph(4))) == {1}
 
 
+def _glued_at_one(parts):
+    """Connected graphs on disjoint vertex sets, their vertex 1s merged into
+    one vertex 1: the DFS root, with one child in each part."""
+    edges, offset = [], 1
+    for m, part in parts:
+        relabel = {1: 1, **{v: v + offset - 1 for v in range(2, m + 1)}}
+        edges += [(relabel[u], relabel[v]) for u, v in part]
+        offset += m - 1
+    return offset, edges
+
+
 def test_articulation_matches_brute_on_randoms():
-    for seed in range(25):
-        n, edges = random_connected_graph(9, 4, 900 + seed)
-        g = make_graph(n, edges)
-        assert articulation_points(g) == brute_articulation(n, edges)
+    graphs = [random_connected_graph(9, 4, 900 + seed) for seed in range(25)]
+    graphs += [path_graph(1), path_graph(2), star_graph(3), cycle_graph(3)]
+    for seed in range(12):
+        sizes = (2 + seed % 4, 3 + seed % 5, 2 + seed % 3)[: 2 + seed % 2]
+        graphs.append(_glued_at_one(
+            [random_connected_graph(m, seed % 3, 60 * seed + m) for m in sizes]
+        ))
+    roots_cut = 0
+    for n, edges in graphs:
+        want = brute_articulation(n, edges)
+        assert articulation_points(make_graph(n, edges)) == want, (n, edges)
+        roots_cut += 1 in want
+    assert roots_cut >= 13
 
 
 def test_articulation_requires_connected():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from tangledpath import (
     InsertionTrace,
@@ -33,6 +33,7 @@ from tangledpath import (
     tv_distance_to_uniform,
 )
 from tangledpath.errors import CapabilityError
+from tangledpath.mallows import _DECODE_BLOCK, trace_displacements
 
 
 def test_process_table_example():
@@ -42,6 +43,40 @@ def test_process_table_example():
 def test_process_degenerate_traces():
     assert mallows_process([1] * 6).image == (6, 5, 4, 3, 2, 1)
     assert mallows_process(range(1, 7)).image == (1, 2, 3, 4, 5, 6)
+
+
+def reference_process(positions):
+    """The insertion process as written: one list.insert per value."""
+    out = []
+    for i, v in enumerate(positions, 1):
+        out.insert(v - 1, i)
+    return tuple(out)
+
+
+def test_blocked_decode_matches_reference():
+    """Around and past the block size, at q = 0, 0.5, next to 1
+    (1 - q = 1/(n ln n)) and 1; traces and raw rows alike."""
+    B = _DECODE_BLOCK
+    for n in (1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 5 * B, 10**4):
+        qs = [0.0, 0.5, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
+        for q in qs:
+            v = sample_trace_matrix(n, q, np.arange(3, dtype=np.uint64))
+            for row in v:
+                want = reference_process(row.tolist())
+                assert mallows_process(row).image == want, (n, q)
+                assert mallows_process(InsertionTrace(row, q)).image == want, (n, q)
+
+
+def test_blocked_decode_large_n_against_displacements():
+    """n = 10^5: the slot of value i in r_n, read off the decoded output,
+    against trace_displacements, which tracks it on the trace alone."""
+    n = 10**5
+    for q in (0.9, 1.0):
+        v = sample_trace_matrix(n, q, np.array([5], dtype=np.uint64))
+        image = mallows_process(v[0]).image
+        slot = {value: k for k, value in enumerate(image, 1)}
+        for i in (1, 2, 777, n // 2, n - 1, n):
+            assert abs((n + 1 - slot[i]) - i) == trace_displacements(v, i)[0], (q, i)
 
 
 def test_process_is_a_bijection_onto_sn():
@@ -60,11 +95,27 @@ def test_trace_validation():
         InsertionTrace(positions=(0,), q=0.5)
     with pytest.raises(ValueError):
         InsertionTrace(positions=(1, 1), q=1.5)
+    # The message names the first bad v_i, for traces and raw decode input.
+    with pytest.raises(ValueError, match=r"^position v_3=4 outside \[1, 3\]$"):
+        InsertionTrace(positions=(1, 1, 4, 0), q=0.5)
+    with pytest.raises(ValueError, match=r"^position v_2=0 outside \[1, 2\]$"):
+        mallows_process(np.array([1, 0, 9]))
+    # Entries beyond int64 are out of range, not an OverflowError.
+    with pytest.raises(ValueError, match=r"^position v_3=100000000000000000000 outside"):
+        InsertionTrace(positions=(1, 1, 10**20), q=0.5)
+    with pytest.raises(ValueError, match=r"^position v_2=-100000000000000000000 outside"):
+        mallows_process([1, -(10**20)])
 
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3: \(1, 1, 2\)"):
         Permutation((1, 1, 2))
+    with pytest.raises(ValueError):
+        Permutation((0, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((1, 10**20))
+    assert Permutation(np.array([2, 1])).image == (2, 1)
+    assert type(Permutation(np.array([2, 1])).image[0]) is int
     p = Permutation((3, 1, 2))
     assert p.inverse().image == (2, 3, 1)
 

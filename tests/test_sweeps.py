@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import pytest
 
@@ -15,7 +14,6 @@ from tangledpath import (
 from tangledpath.cli import main
 from tangledpath.sweeps import (
     CSV_COLUMNS,
-    SweepConfig,
     check_bands,
     config_from_file,
     make_config,
@@ -95,6 +93,37 @@ def test_config_rejects_bad_values():
         parse_config_text("experiment = separator\nn_list = 10\nbogus_key = 1\n")
     with pytest.raises(ValueError, match="margin"):
         small_cfg(margin=3.0)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ("bisections = 0", "bisections"),
+        ("bisections = -3", "bisections"),
+        ("k_fracs = -1, 7", "k_fracs"),
+        ("k_fracs = 0", "k_fracs"),
+        ("k_fracs = 0.5, 1.5", "k_fracs"),
+        ("t_list = 0, 2", "t_list"),
+        ("t_list = -1", "t_list"),
+        ("i_frac = 0", "i_frac"),
+        ("i_frac = 1.2", "i_frac"),
+    ],
+)
+def test_config_refuses_bad_extras_before_any_cell(bad, match, tmp_path, capsys, monkeypatch):
+    """Out-of-range extras are config errors (exit 2) whatever the
+    experiment, caught before a cell runs instead of failing inside one or
+    being clamped."""
+    import tangledpath.sweeps as sweeps
+
+    text = f"experiment = expansion\nn_list = 24\nq_grid = 0.5\ntrials = 3\n{bad}\n"
+    with pytest.raises(ValueError, match=match):
+        parse_config_text(text)
+    monkeypatch.setattr(sweeps, "_run_cell", lambda *a: pytest.fail("a cell ran"))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert match in capsys.readouterr().err
+    assert small_cfg(k_fracs=[1.0], t_list=[1], i_frac=1.0, bisections=1).trials == 40
 
 
 def test_config_from_file(tmp_path):

@@ -5,12 +5,10 @@ elimination sets (n <= 14), brute force over all orderings (n <= 7), and
 known values for standard graphs.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from tangledpath import (
     CapabilityError,
