@@ -69,7 +69,6 @@ from .mallows import (
     parse_trace,
     partition_function,
     reverse,
-    sample_mallows,
     sample_trace,
     sample_trace_matrix,
     standardize,

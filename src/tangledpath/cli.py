@@ -132,6 +132,8 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     seed = _resolve_seed(args.seed)
     for i in range(args.count):
         trace = sample_trace(args.n, args.q, derive(seed, i) if args.count > 1 else seed)
@@ -157,7 +159,7 @@ def cmd_analyze(args) -> int:
         )
     trace, sigma = _load_instance(args)
     g = build_tangled(sigma, trace=trace)
-    out: dict = {"n": g.n, "edges": len(g.edges)}
+    out: dict = {"n": g.n, "edges": g.indices.size // 2}
     for m in metrics:
         if m == "tw":
             out["tw"] = treewidth_exact(g)

@@ -10,9 +10,11 @@ graph, which is why process outputs r_n can be used without reversal.
 A :class:`TangledGraph` is a 0-based CSR adjacency: int32 arrays ``indptr``
 (n + 1 row offsets) and ``indices`` (each edge in both directions, every row
 sorted, no duplicates), built in numpy by sorting the keys a*n + b of the
-vertex pairs and dropping repeats.  The 1-based ``edges`` and ``adjacency``
-tuples that the width routines read are derived from it on first use and
-cached, as is the scipy matrix the diameter's BFS runs on.
+vertex pairs and dropping repeats.  Every graph and width routine reads these
+arrays, or the scipy matrix built from them on first use and cached, which is
+the one BFS engine: :func:`bfs_distances` and :func:`diameter` both run
+scipy.sparse.csgraph on it.  The one derived tuple view is ``edges`` (1-based,
+each edge once), read by :func:`format_edge_list`.
 
 Every routine here and in :mod:`tangledpath.widths` takes a
 :class:`TangledGraph` from :func:`build_tangled`, :func:`graph_from_trace`,
@@ -79,24 +81,23 @@ class TangledGraph:
         return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """``adjacency[v - 1]`` lists the neighbors of vertex v in increasing order."""
-        flat, ptr = (self.indices + 1).tolist(), self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge once, as (u, w) with u < w, in increasing order."""
-        u = np.repeat(np.arange(1, self.n + 1), np.diff(self.indptr))
-        w = self.indices + 1
-        keep = u < w
-        return tuple(zip(u[keep].tolist(), w[keep].tolist()))
+        u, w = _edge_ends(self)
+        return tuple(zip((u + 1).tolist(), (w + 1).tolist()))
 
     @cached_property
     def _csr(self) -> csr_matrix:
         """The adjacency as a scipy CSR matrix, built once."""
         data = np.ones(self.indices.size)
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _edge_ends(g: TangledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge once as 0-based end arrays (u, w), u < w, in CSR order."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    up = g.indices > rows
+    return rows[up], g.indices[up]
 
 
 def _from_pairs(
@@ -178,39 +179,26 @@ def graph_from_trace(trace: InsertionTrace | Sequence[int]) -> TangledGraph:
 # ---------------------------------------------------------------------------
 
 
-def bfs_distances(g: TangledGraph, source: int) -> list[int]:
-    """Hop distances from ``source`` (1-based), at index v-1 for vertex v;
-    -1 marks unreachable vertices."""
-    n = g.n
-    if not 1 <= source <= n:
-        raise ValueError(f"source {source} outside 1..{n}")
-    ptr, nbr = g.indptr.tolist(), g.indices.tolist()
-    dist = [-1] * n
-    dist[source - 1] = 0
-    frontier = [source - 1]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in nbr[ptr[u]:ptr[u + 1]]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def is_connected(g: TangledGraph) -> bool:
-    return -1 not in bfs_distances(g, 1)
-
-
 def _bfs(csr: csr_matrix, sources) -> np.ndarray:
     """Hop distances in C from 0-based ``sources``: one row per source, or a
     single row for an int; ``inf`` marks unreachable vertices.
     ``directed=True`` because the CSR already holds both directions of every
     edge."""
     return _dijkstra(csr, directed=True, unweighted=True, indices=sources)
+
+
+def bfs_distances(g: TangledGraph, source: int) -> list[int]:
+    """Hop distances from ``source`` (1-based), at index v-1 for vertex v;
+    -1 marks unreachable vertices."""
+    if not 1 <= source <= g.n:
+        raise ValueError(f"source {source} outside 1..{g.n}")
+    d = _bfs(g._csr, source - 1)
+    d[np.isinf(d)] = -1
+    return d.astype(np.int64).tolist()
+
+
+def is_connected(g: TangledGraph) -> bool:
+    return -1 not in bfs_distances(g, 1)
 
 
 def diameter(g: TangledGraph, method: str = "auto") -> int:

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .rng import SplitMix64, derive_array, uniform_matrix
+from .rng import MASK64, derive_array, uniform_matrix
 
 ENUMERATION_CAP = 9
 
@@ -202,23 +202,14 @@ def sample_trace_matrix(n: int, q: float, seeds: np.ndarray) -> np.ndarray:
     return _positions_from_uniforms(uniform_matrix(np.asarray(seeds), n), q)
 
 
-def sample_trace(n: int, q: float, rng: int | SplitMix64) -> InsertionTrace:
-    """Draw (v_1, ..., v_n) with independent truncated-geometric components.
-
-    ``rng`` may be an integer seed (a fresh stream is opened and the seed is
-    recorded on the trace) or an already-running :class:`SplitMix64` stream.
-    The same (n, q, seed) always yields the same trace.
+def sample_trace(n: int, q: float, seed: int) -> InsertionTrace:
+    """Draw (v_1, ..., v_n) with independent truncated-geometric components:
+    row 0 of :func:`sample_trace_matrix` for the stream of ``seed`` (taken
+    mod 2**64), with the seed recorded on the trace.  The same (n, q, seed)
+    always yields the same trace.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
-    if isinstance(rng, SplitMix64):
-        stream, seed_rec = rng, None
-    else:
-        stream, seed_rec = SplitMix64(rng), int(rng)
-    u = stream.uniforms(n)[None, :]
-    return InsertionTrace(_positions_from_uniforms(u, q)[0], q, seed_rec)
+    seeds = np.array([int(seed) & MASK64], dtype=np.uint64)
+    return InsertionTrace(sample_trace_matrix(n, q, seeds)[0], q, int(seed))
 
 
 def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permutation:
@@ -262,21 +253,6 @@ def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permu
         if len(block) == 2 * _DECODE_BLOCK:
             blocks[j:j + 1] = [block[:_DECODE_BLOCK], block[_DECODE_BLOCK:]]
     return Permutation._trusted(tuple(chain.from_iterable(blocks)))
-
-
-def sample_mallows(
-    n: int, q: float, rng: int | SplitMix64
-) -> tuple[InsertionTrace, Permutation]:
-    """Sample a trace and its process output r_n.
-
-    Note the returned permutation is r_n itself, whose *reverse* is Mallows
-    distributed (Law(reverse(r_n)) = mu_{n,q}); apply :func:`reverse` when a
-    mu_{n,q} sample is wanted.  r_n is returned unreversed because the tangled
-    graph is invariant under reversal, so graph-level consumers can use it
-    directly.
-    """
-    trace = sample_trace(n, q, rng)
-    return trace, mallows_process(trace)
 
 
 # ---------------------------------------------------------------------------

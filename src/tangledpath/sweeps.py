@@ -114,6 +114,8 @@ class SweepConfig:
             raise ValueError("n_list must be nonempty")
         if any(n < 1 for n in self.n_list):
             raise ValueError("all n must be >= 1")
+        if self.experiment == "expansion" and 1 in self.n_list:
+            raise ValueError("expansion needs every n in n_list >= 2")
         if not self.q_grid:
             raise ValueError("q_grid must be nonempty")
         for q in self.q_grid:

@@ -13,7 +13,11 @@ with cutwidth_exact <= cutwidth_identity, since the identity layout is just one
 candidate vertex ordering.
 
 Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
-``build_tangled``, ``graph_from_trace``, ``make_graph`` or ``parse_edge_list``.
+``build_tangled``, ``graph_from_trace``, ``make_graph`` or ``parse_edge_list``
+and reads its CSR arrays: neighbor sets off the rows for the treewidth
+heuristics and vertex boundaries, the edge-end arrays for edge boundaries and
+the identity-layout profile, and scipy's connected components on the cached
+matrix for the forest test and the separator sides.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from ._util import balanced_at_most
 from .errors import CapabilityError
-from .graph import TangledGraph, articulation_points
+from .graph import TangledGraph, _edge_ends, articulation_points
 
 EXACT_CAP = 20
 
@@ -49,21 +54,17 @@ def _require_small(n: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _neighbor_sets(g: TangledGraph) -> dict[int, set[int]]:
+    """0-based vertex -> the set of its neighbors, read off the CSR rows."""
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
+    return {v: set(flat[ptr[v]:ptr[v + 1]]) for v in range(g.n)}
+
+
 def _is_forest(g: TangledGraph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u - 1), find(v - 1)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """A graph is a forest iff |E| + (number of components) = n.  The CSR
+    holds both directions of every edge, so its strong components are the
+    components, found without the transpose the weak route builds."""
+    return g.indices.size // 2 + connected_components(g._csr, connection="strong")[0] == g.n
 
 
 def _series_reduce(g: TangledGraph) -> list[dict[int, set[int]]]:
@@ -74,7 +75,7 @@ def _series_reduce(g: TangledGraph) -> list[dict[int, set[int]]]:
     guarantees by only reducing graphs that contain a cycle.  Returns the
     connected components of the residue, each with minimum degree >= 3.
     """
-    nbrs = {v: set(ns) for v, ns in enumerate(g.adjacency, 1)}
+    nbrs = _neighbor_sets(g)
     queue = [v for v, ns in nbrs.items() if len(ns) <= 2]
     while queue:
         v = queue.pop()
@@ -213,7 +214,7 @@ def treewidth_exact(g: TangledGraph) -> int:
     elimination-order decision problem (memoized over vertex subsets).
     """
     _require_small(g.n, "treewidth_exact")
-    if not g.edges:
+    if g.indices.size == 0:
         return 0
     if _is_forest(g):
         return 1
@@ -244,9 +245,9 @@ def treewidth_bounds(g: TangledGraph) -> tuple[int, int]:
         raise CapabilityError(
             f"treewidth_bounds supports n <= {BOUNDS_CAP}; got n={g.n}"
         )
-    if not g.edges:
+    if g.indices.size == 0:
         return 0, 0
-    nbrs = dict(enumerate(g.adjacency, 1))
+    nbrs = _neighbor_sets(g)
     return _degeneracy(nbrs), _minfill_width(nbrs)
 
 
@@ -265,8 +266,8 @@ def _subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _edge_boundary(g: TangledGraph, masks: np.ndarray) -> np.ndarray:
     """Number of edges between each subset in ``masks`` and its complement."""
     boundary = np.zeros(masks.size, dtype=np.int64)
-    for u, v in g.edges:
-        crossing = (masks >> np.uint32(u - 1)) ^ (masks >> np.uint32(v - 1))
+    for u, w in np.column_stack(_edge_ends(g)).tolist():
+        crossing = (masks >> np.uint32(u)) ^ (masks >> np.uint32(w))
         boundary += (crossing & np.uint32(1)).astype(np.int64)
     return boundary
 
@@ -280,7 +281,7 @@ def cutwidth_exact(g: TangledGraph) -> int:
     """
     n = g.n
     _require_small(n, "cutwidth_exact")
-    if n == 1 or not g.edges:
+    if n == 1 or g.indices.size == 0:
         return 0
     size = 1 << n
     masks, sizes = _subset_tables(n)
@@ -305,16 +306,10 @@ def cutwidth_identity(g: TangledGraph) -> tuple[int, tuple[int, ...]]:
     n = g.n
     if n == 1:
         return 0, ()
-    diff = [0] * (n + 1)
-    for u, v in g.edges:
-        diff[u] += 1
-        diff[v] -= 1
-    profile = []
-    running = 0
-    for i in range(1, n):
-        running += diff[i]
-        profile.append(running)
-    return (max(profile) if profile else 0), tuple(profile)
+    u, w = _edge_ends(g)
+    steps = np.bincount(u, minlength=n) - np.bincount(w, minlength=n)
+    profile = np.cumsum(steps)[:-1].tolist()
+    return max(profile), tuple(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +320,9 @@ def cutwidth_identity(g: TangledGraph) -> tuple[int, tuple[int, ...]]:
 def _vertex_boundary(g: TangledGraph, masks: np.ndarray) -> np.ndarray:
     """|N(S) \\ S| for each subset S in ``masks``."""
     nb = np.zeros(masks.size, dtype=np.uint32)
-    for v, nbrs in enumerate(g.adjacency):
+    for v, nbrs in _neighbor_sets(g).items():
         sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
-        nb[sel] |= np.uint32(sum(1 << (w - 1) for w in nbrs))
+        nb[sel] |= np.uint32(sum(1 << w for w in nbrs))
     return np.bitwise_count(nb & ~masks).astype(np.int64)
 
 
@@ -368,27 +363,12 @@ def unit_separator(g: TangledGraph, alpha: float) -> tuple[int, tuple[int, int]]
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (1/2, 1)")
-    n, adj = g.n, g.adjacency
+    n = g.n
     for k in sorted(articulation_points(g)):
-        comp_sizes = []
-        seen = [False] * (n + 1)
-        seen[k] = True
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            count = 0
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                x = frontier.pop()
-                count += 1
-                for y in adj[x - 1]:
-                    if not seen[y]:
-                        seen[y] = True
-                        frontier.append(y)
-            comp_sizes.append(count)
+        rest = np.arange(n) != k - 1  # g - k; strong components as in _is_forest
+        _, labels = connected_components(g._csr[rest][:, rest], connection="strong")
         reachable = 1
-        for s in comp_sizes:
+        for s in np.bincount(labels).tolist():
             reachable |= reachable << s
         total = n - 1
         best: int | None = None
@@ -484,7 +464,7 @@ def build_width_report(g: TangledGraph, exact: bool | None = None) -> WidthRepor
     if use_exact:
         return WidthReport(
             n=n,
-            edge_count=len(g.edges),
+            edge_count=g.indices.size // 2,
             treewidth=treewidth_exact(g),
             treewidth_method="exact-dp",
             cutwidth_identity=cw_val,
@@ -495,7 +475,7 @@ def build_width_report(g: TangledGraph, exact: bool | None = None) -> WidthRepor
         )
     return WidthReport(
         n=n,
-        edge_count=len(g.edges),
+        edge_count=g.indices.size // 2,
         treewidth=treewidth_bounds(g),
         treewidth_method="degeneracy-lower/minfill-upper",
         cutwidth_identity=cw_val,

@@ -71,6 +71,25 @@ def random_connected_graph(n, extra_edges, seed):
     return n, sorted(edges)
 
 
+def random_graph(n, density, seed):
+    """Each of the C(n, 2) pairs is an edge with probability ``density``, so
+    the graph may be disconnected and have isolated vertices."""
+    rng = SplitMix64(seed)
+    return n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+               if rng.uniform() < density]
+
+
+def random_forest(n, density, seed):
+    """Vertex v >= 2 hangs off a random earlier vertex with probability
+    ``density``, else starts a new tree."""
+    rng = SplitMix64(seed)
+    edges = []
+    for v in range(2, n + 1):
+        if rng.uniform() < density:
+            edges.append((1 + int(rng.uniform() * (v - 1)), v))
+    return n, edges
+
+
 # ---------------------------------------------------------------------------
 # event oracle: literal definitions, one k at a time
 # ---------------------------------------------------------------------------

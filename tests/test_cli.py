@@ -58,6 +58,14 @@ def test_sample_count_gives_distinct_lines(capsys):
     assert len(lines) == 3 and len(set(lines)) == 3
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_nonpositive_count_is_usage_error(capsys, count):
+    code, out, err = run(
+        capsys, "sample", "--n", "8", "--q", "0.6", "--seed", "1", "--count", count
+    )
+    assert code == 2 and out == "" and "--count" in err
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("TANGLED_SEED", "42")
     _, out_env, _ = run(capsys, "sample", "--n", "8", "--q", "0.6")

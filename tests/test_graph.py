@@ -37,6 +37,7 @@ from conftest import (
     path_graph,
     petersen_graph,
     random_connected_graph,
+    random_graph,
     star_graph,
 )
 
@@ -58,7 +59,7 @@ def test_degree_bound_and_connectivity():
     for seed in range(30):
         trace = sample_trace(40, 0.6, seed)
         g = build_tangled(mallows_process(trace), trace=trace)
-        assert all(len(nbrs) <= 4 for nbrs in g.adjacency)
+        assert np.diff(g.indptr).max() <= 4
         assert is_connected(g)
 
 
@@ -75,7 +76,8 @@ def test_build_tangled_matches_validated_edge_list(perm):
     ref = make_graph(n, path_edges + sigma_edges)
     for sigma in (perm, Permutation(tuple(perm))):
         g = build_tangled(sigma)
-        assert (g.n, g.edges, g.adjacency) == (ref.n, ref.edges, ref.adjacency)
+        assert (g.n, g.edges) == (ref.n, ref.edges)
+        assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
 
 
 def _assert_csr_invariants(g):
@@ -90,8 +92,8 @@ def _assert_csr_invariants(g):
     assert (tails != indices).all() and ((indices >= 0) & (indices < g.n)).all()
     assert set(zip(tails.tolist(), indices.tolist())) == set(zip(indices.tolist(), tails.tolist()))
     assert 2 * len(g.edges) == indices.size
-    for v, nbrs in enumerate(g.adjacency, 1):
-        assert nbrs == tuple(int(w) + 1 for w in indices[indptr[v - 1]:indptr[v]])
+    up = tails < indices
+    assert g.edges == tuple(zip((tails[up] + 1).tolist(), (indices[up] + 1).tolist()))
 
 
 def test_csr_invariants_and_equality_across_constructors():
@@ -183,6 +185,26 @@ def test_bfs_marks_unreachable():
     g = make_graph(4, [(1, 2)])
     d = bfs_distances(g, 1)
     assert d[2] == -1 and d[3] == -1
+
+
+def test_bfs_distances_match_brute_on_random_graphs():
+    """The scipy BFS against the literal per-source BFS, on graphs with
+    n <= 10 that may be disconnected or have isolated vertices: -1 where the
+    source does not reach, Python ints everywhere."""
+    disconnected = 0
+    for seed in range(80):
+        n, edges = random_graph(1 + seed % 10, (seed % 5) / 6, 900 + seed)
+        g = make_graph(n, edges)
+        ref = brute_distance_matrix(n, edges)
+        for s in range(1, n + 1):
+            d = bfs_distances(g, s)
+            assert d == [ref[s].get(v, -1) for v in range(1, n + 1)], (n, edges, s)
+            assert all(type(x) is int for x in d)
+        assert is_connected(g) == (len(ref[1]) == n)
+        disconnected += len(ref[1]) < n
+    assert disconnected >= 20
+    with pytest.raises(ValueError):
+        bfs_distances(make_graph(3, []), 4)
 
 
 def test_diameter_knowns():

@@ -1,6 +1,8 @@
-"""Source hygiene: every imported name in src/ and tests/ is used."""
+"""Source hygiene: every imported name in src/ and tests/ is used, and every
+top-level private function or class in src/ is referenced."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,3 +30,31 @@ def test_no_unused_imports():
     assert files
     unused = [hit for p in files for hit in _unused_imports(p)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names a node's subtree reads: bare names, attributes and names
+    imported from another module."""
+    refs: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_no_unreferenced_private_helpers():
+    # A private helper nothing in the package reads (its own body aside) is
+    # dead code left behind by a removal.
+    files = sorted((ROOT / "src").rglob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
+    assert trees
+    refs = sum((_references(t) for t in trees.values()), Counter())
+    dead = [f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
+            for p, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            and refs[node.name] == _references(node)[node.name]]
+    assert not dead, "private helpers nothing references:\n" + "\n".join(dead)

@@ -25,7 +25,6 @@ from tangledpath import (
     parse_trace,
     partition_function,
     reverse,
-    sample_mallows,
     sample_trace,
     sample_trace_matrix,
     standardize,
@@ -33,7 +32,8 @@ from tangledpath import (
     tv_distance_to_uniform,
 )
 from tangledpath.errors import CapabilityError
-from tangledpath.mallows import _DECODE_BLOCK, trace_displacements
+from tangledpath.mallows import _DECODE_BLOCK, _positions_from_uniforms, trace_displacements
+from tangledpath.rng import SplitMix64
 
 
 def test_process_table_example():
@@ -221,11 +221,6 @@ def test_enumeration_matches_pmf_after_reversal():
         assert math.isclose(w, mallows_pmf(sigma, q), abs_tol=1e-12)
 
 
-def test_sample_mallows_api():
-    trace, sigma = sample_mallows(9, 0.4, 77)
-    assert sigma.image == mallows_process(trace).image
-
-
 def test_enumeration_cap():
     with pytest.raises(CapabilityError):
         next(iter(enumerate_traces(10, 0.5)))
@@ -316,6 +311,14 @@ def test_sample_matrix_matches_scalar_path():
     mat = sample_trace_matrix(12, 0.6, seeds)
     for row, s in zip(mat, seeds):
         assert tuple(int(x) for x in row) == sample_trace(12, 0.6, int(s)).positions
+    # Seeds outside [0, 2**64) select the stream of seed mod 2**64 and are
+    # recorded as given; the sequential SplitMix64 stream is the reference.
+    n, q = 12, 0.6
+    for s in (-1, 2**63, 2**64 + 5, 2**70 + 3):
+        trace = sample_trace(n, q, s)
+        ref = _positions_from_uniforms(SplitMix64(s).uniforms(n)[None], q)[0]
+        assert trace.positions == tuple(ref.tolist())
+        assert trace.seed == s
 
 
 def test_sample_q_extremes():
@@ -330,9 +333,8 @@ def test_sample_mallows_reversal_law():
     """Empirical law of reverse(process(trace)) matches the Mallows pmf."""
     n, q, trials = 4, 0.5, 60000
     counts = {}
-    mat = sample_trace_matrix(n, q, np.arange(trials, dtype=np.uint64))
-    for row in mat:
-        sigma = reverse(mallows_process([int(x) for x in row])).image
+    for seed in range(trials):
+        sigma = reverse(mallows_process(sample_trace(n, q, seed))).image
         counts[sigma] = counts.get(sigma, 0) + 1
     tv = 0.5 * sum(
         abs(counts.get(perm, 0) / trials - mallows_pmf(perm, q))

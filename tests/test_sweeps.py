@@ -107,6 +107,7 @@ def test_config_rejects_bad_values():
         ("t_list = -1", "t_list"),
         ("i_frac = 0", "i_frac"),
         ("i_frac = 1.2", "i_frac"),
+        ("n_list = 12, 1", "n_list"),
     ],
 )
 def test_config_refuses_bad_extras_before_any_cell(bad, match, tmp_path, capsys, monkeypatch):

@@ -30,6 +30,8 @@ from tangledpath import (
 )
 from tangledpath.rng import SplitMix64, derive
 from conftest import (
+    _components,
+    brute_articulation,
     brute_cutwidth,
     brute_treewidth_orders,
     brute_vertex_iso,
@@ -39,6 +41,8 @@ from conftest import (
     path_graph,
     petersen_graph,
     random_connected_graph,
+    random_forest,
+    random_graph,
     reference_treewidth,
     star_graph,
 )
@@ -71,6 +75,9 @@ def test_treewidth_matches_reference_dp():
     for seed in range(20):
         g = _tangled(12, 0.6, seed)
         assert treewidth_exact(g) == reference_treewidth(g.n, list(g.edges))
+    for seed in range(40):  # n <= 10, possibly disconnected, isolated vertices
+        n, edges = random_graph(1 + seed % 10, (seed % 5) / 6, 8100 + seed)
+        assert treewidth_exact(make_graph(n, edges)) == reference_treewidth(n, edges)
 
 
 def test_treewidth_matches_brute_orders():
@@ -79,6 +86,17 @@ def test_treewidth_matches_brute_orders():
         want = brute_treewidth_orders(n, edges)
         assert treewidth_exact(make_graph(n, edges)) == want
         assert reference_treewidth(n, edges) == want
+
+
+def test_treewidth_on_forests_and_disjoint_cycles():
+    """Forests have treewidth 1 (0 without edges); a disjoint cycle lifts it
+    to 2."""
+    for seed in range(40):
+        n, edges = random_forest(1 + seed % 10, (seed % 5) / 4, 8000 + seed)
+        assert treewidth_exact(make_graph(n, edges)) == (1 if edges else 0), (n, edges)
+        c = 3 + seed % 4
+        cycle = [(n + i, n + i + 1) for i in range(1, c)] + [(n + 1, n + c)]
+        assert treewidth_exact(make_graph(n + c, edges + cycle)) == 2, (n, edges, c)
 
 
 def test_treewidth_cap():
@@ -147,6 +165,14 @@ def test_cutwidth_identity_profile():
         assert profile[i - 1] == manual
     assert width == max(profile)
     assert cutwidth_exact(_tangled(12, 0.5, 8)) <= cutwidth_identity(_tangled(12, 0.5, 8))[0]
+    # n <= 10, possibly disconnected, isolated vertices: the per-cut loop
+    # over the input edge list
+    for seed in range(60):
+        n, edges = random_graph(1 + seed % 10, (seed % 5) / 6, 8200 + seed)
+        width, profile = cutwidth_identity(make_graph(n, edges))
+        manual = tuple(sum(1 for u, v in edges if u <= i < v) for i in range(1, n))
+        assert profile == manual and width == max(manual, default=0), (n, edges)
+        assert all(type(x) is int for x in (width, *profile))
 
 
 def test_cutwidth_identity_path():
@@ -218,6 +244,49 @@ def test_unit_separator_goldens():
     g = build_tangled(mallows_process(fig), trace=fig)
     k, (a, b) = unit_separator(g, 2 / 3)
     assert k == 5 and a + b == 8 and max(a, b) <= 6
+
+
+def _separator_oracle(n, edges, alpha):
+    """Smallest cut vertex whose components, removed from the graph one by
+    one, can be grouped into two sides of at most alpha * n vertices each,
+    with the most even such split."""
+    total = n - 1
+    for k in sorted(brute_articulation(n, edges)):
+        sums = {0}
+        for comp in _components(n, edges, removed={k}):
+            sums |= {a + len(comp) for a in sums}
+        fits = [a for a in sums if a <= alpha * n and total - a <= alpha * n]
+        if fits:
+            a = min(fits, key=lambda a: abs(2 * a - total))
+            return k, (min(a, total - a), max(a, total - a))
+    return None
+
+
+def test_unit_separator_matches_component_oracle():
+    """Connected graphs with n <= 10, among them spiders whose centre leaves
+    three or more components, against literal components and subset sums."""
+    graphs = [random_connected_graph(n, extra, 8300 + 10 * n + extra)
+              for n in range(3, 11) for extra in (0, 1, 3)]
+    graphs += [star_graph(k) for k in (2, 3, 5, 9)]
+    for legs in ((1, 1, 1), (1, 2, 4), (3, 3, 3), (1, 1, 2, 5), (2, 2, 2, 3)):
+        edges, n = [], 1
+        for length in legs:
+            prev = 1
+            for _ in range(length):
+                n += 1
+                edges.append((prev, n))
+                prev = n
+        graphs.append((n, edges))
+    graphs += [(g.n, list(g.edges)) for g in (_tangled(n, 0.6, 8400 + n) for n in range(3, 11))]
+    three_way = 0
+    for n, edges in graphs:
+        g = make_graph(n, edges)
+        for alpha in (Fraction(11, 20), Fraction(2, 3), Fraction(4, 5), Fraction(19, 20)):
+            want = _separator_oracle(n, edges, alpha)
+            assert unit_separator(g, float(alpha)) == want, (n, edges, alpha)
+            if want is not None:
+                three_way += len(_components(n, edges, removed={want[0]})) >= 3
+    assert three_way >= 10
 
 
 def test_unit_separator_alpha_validation():
