@@ -175,10 +175,9 @@ def cmd_analyze(args) -> int:
             out["vertex_iso"] = str(vertex_iso(g))
             out["edge_iso"] = str(edge_iso(g))
         elif m == "cuts":
-            if trace is not None:
-                out["cuts"] = sorted(cut_vertices_from_trace(trace))
-            else:
-                out["cuts"] = sorted(articulation_points(g))
+            out["cuts"] = sorted(
+                articulation_points(g) if trace is None else cut_vertices_from_trace(trace)
+            )
     _emit(out)
     return 0
 
@@ -239,7 +238,7 @@ def cmd_events(args) -> int:
             sparse.append(tuple(int(p) for p in parts))
         except ValueError as exc:
             raise UsageError(f"--sparse wants integers, got {spec!r}") from exc
-    rep = detect_events(trace, local=True if args.local else None, sparse=sparse)
+    rep = detect_events(trace, local=args.local, sparse=sparse)
 
     def true_ks(flags) -> list[int]:
         return [k + 1 for k, hit in enumerate(flags) if hit]
@@ -279,8 +278,7 @@ def cmd_oracle(args) -> int:
     if event is None:
         _emit({"n": n, "q": q, "count": len(w), "total_weight": trace_order_sum(w, 1.0)})
     elif event == "cut":
-        flags = event_flag_matrix(V)
-        cuts = (flags["cut_forward"] | flags["cut_reverse"])[:, 1 : n - 1].sum(axis=1)
+        cuts = event_flag_matrix(V)["cut"].sum(axis=1)
         _emit(
             {
                 "n": n,

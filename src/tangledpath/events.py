@@ -17,9 +17,10 @@ The events, for a trace (v_1, ..., v_n):
 * sparse flush S(k, b, ell): some k <= t_1 < ... < t_b <= k + ell with
   v_{t_i} <= i.
 
-All detectors run in O(n) per trace via suffix scans, vectorized across whole
-trial batches.  Probabilities are evaluated in log space throughout and clamped
-to [0, 1] with a 1e-12 tolerance for round-trip drift.
+The cut rule lives in :func:`event_flag_matrix` alone, as its ``"cut"`` array.
+All detectors run in O(n) per trace: F/R/C by suffix scans across trial
+batches, L_k by a difference array, S(k, b, ell) by a greedy window scan.
+Probabilities are computed in log space and clamped to [0, 1] within 1e-12.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def event_flag_matrix(v: np.ndarray) -> dict[str, np.ndarray]:
     """Per-k event flags for a batch of traces.
 
     ``v`` has shape (m, n), row = one trace.  Returns boolean (m, n) arrays
-    keyed "flush", "reverse_flush", "cut_forward", "cut_reverse"; column k-1
-    holds the flag for index k.  Uses that F_k is equivalent to
+    keyed "flush", "reverse_flush", "cut_forward", "cut_reverse" and "cut"
+    (the cut vertices: C_k^F or C_k^R with 2 <= k <= n-1); column k-1 holds
+    the flag for index k.  Uses that F_k is equivalent to
     min_{i>k} (i - v_i) >= k and R_k to min_{i>k} v_i > k, so one reversed
     cumulative minimum per family covers every k at once.
     """
@@ -72,23 +74,15 @@ def event_flag_matrix(v: np.ndarray) -> dict[str, np.ndarray]:
     reverse_flush = after_v > i_grid[None, :]
     cut_forward = flush & (v == 1)
     cut_reverse = reverse_flush & (v == i_grid[None, :])
+    cut = cut_forward | cut_reverse
+    cut[:, 0] = cut[:, -1] = False
     return {
         "flush": flush,
         "reverse_flush": reverse_flush,
         "cut_forward": cut_forward,
         "cut_reverse": cut_reverse,
+        "cut": cut,
     }
-
-
-def _flags_and_cut_set(
-    positions: Sequence[int],
-) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
-    """:func:`event_flag_matrix` of the one-row batch holding ``positions``,
-    and the trace's cut set: the internal vertices 2 <= k <= n-1 where C_k^F or
-    C_k^R holds."""
-    flags = event_flag_matrix(np.asarray(positions, dtype=np.int64)[None, :])
-    hit = flags["cut_forward"][0, 1:-1] | flags["cut_reverse"][0, 1:-1]
-    return flags, tuple((np.flatnonzero(hit) + 2).tolist())
 
 
 def b_value(n: int, q: float) -> int:
@@ -131,9 +125,9 @@ def sparse_flush_holds(
 class EventReport:
     """Flags for every index of one trace, plus the derived cut set.
 
-    Arrays are indexed by k-1.  ``local_flush`` is None when b(q) is undefined
-    (q = 0 or 1) or detection was switched off; ``sparse`` holds one entry per
-    requested (k, b, ell) triple.
+    Arrays are indexed by k-1.  ``local_flush`` and ``b`` are None when b(q)
+    is undefined (q = 0 or 1, or a raw sequence without q); ``sparse`` holds
+    one entry per requested (k, b, ell) triple.
     """
 
     n: int
@@ -151,61 +145,48 @@ class EventReport:
 def detect_events(
     trace: InsertionTrace | Sequence[int],
     *,
-    local: bool | None = None,
+    local: bool = False,
     sparse: Iterable[tuple[int, int, int]] = (),
 ) -> EventReport:
     """Evaluate every per-k event family on one trace.
 
-    ``local`` controls L_k detection: None computes it whenever b(q) is finite
-    (0 < q < 1), True demands it (refusing at q in {0, 1}), False skips it.
+    F/R/C flags are always computed, and L_k whenever b(q) is finite
+    (0 < q < 1).  ``local=True`` demands L_k, refusing at q in {0, 1}.
     ``sparse`` is an iterable of (k, b, ell) triples to evaluate for
     S(k, b, ell); requesting any at q in {0, 1} is refused since the natural b
-    is undefined there.  F/R/C flags are always computed.
+    is undefined there.
     """
     positions, q = _positions_of(trace)
     n = len(positions)
-    flags, cut_set = _flags_and_cut_set(positions)
+    v = np.asarray(positions, dtype=np.int64)
+    flags = {key: f[0] for key, f in event_flag_matrix(v[None, :]).items()}
+    sparse = tuple(sparse)
 
     bval: int | None = None
     local_flush: tuple[bool, ...] | None = None
-    want_local = local if local is not None else (q is not None and 0.0 < q < 1.0)
-    if want_local:
-        if q is None:
-            raise ValueError("local flush needs a trace carrying q; wrap in InsertionTrace")
+    if q is not None and (0.0 < q < 1.0 or local or sparse):
         bval = b_value(n, q)  # refuses at q in {0, 1}
-        lf = []
-        for k in range(1, n + 1):
-            hi = min(k + bval, n)
-            lf.append(
-                all(positions[i - 1] <= i - k for i in range(k + 1, hi + 1))
-            )
-        local_flush = tuple(lf)
-
-    sparse_results: dict = {}
-    sparse = tuple(sparse)
-    if sparse:
-        if q is None:
-            raise ValueError("sparse flush needs a trace carrying q; wrap in InsertionTrace")
-        if not 0.0 < q < 1.0:
-            raise CapabilityError(
-                f"sparse flush needs 0 < q < 1 (b undefined at q={q})"
-            )
-        if bval is None:
-            bval = b_value(n, q)
-        for k, b, ell in sparse:
-            sparse_results[(k, b, ell)] = sparse_flush_holds(positions, k, b, ell)
+        # Index i breaks L_k for max(i - v_i + 1, i - b) <= k <= i - 1; L_k
+        # holds where no such interval covers k (a difference array).
+        i = np.arange(1, n + 1, dtype=np.int64)
+        lo = np.maximum(i - v + 1, i - bval)
+        broken = lo < i
+        cover = np.bincount(lo[broken], minlength=n + 1) - np.bincount(i[broken], minlength=n + 1)
+        local_flush = tuple((np.cumsum(cover)[1:] == 0).tolist())
+    elif local or sparse:
+        raise ValueError("local and sparse flush need a trace carrying q; wrap in InsertionTrace")
 
     return EventReport(
         n=n,
         q=q if q is not None else float("nan"),
-        flush=tuple(flags["flush"][0].tolist()),
-        reverse_flush=tuple(flags["reverse_flush"][0].tolist()),
-        cut_forward=tuple(flags["cut_forward"][0].tolist()),
-        cut_reverse=tuple(flags["cut_reverse"][0].tolist()),
-        cut_set=cut_set,
+        flush=tuple(flags["flush"].tolist()),
+        reverse_flush=tuple(flags["reverse_flush"].tolist()),
+        cut_forward=tuple(flags["cut_forward"].tolist()),
+        cut_reverse=tuple(flags["cut_reverse"].tolist()),
+        cut_set=tuple((np.flatnonzero(flags["cut"]) + 1).tolist()),
         local_flush=local_flush,
         b=bval,
-        sparse=sparse_results,
+        sparse={(k, b, ell): sparse_flush_holds(positions, k, b, ell) for k, b, ell in sparse},
     )
 
 
@@ -216,7 +197,8 @@ def cut_vertices_from_trace(trace: InsertionTrace | Sequence[int]) -> set[int]:
     trace; n < 3 has no internal vertices, so the set is empty.
     """
     positions, _ = _positions_of(trace)
-    return set(_flags_and_cut_set(positions)[1])
+    cut = event_flag_matrix(np.asarray(positions, dtype=np.int64)[None, :])["cut"][0]
+    return set((np.flatnonzero(cut) + 1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +283,8 @@ def cut_event_probs(n: int, k: int, q: float) -> tuple[float, float]:
 
 def expected_cuts(n: int, q: float, alpha: float) -> float:
     """E[X_n(alpha)] = sum over k in [ceil((1-alpha)n), floor(alpha n)] of
-    Pr[C_k^F] + Pr[C_k^R]."""
+    Pr[C_k^F] + Pr[C_k^R].  At small n the range can hold an end vertex
+    (k = 1 for n = 2, 3 at alpha = 2/3), whose events are no cut vertex."""
     k_lo, k_hi = alpha_cut_range(n, alpha)
     return expected_cuts_in_range(n, q, k_lo, k_hi)
 

@@ -26,7 +26,8 @@ constructors validate their input; the routines trust it.
 of a few fringe levels, all in C through scipy.sparse.csgraph, in O(n)
 memory.  ``diameter(g, method="sparse")`` is the all-pairs reference that the
 tests and the benchmark check it against; it holds an n x n matrix, so it
-refuses n above 8192 with :class:`CapabilityError`.
+refuses n above 8192 with :class:`CapabilityError`.  One lowpoint DFS,
+``_cut_sides``, gives every cut vertex k and the component sizes of g - k.
 """
 
 from __future__ import annotations
@@ -255,13 +256,13 @@ def diameter(g: TangledGraph, method: str = "auto") -> int:
 # ---------------------------------------------------------------------------
 
 
-def articulation_points(g: TangledGraph) -> set[int]:
-    """Cut vertices of a connected graph, via one iterative lowpoint DFS over
-    the CSR rows as flat int lists.
+def _cut_sides(g: TangledGraph) -> dict[int, list[int]]:
+    """{0-based cut vertex k: component sizes of g - k} of a connected graph,
+    by one iterative lowpoint DFS (Hopcroft-Tarjan, CACM 1973) over flat lists.
 
-    Disconnected input is a domain error: articulation structure of separate
-    components is not what callers of this package mean.
-    """
+    A child u with low[u] >= disc[p] is a component of size[u] vertices once p
+    goes; a non-root p also leaves the rest, n - 1 minus those.  The root cuts
+    only with two or more children.  Disconnected input is a domain error."""
     n = g.n
     ptr, nbr = g.indptr.tolist(), g.indices.tolist()
     nxt = ptr[:-1]  # next unread slot of each vertex's row
@@ -269,8 +270,8 @@ def articulation_points(g: TangledGraph) -> set[int]:
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
-    is_cut = [False] * n
-    root_children = 0
+    size = [1] * n
+    sides: dict[int, list[int]] = {}
 
     # An explicit stack, so deep path-like graphs never hit the recursion limit.
     stack = [0]
@@ -278,31 +279,43 @@ def articulation_points(g: TangledGraph) -> set[int]:
     timer = 1
     while stack:
         u = stack[-1]
-        k = nxt[u]
-        if k < ptr[u + 1]:
-            nxt[u] = k + 1
+        k, end, lu = nxt[u], ptr[u + 1], low[u]
+        while k < end:  # read u's row up to its next unvisited neighbor
             w = nbr[k]
+            k += 1
             if disc[w] < 0:
-                parent[w] = u
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append(w)
-            elif w != parent[u] and disc[w] < low[u]:
-                low[u] = disc[w]
-        else:
+                break
+            if disc[w] < lu and w != parent[u]:
+                lu = disc[w]
+        else:  # row done: u's subtree is finished
+            low[u] = lu
             stack.pop()
             p = parent[u]
-            if p > 0:
-                if low[u] < low[p]:
-                    low[p] = low[u]
-                if low[u] >= disc[p]:
-                    is_cut[p] = True
-            elif p == 0:
-                root_children += 1
+            if p >= 0:
+                size[p] += size[u]
+                if lu < low[p]:
+                    low[p] = lu  # then lu < disc[p]: no cut below p
+                elif lu >= disc[p]:
+                    sides.setdefault(p, []).append(size[u])
+            continue
+        nxt[u], low[u] = k, lu
+        parent[w] = u
+        disc[w] = low[w] = timer
+        timer += 1
+        stack.append(w)
     if timer < n:
         raise ValueError("articulation points require a connected graph")
-    is_cut[0] = root_children >= 2
-    return {v + 1 for v in range(n) if is_cut[v]}
+    if len(sides.get(0, ())) < 2:
+        sides.pop(0, None)
+    for p, s in sides.items():
+        if p:
+            s.append(n - 1 - sum(s))
+    return sides
+
+
+def articulation_points(g: TangledGraph) -> set[int]:
+    """Cut vertices (1-based) of a connected graph, read off the graph alone."""
+    return {v + 1 for v in _cut_sides(g)}
 
 
 # ---------------------------------------------------------------------------

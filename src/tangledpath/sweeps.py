@@ -388,14 +388,11 @@ def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
     is internal.
     """
     k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
-    k_lo = max(k_lo, 2)
-    k_hi = min(k_hi, n - 1)
+    k_lo, k_hi = max(k_lo, 2), min(k_hi, n - 1)
 
     def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-        v = sample_trace_matrix(n, q, seeds)
-        flags = event_flag_matrix(v)
-        hit = flags["cut_forward"] | flags["cut_reverse"]
-        counts = hit[:, k_lo - 1 : k_hi].sum(axis=1).astype(np.int64)
+        cut = event_flag_matrix(sample_trace_matrix(n, q, seeds))["cut"]
+        counts = cut[:, k_lo - 1 : k_hi].sum(axis=1).astype(np.int64)
         return {"count": counts, "indicator": (counts >= 1).astype(np.int64)}
 
     data = run(trial_fn)
@@ -459,12 +456,8 @@ def _diameter_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
 
     def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
         v = sample_trace_matrix(n, q, seeds)
-        flags = event_flag_matrix(v)
-        hit = flags["cut_forward"] | flags["cut_reverse"]
-        cuts = hit[:, 1 : n - 1].sum(axis=1).astype(np.int64) if n >= 3 else np.zeros(len(v), dtype=np.int64)
-        diams = np.empty(len(v), dtype=np.int64)
-        for r in range(len(v)):
-            diams[r] = diameter(build_tangled(mallows_process(v[r])))
+        cuts = event_flag_matrix(v)["cut"].sum(axis=1).astype(np.int64)
+        diams = np.array([diameter(build_tangled(mallows_process(r))) for r in v], dtype=np.int64)
         return {
             "diameter": diams,
             "cut_lb": cuts + 1,

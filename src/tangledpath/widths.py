@@ -17,7 +17,8 @@ Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
 and reads its CSR arrays: neighbor sets off the rows for the treewidth
 heuristics and vertex boundaries, the edge-end arrays for edge boundaries and
 the identity-layout profile, and scipy's connected components on the cached
-matrix for the forest test and the separator sides.
+matrix for the forest test.  :func:`unit_separator` takes the sides of every
+cut vertex from the one lowpoint DFS in :mod:`tangledpath.graph`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ._util import balanced_at_most
 from .errors import CapabilityError
-from .graph import TangledGraph, _edge_ends, articulation_points
+from .graph import TangledGraph, _cut_sides, _edge_ends
 
 EXACT_CAP = 20
 
@@ -364,27 +365,16 @@ def unit_separator(g: TangledGraph, alpha: float) -> tuple[int, tuple[int, int]]
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (1/2, 1)")
     n = g.n
-    for k in sorted(articulation_points(g)):
-        rest = np.arange(n) != k - 1  # g - k; strong components as in _is_forest
-        _, labels = connected_components(g._csr[rest][:, rest], connection="strong")
-        reachable = 1
-        for s in np.bincount(labels).tolist():
-            reachable |= reachable << s
-        total = n - 1
-        best: int | None = None
-        for a in range(total + 1):
-            if not (reachable >> a) & 1:
-                continue
-            if not balanced_at_most(a, n, alpha):
-                continue
-            if not balanced_at_most(total - a, n, alpha):
-                continue
-            if best is None or abs(2 * a - total) < abs(2 * best - total) or (
-                abs(2 * a - total) == abs(2 * best - total) and a < best
-            ):
-                best = a
-        if best is not None:
-            return k, (min(best, total - best), max(best, total - best))
+    total = n - 1
+    for k, sides in sorted(_cut_sides(g).items()):
+        reach = 1  # bit a set: some of the components of g - k hold a vertices
+        for s in sides:
+            reach |= reach << s
+        # The sides sum to n - 1, so a is reachable iff n - 1 - a is; the most
+        # even split, the largest reachable a <= (n-1)/2, fits if any split does.
+        best = (reach & ((2 << (total // 2)) - 1)).bit_length() - 1
+        if balanced_at_most(total - best, n, alpha):
+            return k + 1, (best, total - best)
     return None
 
 

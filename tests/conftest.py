@@ -105,6 +105,11 @@ def naive_reverse_flush(v, k):
     return all(v[i - 1] > k for i in range(k + 1, n + 1))
 
 
+def naive_local_flush(v, k, b):
+    n = len(v)
+    return all(v[i - 1] <= i - k for i in range(k + 1, min(k + b, n) + 1))
+
+
 def naive_cut_forward(v, k):
     return naive_flush(v, k) and v[k - 1] == 1
 

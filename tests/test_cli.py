@@ -231,7 +231,7 @@ def test_oracle_matches_per_trace_loop(capsys):
                 cuts = cut_vertices_from_trace(trace)
                 expected += w * len(cuts)
                 p_any += w * bool(cuts)
-                rep = detect_events(trace, local=False)
+                rep = detect_events(trace)
                 flush = [f + w * hit for f, hit in zip(flush, rep.flush)]
             base = ["oracle", "enumerate", "--n", str(n), "--q", str(q)]
             doc = run_json(capsys, *base)

@@ -15,6 +15,7 @@ from scipy.special import spence
 
 from tangledpath import (
     CapabilityError,
+    InsertionTrace,
     b_value,
     bad_edge_classification,
     chernoff_bound,
@@ -46,6 +47,7 @@ from conftest import (
     naive_cut_reverse,
     naive_cut_set,
     naive_flush,
+    naive_local_flush,
     naive_reverse_flush,
     naive_sparse_flush,
 )
@@ -73,6 +75,7 @@ def test_flag_matrix_matches_oracles_exhaustive():
             assert flags["reverse_flush"][row, k - 1] == naive_reverse_flush(v, k)
             assert flags["cut_forward"][row, k - 1] == naive_cut_forward(v, k)
             assert flags["cut_reverse"][row, k - 1] == naive_cut_reverse(v, k)
+        assert set((np.flatnonzero(flags["cut"][row]) + 1).tolist()) == naive_cut_set(v)
 
 
 @given(traces_strategy)
@@ -86,6 +89,33 @@ def test_detect_events_matches_oracles(v):
         assert rep.cut_forward[k - 1] == naive_cut_forward(v, k)
         assert rep.cut_reverse[k - 1] == naive_cut_reverse(v, k)
     assert set(rep.cut_set) == naive_cut_set(v)
+
+
+# q giving b(q) = 1, 2, a few, and b(q) >= n at the trace lengths used here
+LOCAL_QS = (1e-12, 1e-6, 0.01, 0.5)
+
+
+def _assert_local_flush_literal(v, q):
+    rep = detect_events(InsertionTrace(tuple(v), q))
+    assert rep.b == b_value(len(v), q)
+    assert rep.local_flush == tuple(
+        naive_local_flush(v, k, rep.b) for k in range(1, len(v) + 1)
+    )
+
+
+def test_local_flush_matches_definition_exhaustive():
+    """L_k from the difference array against its literal definition on every
+    trace with n <= 7."""
+    for q in LOCAL_QS:
+        for n in range(1, 8):
+            for v in all_traces(n):
+                _assert_local_flush_literal(v, q)
+
+
+@given(traces_strategy, st.sampled_from(LOCAL_QS))
+@settings(max_examples=150, deadline=None)
+def test_local_flush_matches_definition(v, q):
+    _assert_local_flush_literal(v, q)
 
 
 @given(traces_strategy)
@@ -132,6 +162,10 @@ def test_local_and_sparse_refused_at_degenerate_q():
         detect_events(t, sparse=[(1, 2, 2)])
     rep = detect_events(t)  # F/R/C flags still fine
     assert len(rep.flush) == 3 and rep.local_flush is None
+    for kwargs in ({"local": True}, {"sparse": [(1, 2, 2)]}):
+        with pytest.raises(ValueError, match="carrying q"):
+            detect_events([1, 1, 2], **kwargs)
+    assert detect_events([1, 1, 2]).local_flush is None
 
 
 def test_bad_edge_classification_figure():

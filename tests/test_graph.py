@@ -28,7 +28,9 @@ from tangledpath import (
     reverse,
     sample_trace,
 )
+from tangledpath.graph import _cut_sides
 from conftest import (
+    _components,
     brute_articulation,
     brute_distance_matrix,
     complete_graph,
@@ -325,7 +327,12 @@ def test_articulation_matches_brute_on_randoms():
     roots_cut = 0
     for n, edges in graphs:
         want = brute_articulation(n, edges)
-        assert articulation_points(make_graph(n, edges)) == want, (n, edges)
+        g = make_graph(n, edges)
+        assert articulation_points(g) == want, (n, edges)
+        # the DFS's component sizes of g - k, against literal components
+        assert {k + 1: sorted(s) for k, s in _cut_sides(g).items()} == {
+            k: sorted(len(c) for c in _components(n, edges, removed={k})) for k in want
+        }, (n, edges)
         roots_cut += 1 in want
     assert roots_cut >= 13
 

@@ -1,7 +1,10 @@
-"""Source hygiene: every imported name in src/ and tests/ is used, and every
-top-level private function or class in src/ is referenced."""
+"""Source hygiene: every imported name in src/ and tests/ is used, every
+top-level private function or class in src/ is referenced, and every library
+function the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +61,15 @@ def test_no_unreferenced_private_helpers():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
             and refs[node.name] == _references(node)[node.name]]
     assert not dead, "private helpers nothing references:\n" + "\n".join(dead)
+
+
+def test_bench_wrap_points_exist():
+    # bench/run.py --trace 1 wraps these module attributes; a rename in src/
+    # would otherwise only show up when the traced benchmark runs.
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAP_POINTS
+    missing = [f"{module}.{attr}" for module, attr, *_ in tracing.WRAP_POINTS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, "wrap points missing from the library:\n" + "\n".join(missing)

@@ -126,6 +126,23 @@ def test_inversions_and_reverse():
     assert reverse((1, 2, 3)).image == (3, 2, 1)
 
 
+def test_inversions_match_pair_count_with_ties():
+    rng = np.random.default_rng(61)
+    for n in range(61):
+        for top in (1, 3, n + 1):  # all equal, many ties, few ties
+            a = rng.integers(0, top, size=n).tolist()
+            brute = sum(a[i] > a[j] for i in range(n) for j in range(i + 1, n))
+            assert inversions(a) == brute
+        perm = (rng.permutation(n) + 1).tolist()
+        assert inversions(perm) == inversions(Permutation(perm))
+
+
+def test_inversions_large_n_in_linear_memory():
+    n = 10**5
+    assert inversions(range(n, 0, -1)) == n * (n - 1) // 2
+    assert inversions(Permutation(range(1, n + 1))) == 0
+
+
 @given(st.permutations(list(range(1, 8))))
 def test_reverse_complements_inversions(perm):
     n = len(perm)
@@ -333,8 +350,9 @@ def test_sample_mallows_reversal_law():
     """Empirical law of reverse(process(trace)) matches the Mallows pmf."""
     n, q, trials = 4, 0.5, 60000
     counts = {}
-    for seed in range(trials):
-        sigma = reverse(mallows_process(sample_trace(n, q, seed))).image
+    # Row s is the trace sample_trace(n, q, s) draws.
+    for row in sample_trace_matrix(n, q, np.arange(trials, dtype=np.uint64)):
+        sigma = reverse(mallows_process(row)).image
         counts[sigma] = counts.get(sigma, 0) + 1
     tv = 0.5 * sum(
         abs(counts.get(perm, 0) / trials - mallows_pmf(perm, q))

@@ -16,8 +16,10 @@ from tangledpath import (
     build_width_report,
     boundary_subset_count,
     cutwidth_exact,
+    cut_vertices_from_trace,
     cutwidth_identity,
     edge_iso,
+    graph_from_trace,
     make_graph,
     mallows_process,
     parse_trace,
@@ -244,6 +246,18 @@ def test_unit_separator_goldens():
     g = build_tangled(mallows_process(fig), trace=fig)
     k, (a, b) = unit_separator(g, 2 / 3)
     assert k == 5 and a + b == 8 and max(a, b) <= 6
+
+
+def test_unit_separator_at_large_n_is_first_balanced_trace_cut():
+    """On a tangled graph the sides of cut vertex k are {1..k-1} and {k+1..n},
+    so the answer is the first trace-detected cut vertex with both sides at
+    most alpha * n."""
+    n, alpha = 10**4, 0.55
+    trace = sample_trace(n, 0.5, 9)
+    cuts = sorted(cut_vertices_from_trace(trace))
+    k = next(k for k in cuts if k - 1 <= alpha * n and n - k <= alpha * n)
+    assert k > cuts[0]  # the alpha cap rules out the first cut vertices
+    assert unit_separator(graph_from_trace(trace), alpha) == (k, (min(k - 1, n - k), max(k - 1, n - k)))
 
 
 def _separator_oracle(n, edges, alpha):
