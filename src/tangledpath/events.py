@@ -20,6 +20,10 @@ The events, for a trace (v_1, ..., v_n):
 The cut rule lives in :func:`event_flag_matrix` alone, as its ``"cut"`` array.
 All detectors run in O(n) per trace: F/R/C by suffix scans across trial
 batches, L_k by a difference array, S(k, b, ell) by a greedy window scan.
+The F/R/C scan also runs block by block: a column block of the traces,
+flagged right to left, needs only the pair (min of i - v_i, min of v_i) over
+the columns right of it, and hands the same pair at its own left edge on to
+the block before it, so a long trace is flagged in memory of one block.
 Probabilities are computed in log space and clamped to [0, 1] within 1e-12.
 """
 
@@ -50,38 +54,54 @@ def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...
 # ---------------------------------------------------------------------------
 
 
-def event_flag_matrix(v: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-k event flags for a batch of traces.
+def event_flag_matrix(
+    v: np.ndarray, first: int = 0, tail: tuple[np.ndarray, np.ndarray] | None = None
+) -> dict[str, np.ndarray]:
+    """Per-k event flags for a batch of traces, or for one column block of it.
 
-    ``v`` has shape (m, n), row = one trace.  Returns boolean (m, n) arrays
+    ``v`` has shape (m, ncols), row = one trace, and holds the columns
+    ``first ..`` of each trace (all of it by default).  ``tail`` is the pair
+    (min of i - v_i, min of v_i) per row over the columns right of the block,
+    or None when the block ends the trace.  Returns boolean (m, ncols) arrays
     keyed "flush", "reverse_flush", "cut_forward", "cut_reverse" and "cut"
-    (the cut vertices: C_k^F or C_k^R with 2 <= k <= n-1); column k-1 holds
-    the flag for index k.  Uses that F_k is equivalent to
-    min_{i>k} (i - v_i) >= k and R_k to min_{i>k} v_i > k, so one reversed
-    cumulative minimum per family covers every k at once.
+    (the cut vertices: C_k^F or C_k^R with 2 <= k <= n-1), where column j
+    holds the flag for index k = first + j + 1, and under "tail" the same
+    pair at the block's left edge, to pass with the block left of it.  Uses
+    that F_k is equivalent to min_{i>k} (i - v_i) >= k and R_k to
+    min_{i>k} v_i > k, so one reversed cumulative minimum per family covers
+    every k at once.
     """
     v = np.asarray(v, dtype=np.int64)
-    m, n = v.shape
-    i_grid = np.arange(1, n + 1, dtype=np.int64)
-    d = i_grid[None, :] - v
-    # suffix_min[:, j] = min over columns >= j
+    m, ncols = v.shape
+    i_grid = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
+    # column ncols holds the minima right of the block; the reversed
+    # cumulative minimum then gives at column j the minimum over columns >= j
+    d = np.empty((m, ncols + 1), dtype=np.int64)
+    w = np.empty((m, ncols + 1), dtype=np.int64)
+    np.subtract(i_grid, v, out=d[:, :ncols])
+    w[:, :ncols] = v
+    if tail is None:
+        d[:, ncols] = w[:, ncols] = 1 << 60
+    else:
+        d[:, ncols], w[:, ncols] = tail
     suffix_d = np.minimum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
-    suffix_v = np.minimum.accumulate(v[:, ::-1], axis=1)[:, ::-1]
-    big = np.int64(1 << 60)
-    after_d = np.concatenate([suffix_d[:, 1:], np.full((m, 1), big)], axis=1)
-    after_v = np.concatenate([suffix_v[:, 1:], np.full((m, 1), big)], axis=1)
-    flush = after_d >= i_grid[None, :]
-    reverse_flush = after_v > i_grid[None, :]
+    suffix_v = np.minimum.accumulate(w[:, ::-1], axis=1)[:, ::-1]
+    flush = suffix_d[:, 1:] >= i_grid
+    reverse_flush = suffix_v[:, 1:] > i_grid
     cut_forward = flush & (v == 1)
-    cut_reverse = reverse_flush & (v == i_grid[None, :])
+    cut_reverse = reverse_flush & (v == i_grid)
     cut = cut_forward | cut_reverse
-    cut[:, 0] = cut[:, -1] = False
+    if first == 0:
+        cut[:, 0] = False
+    if tail is None:
+        cut[:, -1] = False
     return {
         "flush": flush,
         "reverse_flush": reverse_flush,
         "cut_forward": cut_forward,
         "cut_reverse": cut_reverse,
         "cut": cut,
+        "tail": (suffix_d[:, 0], suffix_v[:, 0]),
     }
 
 

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapabilityError
-from .rng import MASK64, derive_array, uniform_matrix
+from .rng import GOLDEN, MASK64, derive_array, uniform_matrix
 
 ENUMERATION_CAP = 9
 
@@ -172,34 +172,60 @@ class TruncatedGeometric:
 # ---------------------------------------------------------------------------
 
 
-def _positions_from_uniforms(u: np.ndarray, q: float) -> np.ndarray:
-    """Inverse-CDF transform, one column per index i = 1..n.
+def _positions_from_uniforms(u: np.ndarray, q: float, first: int = 0) -> np.ndarray:
+    """Inverse-CDF transform, one column per index i = first+1 .. first+ncols.
 
-    u has shape (m, n); column i-1 is mapped through the truncated geometric
-    on {1..i}.  Runs in one vectorized pass; the floor result is clamped into
-    [1, i] to absorb end-of-interval rounding.
+    u has shape (m, ncols); column j is mapped through the truncated geometric
+    on {1..first+j+1}.  Runs in one vectorized pass; the floor result is
+    clamped into [1, i] to absorb end-of-interval rounding.
     """
-    m, n = u.shape
-    i_grid = np.arange(1, n + 1, dtype=np.float64)
+    m, ncols = u.shape
+    i_int = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
+    i_grid = i_int.astype(np.float64)
     if q == 1.0:
         v = np.floor(u * i_grid[None, :]).astype(np.int64) + 1
     elif q == 0.0:
-        return np.ones((m, n), dtype=np.int64)
+        return np.ones((m, ncols), dtype=np.int64)
     else:
         logq = math.log(q)
         c = -np.expm1(i_grid * logq)  # 1 - q^i, accurately
         v = 1 + np.floor(np.log1p(-u * c[None, :]) / logq).astype(np.int64)
-    np.clip(v, 1, np.arange(1, n + 1, dtype=np.int64)[None, :], out=v)
+    np.clip(v, 1, i_int[None, :], out=v)
     return v
 
 
-def sample_trace_matrix(n: int, q: float, seeds: np.ndarray) -> np.ndarray:
-    """One trace per seed, as an (len(seeds), n) int64 matrix of positions."""
+def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Integer seeds as uint64, each taken mod 2**64; float, bool and other
+    non-integer seeds are refused rather than cast."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        return seeds.astype(np.uint64, copy=False)
+    seeds = list(seeds)
+    bad = [s for s in seeds if not isinstance(s, (int, np.integer)) or isinstance(s, bool)]
+    if bad:
+        raise ValueError(f"seeds must be integers, got {bad[0]!r}")
+    return np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
+
+
+def sample_trace_matrix(
+    n: int, q: float, seeds: Sequence[int] | np.ndarray, first: int = 0
+) -> np.ndarray:
+    """One trace per seed, as a (len(seeds), n - first) int64 matrix of the
+    positions v_{first+1} .. v_n; integer seeds are taken mod 2**64.
+
+    Column j depends only on j and word j + 1 of the seed's stream, so the
+    result is the whole matrix's columns ``first ..`` bit for bit, and
+    columns lo .. hi-1 are ``sample_trace_matrix(hi, q, seeds, lo)``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
-    return _positions_from_uniforms(uniform_matrix(np.asarray(seeds), n), q)
+    if not 0 <= first < n:
+        raise ValueError(f"first={first} outside [0, {n - 1}]")
+    s = _seed_array(seeds)
+    if first:  # word first + j of the stream is word j of seed + first * GOLDEN
+        s = s + np.uint64(first * GOLDEN & MASK64)
+    return _positions_from_uniforms(uniform_matrix(s, n - first), q, first)
 
 
 def sample_trace(n: int, q: float, seed: int) -> InsertionTrace:
@@ -208,8 +234,7 @@ def sample_trace(n: int, q: float, seed: int) -> InsertionTrace:
     mod 2**64), with the seed recorded on the trace.  The same (n, q, seed)
     always yields the same trace.
     """
-    seeds = np.array([int(seed) & MASK64], dtype=np.uint64)
-    return InsertionTrace(sample_trace_matrix(n, q, seeds)[0], q, int(seed))
+    return InsertionTrace(sample_trace_matrix(n, q, [int(seed)])[0], q, int(seed))
 
 
 def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permutation:

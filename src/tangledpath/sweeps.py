@@ -373,9 +373,36 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # against its band there.  The trials call sample_trace_matrix,
 # event_flag_matrix, mallows_process, build_tangled and diameter through this
 # module's globals, so a caller can wrap them here.
+#
+# The separator and sampled flush-validate cells read only event flags, and
+# only from some column k - 1 on.  Their trials walk each chunk through
+# _flag_blocks: right to left in column blocks of about _BLOCK_ENTRIES trace
+# entries, each sampled and flagged while still in cache, with the two suffix
+# minima carried across block edges and nothing sampled left of the first
+# column the cell reads.  Their outputs equal the whole-matrix route's; the
+# blocking keeps a chunk's working set in cache and its memory flat in n.
+# The other cells build graphs or scan whole traces and take the whole matrix.
 
 _Run = Callable[[Callable[[np.ndarray], dict[str, np.ndarray]]], dict[str, np.ndarray]]
 _CellStats = tuple[int, list[tuple[str, float, float | None, float | None]]]
+
+# Trace entries per streamed column block, sized so a block's dozen int64
+# and float64 temporaries stay in cache: one chunk at n = 10^5 ran alike at
+# 2**14-2**16 entries and 1.4-1.9x slower at 2**12 and at 2**18 or more.
+_BLOCK_ENTRIES = 2**16
+
+
+def _flag_blocks(n: int, q: float, seeds: np.ndarray, first: int):
+    """Yield (lo, flags) for column blocks of the traces of ``seeds``, from
+    the right end down to column ``first``: flags is event_flag_matrix of
+    columns lo .. of the block, so its column j is index k = lo + j + 1."""
+    width = max(1, _BLOCK_ENTRIES // len(seeds))
+    tail = None
+    for hi in range(n, first, -width):
+        lo = max(first, hi - width)
+        flags = event_flag_matrix(sample_trace_matrix(hi, q, seeds, lo), lo, tail)
+        yield lo, flags
+        tail = flags["tail"]
 
 
 def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
@@ -391,8 +418,9 @@ def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
     k_lo, k_hi = max(k_lo, 2), min(k_hi, n - 1)
 
     def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-        cut = event_flag_matrix(sample_trace_matrix(n, q, seeds))["cut"]
-        counts = cut[:, k_lo - 1 : k_hi].sum(axis=1).astype(np.int64)
+        counts = np.zeros(len(seeds), dtype=np.int64)
+        for lo, flags in _flag_blocks(n, q, seeds, k_lo - 1):
+            counts += flags["cut"][:, : max(k_hi - lo, 0)].sum(axis=1)
         return {"count": counts, "indicator": (counts >= 1).astype(np.int64)}
 
     data = run(trial_fn)
@@ -429,8 +457,13 @@ def _flush_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
         ]
 
     def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-        flush = event_flag_matrix(sample_trace_matrix(n, q, seeds))["flush"]
-        return {f"k{k}": flush[:, k - 1].astype(np.int64) for k in ks}
+        cols = {}
+        for lo, flags in _flag_blocks(n, q, seeds, ks[0] - 1):
+            flush = flags["flush"]
+            for k in ks:
+                if lo < k <= lo + flush.shape[1]:
+                    cols[f"k{k}"] = flush[:, k - 1 - lo].astype(np.int64)
+        return cols
 
     data = run(trial_fn)
     return cfg.trials, [

@@ -5,6 +5,7 @@ probabilities against weighted enumeration over all traces, and every
 analytic bound against the exact quantity it claims to bracket.
 """
 
+import functools
 import itertools
 import math
 
@@ -42,6 +43,7 @@ from tangledpath import (
     threshold_window,
 )
 from tangledpath.rng import derive, derive_array
+from tangledpath.sweeps import _BLOCK_ENTRIES
 from conftest import (
     naive_cut_forward,
     naive_cut_reverse,
@@ -76,6 +78,40 @@ def test_flag_matrix_matches_oracles_exhaustive():
             assert flags["cut_forward"][row, k - 1] == naive_cut_forward(v, k)
             assert flags["cut_reverse"][row, k - 1] == naive_cut_reverse(v, k)
         assert set((np.flatnonzero(flags["cut"][row]) + 1).tolist()) == naive_cut_set(v)
+
+
+# The sweep's streamed cells flag blocks of _BLOCK_ENTRIES // rows columns.
+_ROWS = 4
+_B = _BLOCK_ENTRIES // _ROWS
+
+
+@functools.lru_cache(maxsize=None)
+def _traces_and_flags(n, q):
+    seeds = np.array([3, 2**64 - 1, 2**63, 11], dtype=np.uint64)
+    v = sample_trace_matrix(n, q, seeds)
+    return v, event_flag_matrix(v)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_flag_matrix_block_chain_matches_one_call(data):
+    """event_flag_matrix over a right-to-left chain of column blocks, each
+    passed the tail of the block to its right, gives the one-call flags."""
+    n = data.draw(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 5]))
+    qs = [0.0, 0.5, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
+    q = data.draw(st.sampled_from(qs))
+    cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else set()
+    v, whole = _traces_and_flags(n, q)
+    edges = [0, *sorted(cuts), n]
+    tail = None
+    for lo, hi in reversed(list(zip(edges, edges[1:]))):
+        flags = event_flag_matrix(v[:, lo:hi], lo, tail)
+        for key in ("flush", "reverse_flush", "cut_forward", "cut_reverse", "cut"):
+            assert np.array_equal(flags[key], whole[key][:, lo:hi]), (key, lo, hi)
+        tail = flags["tail"]
+    d = np.arange(1, n + 1) - v
+    assert np.array_equal(tail[0], d.min(axis=1)) and np.array_equal(tail[1], v.min(axis=1))
+    assert all(np.array_equal(a, b) for a, b in zip(tail, whole["tail"]))
 
 
 @given(traces_strategy)

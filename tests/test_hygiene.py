@@ -73,3 +73,25 @@ def test_bench_wrap_points_exist():
     missing = [f"{module}.{attr}" for module, attr, *_ in tracing.WRAP_POINTS
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing, "wrap points missing from the library:\n" + "\n".join(missing)
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_separator_sweep_records_required_spans():
+    # The separator workload's traced run needs these spans; a refactor that
+    # routes its trials around a wrap point would otherwise only fail there.
+    tracing, workloads = _bench_module("tracing"), _bench_module("workloads")
+    sweeps = importlib.import_module("tangledpath.sweeps")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sweeps.run_sweep(sweeps.make_config(
+            experiment="separator", n_list=[2000], q_grid=[0.6, 0.95], trials=6, thread_count=2,
+        ))
+    calls = tracer.calls()
+    missing = [span for span in workloads.Separator.required if not calls[span]]
+    assert not missing, "spans recorded no calls:\n" + "\n".join(missing)

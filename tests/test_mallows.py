@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from tangledpath import (
 )
 from tangledpath.errors import CapabilityError
 from tangledpath.mallows import _DECODE_BLOCK, _positions_from_uniforms, trace_displacements
-from tangledpath.rng import SplitMix64
+from tangledpath.rng import GOLDEN, MASK64, SplitMix64
 
 
 def test_process_table_example():
@@ -336,6 +337,40 @@ def test_sample_matrix_matches_scalar_path():
         ref = _positions_from_uniforms(SplitMix64(s).uniforms(n)[None], q)[0]
         assert trace.positions == tuple(ref.tolist())
         assert trace.seed == s
+
+
+def test_sample_matrix_seed_handling():
+    """Integer seeds of any size are taken mod 2**64, in one mixed list too;
+    float, bool and other non-integer seeds are refused rather than cast."""
+    n, q = 30, 0.7
+    seeds = [-1, 2**64 - 1, 2**63, 2**70 + 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat = sample_trace_matrix(n, q, seeds)
+        wrapped = sample_trace_matrix(n, q, np.array([-1, -2**63], dtype=np.int64))
+    for row, s in zip(mat, seeds):
+        assert tuple(row.tolist()) == sample_trace(n, q, s).positions
+    assert np.array_equal(wrapped[0], mat[0]) and np.array_equal(wrapped[1], mat[2])
+    for bad in ([5.9], [5.0], np.array([5.0]), [True], np.array([1], dtype=bool),
+                ["5"], np.array([5.0], dtype=object), [None]):
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            sample_trace_matrix(n, q, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 3000])
+def test_sample_matrix_column_offset_matches_slice(n):
+    """Columns first.. drawn on their own equal the slice of the whole
+    matrix, for seeds whose shifted counter wraps past 2**64."""
+    qs = [0.0, 0.5, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
+    firsts = {0, min(1, n - 1), n - 1, int(np.random.default_rng(n).integers(n))}
+    for q in qs:
+        for first in sorted(firsts):
+            seeds = np.array([2**64 - 1, -first * GOLDEN & MASK64, 2**63, 17], dtype=np.uint64)
+            whole = sample_trace_matrix(n, q, seeds)
+            assert np.array_equal(sample_trace_matrix(n, q, seeds, first), whole[:, first:])
+    for first in (-1, n):
+        with pytest.raises(ValueError, match="first"):
+            sample_trace_matrix(n, 0.5, [1], first)
 
 
 def test_sample_q_extremes():

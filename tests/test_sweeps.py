@@ -2,15 +2,21 @@
 
 import dataclasses
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import tangledpath.sweeps as sweeps
 from tangledpath import (
     CapabilityError,
     StatisticalCheckError,
+    event_flag_matrix,
     flush_prob,
+    sample_trace_matrix,
     threshold_window,
 )
+from tangledpath._util import alpha_cut_range
 from tangledpath.cli import main
 from tangledpath.sweeps import (
     CSV_COLUMNS,
@@ -26,6 +32,7 @@ from tangledpath.sweeps import (
     write_plot_data,
     _chunk_bounds,
 )
+from tangledpath.rng import derive, derive_array
 
 
 def small_cfg(**over):
@@ -330,7 +337,7 @@ def test_check_bands_raises_on_doctored_row():
 def test_trial_error_keeps_its_class(monkeypatch, tmp_path, capsys):
     import tangledpath.sweeps as sweeps
 
-    def refuse(v):
+    def refuse(*args, **kwargs):
         raise CapabilityError("too large")
 
     monkeypatch.setattr(sweeps, "event_flag_matrix", refuse)
@@ -365,3 +372,85 @@ def test_expansion_check_small_instance():
     assert "vertex_iso_min" in stats and "iso_ge_1_40_frac" in stats
     frac = next(r for r in res.rows if r.stat == "iso_ge_1_40_frac")
     assert 0.0 <= frac.mean <= 1.0
+
+
+# --- streamed cells against the whole trace matrix ---
+
+
+def _cell_trials(cfg, n, q):
+    """Per-trial arrays of cell 0 of cfg, as its trials return them."""
+    data = {}
+
+    def run(trial_fn):
+        data.update(sweeps._run_cell(cfg, (0, n, q), trial_fn))
+        return data
+
+    sweeps._EXPERIMENTS[cfg.experiment](cfg, run, n, q)
+    return data
+
+
+def _whole_flags(cfg, n, q):
+    seeds = derive_array(derive(cfg.master_seed, 0), np.arange(cfg.trials, dtype=np.uint64))
+    return event_flag_matrix(sample_trace_matrix(n, q, seeds))
+
+
+def _edge_width(gap, offset):
+    """A block width w that splits ``gap`` columns into gap = j*w + offset
+    with j >= 2: offset 0 puts the walk's first column on a block edge, 1 one
+    column left of an edge and -1 one column right of one."""
+    return next(w for w in range(gap // 3, 2, -1) if (gap - offset) % w == 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_streamed_cells_match_whole_matrix(monkeypatch, threads, offset):
+    """Per-trial separator counts and flush-validate columns equal the
+    whole-matrix route's, with the first column read (k_lo - 1, or
+    min(ks) - 1) one before, on and one after a block edge."""
+    n, rows = 1000, 64  # 128 trials make two chunks of 64 traces
+    for q in (0.5, 0.75):
+        cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], trials=2 * rows,
+                          master_seed=9, thread_count=threads)
+        k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
+        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - k_lo + 1, offset))
+        want = _whole_flags(cfg, n, q)["cut"][:, k_lo - 1 : k_hi].sum(axis=1)
+        assert want.any()
+        assert np.array_equal(_cell_trials(cfg, n, q)["count"], want)
+
+        cfg = dataclasses.replace(cfg, experiment="flush-validate", k_fracs=(0.35, 0.5, 0.75))
+        ks = (350, 500, 750)
+        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - ks[0] + 1, offset))
+        got, flush = _cell_trials(cfg, n, q), _whole_flags(cfg, n, q)["flush"]
+        assert sorted(got) == [f"k{k}" for k in ks]
+        for k in ks:
+            assert np.array_equal(got[f"k{k}"], flush[:, k - 1])
+
+
+def test_streamed_separator_trial_memory_is_flat():
+    """One streamed separator trial at n = 10^6 on 2 traces stays under
+    8 MB of allocations; the whole-matrix route needs over 50 MB."""
+    n, q = 10**6, 0.9
+    cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], trials=2)
+    seeds = derive_array(derive(cfg.master_seed, 0), np.arange(2, dtype=np.uint64))
+    k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
+    found = {}
+
+    def run(trial_fn):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        found.update(trial_fn(seeds))
+        found["peak"] = tracemalloc.get_traced_memory()[1] - base
+        return found
+
+    tracemalloc.start()
+    try:
+        sweeps._separator_cell(cfg, run, n, q)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cut = event_flag_matrix(sample_trace_matrix(n, q, seeds))["cut"]
+        whole_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(found["count"], cut[:, k_lo - 1 : k_hi].sum(axis=1))
+    assert found["peak"] < 8 * 2**20
+    assert whole_peak > 50 * 2**20
