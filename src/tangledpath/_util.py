@@ -1,5 +1,5 @@
-"""Small shared helpers: alpha-range snapping, probability clamping, and
-weighted sums over a trace table."""
+"""Small shared helpers: alpha-range snapping, probability clamping,
+weighted sums over a trace table, and integer input arrays."""
 
 from __future__ import annotations
 
@@ -55,3 +55,25 @@ def trace_order_sum(w: np.ndarray, values) -> float:
     bits of the result.
     """
     return float(np.cumsum(w * values)[-1])
+
+
+def as_int64(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, refusing entries that are not integers.
+
+    An array numpy infers as signed integer passes without a per-entry check.
+    Otherwise each entry must be an int or numpy integer, not a bool: a float
+    raises ValueError naming ``what`` rather than being truncated.  If an
+    entry lies beyond int64 the entries stay Python ints in an object array,
+    which compares as usual, so a caller's range check names it by value.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind == "i":
+        return a.astype(np.int64, copy=False)
+    a = np.asarray(values, dtype=object)
+    for x in a.flat:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {x!r}")
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return a

@@ -41,6 +41,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
+from ._util import as_int64
 from .errors import CapabilityError
 from .mallows import InsertionTrace, Permutation, mallows_process
 
@@ -128,11 +129,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
     if n < 1:
         raise ValueError("graph needs at least one vertex")
     pairs = list(edges)
-    try:
-        e = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-    except OverflowError:  # an endpoint beyond int64 is outside 1..n too
-        a, b = next((a, b) for a, b in pairs if not 1 <= int(a) <= n or not 1 <= int(b) <= n)
-        raise ValueError(f"edge ({a}, {b}) outside vertex range 1..{n}") from None
+    e = as_int64(pairs, "edge endpoints").reshape(len(pairs), 2)
     u, v = e.T
     outside = (u < 1) | (u > n) | (v < 1) | (v > n)
     bad = outside | (u == v)

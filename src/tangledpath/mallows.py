@@ -25,13 +25,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._util import as_int64
 from .errors import CapabilityError
 from .rng import GOLDEN, MASK64, derive_array, uniform_matrix
 
 ENUMERATION_CAP = 9
-
-# traces sampled per batch by displacement_samples
-_DISPLACEMENT_CHUNK = 4096
 
 # mallows_process keeps its output as a list of blocks of about this many
 # entries, split in two when one reaches twice the size
@@ -50,11 +48,7 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            img = np.asarray(self.image, dtype=np.int64)
-        except OverflowError:  # an entry beyond int64 is not in 1..n either
-            img = tuple(int(x) for x in self.image)
-            raise ValueError(f"not a permutation of 1..{len(img)}: {img}") from None
+        img = as_int64(self.image, "permutation entries")
         object.__setattr__(self, "image", tuple(img.tolist()))
         if not np.array_equal(np.sort(img), np.arange(1, img.size + 1)):
             raise ValueError(f"not a permutation of 1..{img.size}: {self.image}")
@@ -110,12 +104,7 @@ class InsertionTrace:
 def _checked_positions(positions: Sequence[int] | np.ndarray) -> list[int]:
     """``positions`` as a list of ints, once 1 <= v_i <= i is checked for all
     i in one numpy comparison; the ValueError names the first bad v_i."""
-    try:
-        v = np.asarray(positions, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64 is not in [1, i] either
-        v = [int(x) for x in positions]
-        i = next(i for i, x in enumerate(v, 1) if not 1 <= x <= i)
-        raise ValueError(f"position v_{i}={v[i - 1]} outside [1, {i}]") from None
+    v = as_int64(positions, "trace positions")
     bad = (v < 1) | (v > np.arange(1, v.size + 1))
     if bad.any():
         i = int(bad.argmax()) + 1
@@ -372,8 +361,9 @@ def partition_function(n: int, q: float) -> float:
 
 
 def mallows_pmf(p: Permutation | Sequence[int], q: float) -> float:
-    """mu_{n,q}(p) = q^inv(p) / Z_{n,q}; point mass at the identity when q = 0."""
-    img = _image_of(p)
+    """mu_{n,q}(p) = q^inv(p) / Z_{n,q}; point mass at the identity when q = 0.
+    A raw sequence is checked to be a permutation."""
+    img = (p if isinstance(p, Permutation) else Permutation(p)).image
     n = len(img)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
@@ -436,18 +426,23 @@ def displacement_samples(
     |sigma^{-1}(i) - i|; because inv(sigma) = inv(sigma^{-1}) the Mallows
     measure is closed under inverse, so this has exactly the law of
     |sigma(i) - i|.
+
+    Batches hold at most 2**20 // n traces, so memory is flat in n.  Only
+    v_i .. v_n move value i: a batch samples those columns alone and scans
+    them as a trace of length n - i + 1 at index 1, with the same result.
     """
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} outside [1, {n}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     out = np.empty(trials, dtype=np.int64)
+    chunk = max(1, (1 << 20) // n)
     done = 0
     while done < trials:
-        m = min(_DISPLACEMENT_CHUNK, trials - done)
+        m = min(chunk, trials - done)
         seeds = derive_array(seed, np.arange(done, done + m, dtype=np.uint64))
-        v = sample_trace_matrix(n, q, seeds)
-        out[done : done + m] = trace_displacements(v, i)
+        v = sample_trace_matrix(n, q, seeds, i - 1)
+        out[done : done + m] = trace_displacements(v, 1)
         done += m
     return out
 

@@ -1,13 +1,11 @@
 """Reproducible Monte Carlo sweeps over (n, q) grids.
 
 A sweep walks cells (one per n and resolved q), runs a fixed number of trials
-per cell, and aggregates per-trial statistics into rows of
-
-    experiment, n, q, alpha, trials, stat, mean, stderr, exact, runtime_ms
-
-sorted by (n, q, stat).  Wherever a closed form exists (expected cut counts,
-flush probabilities, q=0 degenerate values) it lands in the ``exact`` column
-and the row is checked against a 4*stderr band.
+per cell, and aggregates per-trial statistics into :class:`SweepRow` rows
+(whose fields but within_band are the CSV columns) sorted by (n, q, stat).
+Wherever a closed form exists (expected cut counts, flush probabilities, q=0
+degenerate values) it lands in the ``exact`` column and the row is checked
+against a 4*stderr band.
 
 Reproducibility contract: trial t of cell c draws its entire randomness from
 the stream seeded by derive(master_seed, c, t), trials are dispatched in
@@ -33,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -59,15 +58,6 @@ from .widths import EXACT_CAP, cutwidth_identity, treewidth_exact, vertex_iso
 
 RNG_NAME = "splitmix64"
 CODE_VERSION = __version__
-
-EXPERIMENT_KINDS = (
-    "separator",
-    "width",
-    "diameter",
-    "expansion",
-    "flush-validate",
-    "displacement",
-)
 
 # Band slack absorbs float round-trip drift on zero-variance rows and matches
 # the tolerance used for exact-oracle comparisons elsewhere.
@@ -106,9 +96,9 @@ class SweepConfig:
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_KINDS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(
-                f"experiment {self.experiment!r} not one of {EXPERIMENT_KINDS}"
+                f"experiment {self.experiment!r} not one of {tuple(_EXPERIMENTS)}"
             )
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
@@ -119,9 +109,7 @@ class SweepConfig:
         if not self.q_grid:
             raise ValueError("q_grid must be nonempty")
         for q in self.q_grid:
-            if isinstance(q, str):
-                continue
-            if not 0.0 <= float(q) <= 1.0:
+            if not isinstance(q, str) and not 0.0 <= q <= 1.0:
                 raise ValueError(f"q={q} outside [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -137,6 +125,8 @@ class SweepConfig:
             raise ValueError(f"i_frac={self.i_frac} outside (0, 1]")
         if not self.t_list or any(t < 1 for t in self.t_list):
             raise ValueError(f"t_list {self.t_list} must hold positive values")
+        if self.exhaustive and self.experiment != "flush-validate":
+            raise ValueError("exhaustive applies only to flush-validate")
 
 
 def resolve_q_token(token: float | str, n: int) -> list[float]:
@@ -173,18 +163,17 @@ def _parse_scalar(text: str):
     low = text.strip()
     if low.lower() in ("true", "false"):
         return low.lower() == "true"
-    try:
-        return int(low)
-    except ValueError:
-        pass
-    try:
-        return float(low)
-    except ValueError:
-        return low
+    for parse in (int, float):
+        try:
+            return parse(low)
+        except ValueError:
+            pass
+    return low
 
 
-_LIST_FIELDS = {"n_list", "q_grid", "k_fracs", "t_list"}
-_INT_LIST_FIELDS = {"n_list", "t_list"}
+_LIST_FIELDS = {
+    f.name for f in dataclasses.fields(SweepConfig) if f.type.startswith("tuple[")
+}
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -209,25 +198,44 @@ def parse_config_text(text: str) -> SweepConfig:
     return make_config(**raw)
 
 
+def _typed(key: str, kind: str, v):
+    """``v`` as a value of the SweepConfig type ``kind``, or a ValueError
+    naming ``key``: an integral float counts as an integer (1e5 is 100000),
+    but nothing is truncated, parsed or cast from another kind."""
+    if v is None and kind.endswith("None") or isinstance(v, str) and "str" in kind:
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        if kind == "bool":
+            return bool(v)
+    elif kind == "int" and (
+        isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
+    ):
+        return int(v)
+    elif kind.startswith("float") and isinstance(v, (int, float, np.integer, np.floating)):
+        return float(v)
+    raise ValueError(f"{key}: {v!r} is not of type {kind}")
+
+
 def make_config(**raw) -> SweepConfig:
-    """Build a SweepConfig from loosely typed values (CLI/config plumbing)."""
-    clean = dict(raw)
-    known = {f.name for f in dataclasses.fields(SweepConfig)}
-    unknown = sorted(clean.keys() - known)
+    """Build a SweepConfig from loosely typed values (CLI/config plumbing).
+
+    A scalar stands for a one-entry list.  Each value must be of its field's
+    type (see :func:`_typed`), so a fractional count or a word where a number
+    belongs fails here, before any cell runs.
+    """
+    kinds = {f.name: f.type for f in dataclasses.fields(SweepConfig)}
+    unknown = sorted(raw.keys() - kinds.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for key in _LIST_FIELDS & clean.keys():
-        vals = clean[key]
-        if not isinstance(vals, (list, tuple)):
-            vals = [vals]
-        if key in _INT_LIST_FIELDS:
-            clean[key] = tuple(int(v) for v in vals)
-        elif key == "k_fracs":
-            clean[key] = tuple(float(v) for v in vals)
-        else:  # q_grid keeps strings for window tokens
-            clean[key] = tuple(
-                v if isinstance(v, str) else float(v) for v in vals
-            )
+    clean = {}
+    for key, value in raw.items():
+        kind = kinds[key]
+        if key in _LIST_FIELDS:
+            element = kind[len("tuple[") : -len(", ...]")]
+            values = value if isinstance(value, (list, tuple)) else [value]
+            clean[key] = tuple(_typed(key, element, v) for v in values)
+        else:
+            clean[key] = _typed(key, kind, value)
     return SweepConfig(**clean)
 
 
@@ -306,24 +314,22 @@ def _chunk_bounds(trials: int, n: int) -> list[tuple[int, int]]:
 def _run_cell(
     cfg: SweepConfig,
     cell: tuple[int, int, float],
-    trial_fn: Callable[[np.ndarray], dict[str, np.ndarray]],
-) -> dict[str, np.ndarray]:
+    trial_fn: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
     """Run all trials of one cell, chunked across worker threads.
 
     ``cell`` is a (cell_index, n, q) triple from :func:`_cells`.  ``trial_fn``
-    maps a vector of per-trial seeds to per-trial statistic arrays.  Chunk
-    results are concatenated in trial order, so the outcome is independent of
-    thread count; a trial failure aborts the sweep, keeping its exception
-    class, with the cell context prefixed to its message.
+    maps a vector of per-trial seeds to an array with one row per trial.
+    Chunk results are concatenated in trial order, so the outcome is
+    independent of thread count; a trial failure aborts the sweep, keeping its
+    exception class, with the cell context prefixed to its message.
     """
     cell_index, n, q = cell
     cell_seed = derive(cfg.master_seed, cell_index)
     bounds = _chunk_bounds(cfg.trials, n)
 
-    def work(span: tuple[int, int]) -> dict[str, np.ndarray]:
-        lo, hi = span
-        seeds = derive_array(cell_seed, np.arange(lo, hi, dtype=np.uint64))
-        return trial_fn(seeds)
+    def work(span: tuple[int, int]) -> np.ndarray:
+        return trial_fn(derive_array(cell_seed, np.arange(*span, dtype=np.uint64)))
 
     try:
         if cfg.thread_count == 1:
@@ -338,27 +344,19 @@ def _run_cell(
         context = f"trial failure in cell {cell_index} (n={n}, q={q})"
         exc.args = (f"{context}: {exc}", *exc.args[1:])
         raise
-    merged: dict[str, np.ndarray] = {}
-    for key in parts[0]:
-        merged[key] = np.concatenate([p[key] for p in parts])
-        if merged[key].shape[0] != cfg.trials:
-            raise RuntimeError(
-                f"cell {cell_index} (n={n}) produced {merged[key].shape[0]} trials, "
-                f"expected {cfg.trials}: refusing to drop trials silently"
-            )
+    merged = np.concatenate(parts)
+    if len(merged) != cfg.trials:
+        raise RuntimeError(
+            f"cell {cell_index} (n={n}) produced {len(merged)} trials, "
+            f"expected {cfg.trials}: refusing to drop trials silently"
+        )
     return merged
 
 
 def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
     """(cell_index, n, q) in deterministic order; window tokens expanded per n."""
-    out = []
-    index = 0
-    for n in cfg.n_list:
-        for token in cfg.q_grid:
-            for q in resolve_q_token(token, n):
-                out.append((index, n, q))
-                index += 1
-    return out
+    grid = [(n, q) for n in cfg.n_list for token in cfg.q_grid for q in resolve_q_token(token, n)]
+    return [(index, n, q) for index, (n, q) in enumerate(grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +364,15 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # ---------------------------------------------------------------------------
 #
 # One function per experiment kind computes a single cell.  It gets the
-# config, ``run`` (that cell's _run_cell: a per-trial function in, per-trial
-# statistic arrays out, in trial order) and the cell's n and q, and returns
-# (trials, stats) with stats a list of (stat, mean, stderr, exact) tuples.
-# run_sweep turns them into rows; a stat with an exact reference is checked
-# against its band there.  The trials call sample_trace_matrix,
-# event_flag_matrix, mallows_process, build_tangled and diameter through this
-# module's globals, so a caller can wrap them here.
+# config, ``run`` (that cell's _run_cell: a per-trial function in, the
+# per-trial array out, one row per trial in trial order) and the cell's n
+# and q, and returns (trials, stats) with stats a list of (stat, mean,
+# stderr, exact) tuples.  Values derived from a trial's record, such as an
+# indicator, come from the merged array.  run_sweep turns the stats into
+# rows; a stat with an exact reference is checked against its band there.
+# The trials call sample_trace_matrix, event_flag_matrix, mallows_process,
+# build_tangled and diameter through this module's globals, so a caller can
+# wrap them here.
 #
 # The separator and sampled flush-validate cells read only event flags, and
 # only from some column k - 1 on.  Their trials walk each chunk through
@@ -383,7 +383,7 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # blocking keeps a chunk's working set in cache and its memory flat in n.
 # The other cells build graphs or scan whole traces and take the whole matrix.
 
-_Run = Callable[[Callable[[np.ndarray], dict[str, np.ndarray]]], dict[str, np.ndarray]]
+_Run = Callable[[Callable[[np.ndarray], np.ndarray]], np.ndarray]
 _CellStats = tuple[int, list[tuple[str, float, float | None, float | None]]]
 
 # Trace entries per streamed column block, sized so a block's dozen int64
@@ -417,18 +417,18 @@ def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
     k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
     k_lo, k_hi = max(k_lo, 2), min(k_hi, n - 1)
 
-    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+    def trial_fn(seeds: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(seeds), dtype=np.int64)
         for lo, flags in _flag_blocks(n, q, seeds, k_lo - 1):
             counts += flags["cut"][:, : max(k_hi - lo, 0)].sum(axis=1)
-        return {"count": counts, "indicator": (counts >= 1).astype(np.int64)}
+        return counts
 
-    data = run(trial_fn)
+    counts = run(trial_fn)
     exact = expected_cuts_in_range(n, q, k_lo, k_hi) if k_lo <= k_hi else 0.0
     p_exact = 1.0 if q == 0.0 and k_lo <= k_hi else None
     return cfg.trials, [
-        ("cut_count", *_mean_stderr(data["count"]), exact),
-        ("separator_prob", *_mean_stderr(data["indicator"]), p_exact),
+        ("cut_count", *_mean_stderr(counts), exact),
+        ("separator_prob", *_mean_stderr(counts >= 1), p_exact),
     ]
 
 
@@ -442,38 +442,32 @@ def _flush_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     the trial count.
     """
     ks = sorted({max(1, math.floor(f * n + 0.5)) for f in cfg.k_fracs})
-    pairs = [(a, b) for i, a in enumerate(ks) for b in ks[i + 1 :]]
-    if cfg.exhaustive:
-        V, w = trace_table(n, q)
-        flush = event_flag_matrix(V)["flush"]
-        freq = {k: trace_order_sum(w, flush[:, k - 1]) for k in ks}
-        return len(w), [
-            (f"flush_freq_k{k}", freq[k], 0.0, flush_prob(n, k, q)) for k in ks
-        ] + [
-            (f"flush_cov_k{a}_k{b}",
-             trace_order_sum(w, flush[:, a - 1] & flush[:, b - 1]) - freq[a] * freq[b],
-             None, None)
-            for a, b in pairs
-        ]
+    pairs = list(combinations(range(len(ks)), 2))
 
-    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-        cols = {}
+    def trial_fn(seeds: np.ndarray) -> np.ndarray:
+        out = np.empty((len(seeds), len(ks)), dtype=bool)
         for lo, flags in _flag_blocks(n, q, seeds, ks[0] - 1):
             flush = flags["flush"]
-            for k in ks:
+            for j, k in enumerate(ks):
                 if lo < k <= lo + flush.shape[1]:
-                    cols[f"k{k}"] = flush[:, k - 1 - lo].astype(np.int64)
-        return cols
+                    out[:, j] = flush[:, k - 1 - lo]
+        return out
 
-    data = run(trial_fn)
-    return cfg.trials, [
-        (f"flush_freq_k{k}", *_mean_stderr(data[f"k{k}"]), flush_prob(n, k, q))
-        for k in ks
+    if cfg.exhaustive:
+        V, w = trace_table(n, q)
+        trials, flush = len(w), event_flag_matrix(V)["flush"][:, [k - 1 for k in ks]]
+        freqs = [(trace_order_sum(w, f), 0.0) for f in flush.T]
+        covs = [trace_order_sum(w, flush[:, a] & flush[:, b]) - freqs[a][0] * freqs[b][0]
+                for a, b in pairs]
+    else:
+        trials, flush = cfg.trials, run(trial_fn)
+        freqs = [_mean_stderr(f) for f in flush.T]
+        covs = [float(np.cov(flush[:, a], flush[:, b], ddof=1)[0, 1]) if trials > 1 else 0.0
+                for a, b in pairs]
+    return trials, [
+        (f"flush_freq_k{k}", *freq, flush_prob(n, k, q)) for k, freq in zip(ks, freqs)
     ] + [
-        (f"flush_cov_k{a}_k{b}",
-         float(np.cov(data[f"k{a}"], data[f"k{b}"], ddof=1)[0, 1]) if cfg.trials > 1 else 0.0,
-         None, None)
-        for a, b in pairs
+        (f"flush_cov_k{ks[a]}_k{ks[b]}", cov, None, None) for (a, b), cov in zip(pairs, covs)
     ]
 
 
@@ -484,26 +478,22 @@ def _diameter_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     (mean of |cut_set|+1), ``diameter_over_n`` (Theorem-scale ratio,
     observational), and ``diambound_violations`` (fraction of trials with
     diameter < |cut_set|+1; exact reference 0, so any violation fails the
-    band).
+    band).  A trial's record is the pair (diameter, |cut_set|+1).
     """
 
-    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+    def trial_fn(seeds: np.ndarray) -> np.ndarray:
         v = sample_trace_matrix(n, q, seeds)
-        cuts = event_flag_matrix(v)["cut"].sum(axis=1).astype(np.int64)
-        diams = np.array([diameter(build_tangled(mallows_process(r))) for r in v], dtype=np.int64)
-        return {
-            "diameter": diams,
-            "cut_lb": cuts + 1,
-            "violation": (diams < cuts + 1).astype(np.int64),
-        }
+        cuts = event_flag_matrix(v)["cut"].sum(axis=1)
+        diams = [diameter(build_tangled(mallows_process(r))) for r in v]
+        return np.column_stack((diams, cuts + 1))
 
-    data = run(trial_fn)
-    mean, se = _mean_stderr(data["diameter"])
+    diams, lower = run(trial_fn).T
+    mean, se = _mean_stderr(diams)
     return cfg.trials, [
         ("diameter", mean, se, float(n - 1) if q == 0.0 else None),
-        ("cut_lower_bound", *_mean_stderr(data["cut_lb"]), None),
+        ("cut_lower_bound", *_mean_stderr(lower), None),
         ("diameter_over_n", mean / n, se / n, None),
-        ("diambound_violations", _mean_stderr(data["violation"])[0], None, 0.0),
+        ("diambound_violations", _mean_stderr(diams < lower)[0], None, 0.0),
     ]
 
 
@@ -514,24 +504,24 @@ def _width_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
 
     Medians and quartiles are reported (stderr left empty); q=0 cells carry
     the exact path references tw = cw = 1.  At q=1 the shape values are
-    undefined and their rows are omitted.
+    undefined and their rows are omitted.  A trial's record is (cwid,) or,
+    at n <= 20, (cwid, tw).
     """
     small = n <= EXACT_CAP
 
-    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+    def trial_fn(seeds: np.ndarray) -> np.ndarray:
         v = sample_trace_matrix(n, q, seeds)
-        tw = np.zeros(len(v), dtype=np.int64)
-        cw = np.empty(len(v), dtype=np.int64)
+        out = np.empty((len(v), 2 if small else 1), dtype=np.int64)
         for r in range(len(v)):
             g = build_tangled(mallows_process(v[r]))
-            cw[r], _ = cutwidth_identity(g)
+            out[r, 0], _ = cutwidth_identity(g)
             if small:
-                tw[r] = treewidth_exact(g)
-        return {"cwid": cw, "tw": tw} if small else {"cwid": cw}
+                out[r, 1] = treewidth_exact(g)
+        return out
 
     exact_path = 1.0 if q == 0.0 and n >= 2 else None
     stats = []
-    for name, values in run(trial_fn).items():
+    for name, values in zip(("cwid", "tw"), run(trial_fn).T):
         q1, q2, q3 = np.percentile(values, [25.0, 50.0, 75.0])
         stats += [
             (f"{name}_median", float(q2), None, exact_path),
@@ -560,7 +550,7 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
     """
     small = n <= EXACT_CAP
 
-    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
+    def trial_fn(seeds: np.ndarray) -> np.ndarray:
         v = sample_trace_matrix(n, q, seeds)
         out_iso = np.empty(len(v), dtype=np.float64)
         for r in range(len(v)):
@@ -584,9 +574,9 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
                 side[row_idx, ranks[:, :half].ravel()] = True
                 cross = (side[:, tails] ^ side[:, g.indices]).sum(axis=1) // 2
                 out_iso[r] = float(cross.min()) / half
-        return {"iso": out_iso}
+        return out_iso
 
-    iso = run(trial_fn)["iso"]
+    iso = run(trial_fn)
     if not small:
         return cfg.trials, [
             ("bisection_ratio_mean", *_mean_stderr(iso), None),
@@ -596,7 +586,7 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
     return cfg.trials, [
         ("vertex_iso_mean", *_mean_stderr(iso), exact),
         ("vertex_iso_min", float(iso.min()), None, None),
-        ("iso_ge_1_40_frac", *_mean_stderr((iso >= 1.0 / 40.0).astype(np.float64)), None),
+        ("iso_ge_1_40_frac", *_mean_stderr(iso >= 1.0 / 40.0), None),
     ]
 
 
@@ -604,15 +594,11 @@ def _displacement_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellSt
     """Displacement tails Pr[|sigma(i) - i| >= t] at i = round(i_frac * n),
     with the 2 q^t reference bound reported alongside each tail row."""
     i = max(1, math.floor(cfg.i_frac * n + 0.5))
-
-    def trial_fn(seeds: np.ndarray) -> dict[str, np.ndarray]:
-        return {"disp": trace_displacements(sample_trace_matrix(n, q, seeds), i)}
-
-    disp = run(trial_fn)["disp"]
+    disp = run(lambda seeds: trace_displacements(sample_trace_matrix(n, q, seeds), i))
     stats = []
     for t in cfg.t_list:
         stats += [
-            (f"disp_tail_t{t}", *_mean_stderr((disp >= t).astype(np.float64)), None),
+            (f"disp_tail_t{t}", *_mean_stderr(disp >= t), None),
             (f"disp_bound_t{t}", min(1.0, 2.0 * q**t), None, None),
         ]
     return cfg.trials, stats
@@ -644,15 +630,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             )))
     rows.sort(key=lambda r: (r.n, r.q, r.stat))
     meta = {
-        "experiment": cfg.experiment,
-        "master_seed": cfg.master_seed,
-        "code_version": CODE_VERSION,
-        "rng": RNG_NAME,
-        "alpha": cfg.alpha,
-        "trials": cfg.trials,
-        "thread_count": cfg.thread_count,
-        "cwid_label": "upper-bound layout",
+        k: getattr(cfg, k) for k in ("experiment", "master_seed", "alpha", "trials", "thread_count")
     }
+    meta.update(code_version=CODE_VERSION, rng=RNG_NAME, cwid_label="upper-bound layout")
     return SweepResult(cfg, rows, meta)
 
 
@@ -660,94 +640,64 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 # serialization
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = ("experiment", "n", "q", "alpha", "trials", "stat",
-               "mean", "stderr", "exact", "runtime_ms")
+# within_band is derived from the other columns: the JSON mirror keeps it,
+# the CSV leaves it out.
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow) if f.name != "within_band")
+_PLOT_COLUMNS = ("n", "q", "mean", "stderr")
 
 
 def _csv_value(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
+
+
+def _write(path: str | Path, text: str, what: str) -> None:
+    p = Path(path)
+    try:
+        p.write_text(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {p}: {exc}") from exc
 
 
 def render_csv(result: SweepResult) -> str:
     """Deterministic CSV serialization; runtime_ms stays empty (see module doc)."""
     lines = [",".join(CSV_COLUMNS)]
     for r in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.experiment,
-                    str(r.n),
-                    repr(float(r.q)),
-                    repr(float(r.alpha)),
-                    str(r.trials),
-                    r.stat,
-                    _csv_value(float(r.mean)),
-                    _csv_value(r.stderr if r.stderr is None else float(r.stderr)),
-                    _csv_value(r.exact if r.exact is None else float(r.exact)),
-                    "",  # runtime_ms: deterministic output; measured value in JSON
-                ]
-            )
-        )
+        r = dataclasses.replace(r, runtime_ms=None)
+        lines.append(",".join(_csv_value(getattr(r, c)) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def write_csv(result: SweepResult, path: str | Path) -> None:
-    p = Path(path)
-    try:
-        p.write_text(render_csv(result))
-    except OSError as exc:
-        raise OSError(f"cannot write sweep CSV to {p}: {exc}") from exc
+    _write(path, render_csv(result), "sweep CSV")
 
 
 def write_json(result: SweepResult, path: str | Path) -> None:
     """JSON mirror: same rows plus metadata and measured runtimes."""
-    payload = {
-        "metadata": result.metadata,
-        "rows": [
-            {
-                "experiment": r.experiment,
-                "n": r.n,
-                "q": float(r.q),
-                "alpha": float(r.alpha),
-                "trials": r.trials,
-                "stat": r.stat,
-                "mean": float(r.mean),
-                "stderr": None if r.stderr is None else float(r.stderr),
-                "exact": None if r.exact is None else float(r.exact),
-                "runtime_ms": None if r.runtime_ms is None else round(r.runtime_ms, 3),
-                "within_band": r.within_band,
-            }
-            for r in result.rows
-        ],
-    }
-    p = Path(path)
-    try:
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep JSON to {p}: {exc}") from exc
+    rows = [dataclasses.asdict(r) for r in result.rows]
+    for row in rows:
+        if row["runtime_ms"] is not None:
+            row["runtime_ms"] = round(row["runtime_ms"], 3)
+    payload = {"metadata": result.metadata, "rows": rows}
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "sweep JSON")
 
 
 def write_plot_data(result: SweepResult, path: str | Path) -> None:
     """Gnuplot-ready blocks: one '# stat <name>' block per statistic with
     'n q mean stderr' columns, blocks separated by two blank lines."""
-    stats = sorted({r.stat for r in result.rows})
     blocks = []
-    for stat in stats:
-        lines = [f"# stat {stat}", "# n q mean stderr"]
-        for r in result.rows:
-            if r.stat == stat:
-                se = "" if r.stderr is None else repr(float(r.stderr))
-                lines.append(f"{r.n} {repr(float(r.q))} {repr(float(r.mean))} {se}".rstrip())
+    for stat in sorted({r.stat for r in result.rows}):
+        lines = [f"# stat {stat}", "# " + " ".join(_PLOT_COLUMNS)]
+        lines += [
+            " ".join(_csv_value(getattr(r, c)) for c in _PLOT_COLUMNS).rstrip()
+            for r in result.rows
+            if r.stat == stat
+        ]
         blocks.append("\n".join(lines))
-    p = Path(path)
-    try:
-        p.write_text("\n\n\n".join(blocks) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write plot data to {p}: {exc}") from exc
+    _write(path, "\n\n\n".join(blocks) + "\n", "plot data")
 
 
 def check_bands(result: SweepResult) -> None:

@@ -167,6 +167,10 @@ def test_make_graph_validation():
         make_graph(3, [(1, 2), (2, 10**20)])
     with pytest.raises(ValueError):
         make_graph(3, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="edge endpoints must be integers, got 1.5"):
+        make_graph(3, [(1.5, 2.9)])
+    with pytest.raises(ValueError, match="must be integers"):
+        make_graph(3, [(1, 2), (2.0, 3)])
     with pytest.raises(ValueError):
         make_graph(0, [])
     assert make_graph(3, []).edges == ()

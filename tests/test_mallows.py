@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -106,6 +107,15 @@ def test_trace_validation():
         InsertionTrace(positions=(1, 1, 10**20), q=0.5)
     with pytest.raises(ValueError, match=r"^position v_2=-100000000000000000000 outside"):
         mallows_process([1, -(10**20)])
+    # Non-integer entries are refused, not truncated.
+    with pytest.raises(ValueError, match="trace positions must be integers, got 1.9"):
+        mallows_process([1, 1.9, 2.7])
+    with pytest.raises(ValueError, match="must be integers"):
+        InsertionTrace(positions=(1, 2.0), q=0.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        mallows_process(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="must be integers"):
+        InsertionTrace(positions=(True,), q=0.5)
 
 
 def test_permutation_validation():
@@ -116,6 +126,12 @@ def test_permutation_validation():
     with pytest.raises(ValueError, match="not a permutation"):
         Permutation((1, 10**20))
     assert Permutation(np.array([2, 1])).image == (2, 1)
+    with pytest.raises(ValueError, match="permutation entries must be integers, got 1.5"):
+        Permutation((1.5, 2.2))
+    with pytest.raises(ValueError, match="must be integers"):
+        Permutation(np.array([2.0, 1.0]))
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation([2**64 - 1, -1])  # numpy infers float64, the entries are ints
     assert type(Permutation(np.array([2, 1])).image[0]) is int
     p = Permutation((3, 1, 2))
     assert p.inverse().image == (2, 3, 1)
@@ -216,6 +232,9 @@ def test_pmf_degenerate_ends():
     assert mallows_pmf((1, 2, 3, 4), 0.0) == 1.0
     assert mallows_pmf((2, 1, 3, 4), 0.0) == 0.0
     assert math.isclose(mallows_pmf((2, 4, 1, 3), 1.0), 1 / 24)
+    for bad, q in (((1, 1), 0.5), ((5, 9), 0.5), ((7, 7, 7), 1.0)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            mallows_pmf(bad, q)
 
 
 def test_enumerate_traces_weights():
@@ -430,6 +449,20 @@ def test_displacement_inversion_symmetry_exact():
     assert set(law_inv) == set(law_fwd)
     for d in law_inv:
         assert math.isclose(law_inv[d], law_fwd[d], abs_tol=1e-12)
+
+
+def test_displacement_memory_is_bounded_in_n():
+    """displacement_samples samples about 2**20 trace entries per batch, so
+    its allocations stay near 40 MB at any n; 256 traces at n = 20000 in one
+    batch need about 150 MB."""
+    tracemalloc.start()
+    try:
+        disp = displacement_samples(20000, 0.9, 10000, 256, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert disp.shape == (256,)
+    assert peak < 64 * 2**20
 
 
 def test_displacement_two_point_mean():

@@ -115,6 +115,18 @@ def test_config_rejects_bad_values():
         ("i_frac = 0", "i_frac"),
         ("i_frac = 1.2", "i_frac"),
         ("n_list = 12, 1", "n_list"),
+        ("trials = 1.5", "trials"),
+        ("master_seed = abc", "master_seed"),
+        ("alpha = abc", "alpha"),
+        ("n_list = 50.7", "n_list"),
+        ("t_list = 2.9", "t_list"),
+        ("thread_count = 2.5", "thread_count"),
+        ("bisections = 1e100000", "bisections"),
+        ("q_grid = true", "q_grid"),
+        ("exhaustive = true", "exhaustive"),
+        ("exhaustive = 1", "exhaustive"),
+        ('{"experiment": "expansion", "n_list": [24], "q_grid": [0.5], "master_seed": 1.5}',
+         "master_seed"),
     ],
 )
 def test_config_refuses_bad_extras_before_any_cell(bad, match, tmp_path, capsys, monkeypatch):
@@ -123,7 +135,9 @@ def test_config_refuses_bad_extras_before_any_cell(bad, match, tmp_path, capsys,
     being clamped."""
     import tangledpath.sweeps as sweeps
 
-    text = f"experiment = expansion\nn_list = 24\nq_grid = 0.5\ntrials = 3\n{bad}\n"
+    text = bad if bad.startswith("{") else (
+        f"experiment = expansion\nn_list = 24\nq_grid = 0.5\ntrials = 3\n{bad}\n"
+    )
     with pytest.raises(ValueError, match=match):
         parse_config_text(text)
     monkeypatch.setattr(sweeps, "_run_cell", lambda *a: pytest.fail("a cell ran"))
@@ -132,6 +146,17 @@ def test_config_refuses_bad_extras_before_any_cell(bad, match, tmp_path, capsys,
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert match in capsys.readouterr().err
     assert small_cfg(k_fracs=[1.0], t_list=[1], i_frac=1.0, bisections=1).trials == 40
+
+
+def test_config_takes_integral_values_of_any_spelling():
+    cfg = parse_config_text(
+        "experiment = flush-validate\nn_list = 1e5, 50.0\nq_grid = 1, 0.5\n"
+        "trials = 2e2\nmaster_seed = 18446744073709551615\nexhaustive = false\n"
+    )
+    assert cfg.n_list == (100000, 50) and type(cfg.n_list[0]) is int
+    assert cfg.q_grid == (1.0, 0.5) and type(cfg.q_grid[0]) is float
+    assert (cfg.trials, cfg.master_seed, cfg.exhaustive) == (200, 2**64 - 1, False)
+    assert make_config(experiment="flush-validate", n_list=[6], q_grid=[0.5], exhaustive=True).exhaustive
 
 
 def test_config_from_file(tmp_path):
@@ -378,15 +403,15 @@ def test_expansion_check_small_instance():
 
 
 def _cell_trials(cfg, n, q):
-    """Per-trial arrays of cell 0 of cfg, as its trials return them."""
-    data = {}
+    """The per-trial array of cell 0 of cfg, as its trials return it."""
+    data = []
 
     def run(trial_fn):
-        data.update(sweeps._run_cell(cfg, (0, n, q), trial_fn))
-        return data
+        data.append(sweeps._run_cell(cfg, (0, n, q), trial_fn))
+        return data[0]
 
     sweeps._EXPERIMENTS[cfg.experiment](cfg, run, n, q)
-    return data
+    return data[0]
 
 
 def _whole_flags(cfg, n, q):
@@ -415,15 +440,15 @@ def test_streamed_cells_match_whole_matrix(monkeypatch, threads, offset):
         monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - k_lo + 1, offset))
         want = _whole_flags(cfg, n, q)["cut"][:, k_lo - 1 : k_hi].sum(axis=1)
         assert want.any()
-        assert np.array_equal(_cell_trials(cfg, n, q)["count"], want)
+        assert np.array_equal(_cell_trials(cfg, n, q), want)
 
         cfg = dataclasses.replace(cfg, experiment="flush-validate", k_fracs=(0.35, 0.5, 0.75))
         ks = (350, 500, 750)
         monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - ks[0] + 1, offset))
         got, flush = _cell_trials(cfg, n, q), _whole_flags(cfg, n, q)["flush"]
-        assert sorted(got) == [f"k{k}" for k in ks]
-        for k in ks:
-            assert np.array_equal(got[f"k{k}"], flush[:, k - 1])
+        assert got.shape == (2 * rows, len(ks))
+        for j, k in enumerate(ks):
+            assert np.array_equal(got[:, j], flush[:, k - 1])
 
 
 def test_streamed_separator_trial_memory_is_flat():
@@ -438,9 +463,9 @@ def test_streamed_separator_trial_memory_is_flat():
     def run(trial_fn):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        found.update(trial_fn(seeds))
+        found["count"] = trial_fn(seeds)
         found["peak"] = tracemalloc.get_traced_memory()[1] - base
-        return found
+        return found["count"]
 
     tracemalloc.start()
     try:
