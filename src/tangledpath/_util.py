@@ -60,19 +60,19 @@ def trace_order_sum(w: np.ndarray, values) -> float:
 def as_int64(values, what: str) -> np.ndarray:
     """``values`` as an int64 array, refusing entries that are not integers.
 
-    An array numpy infers as signed integer passes without a per-entry check.
-    Otherwise each entry must be an int or numpy integer, not a bool: a float
-    raises ValueError naming ``what`` rather than being truncated.  If an
+    A signed-integer ndarray passes without a per-entry check.  Otherwise
+    each entry must be an int or numpy integer, not a bool (numpy reads one
+    among ints as an int): a float raises ValueError naming ``what``.  If an
     entry lies beyond int64 the entries stay Python ints in an object array,
     which compares as usual, so a caller's range check names it by value.
     """
-    a = np.asarray(values)
-    if a.dtype.kind == "i":
-        return a.astype(np.int64, copy=False)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.int64, copy=False)
     a = np.asarray(values, dtype=object)
-    for x in a.flat:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise ValueError(f"{what} must be integers, got {x!r}")
+    bad = {t for t in set(map(type, a.flat)) if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        x = next(x for x in a.flat if type(x) in bad)
+        raise ValueError(f"{what} must be integers, got {x!r}")
     try:
         return a.astype(np.int64)
     except OverflowError:

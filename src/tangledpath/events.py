@@ -18,12 +18,13 @@ The events, for a trace (v_1, ..., v_n):
   v_{t_i} <= i.
 
 The cut rule lives in :func:`event_flag_matrix` alone, as its ``"cut"`` array.
-All detectors run in O(n) per trace: F/R/C by suffix scans across trial
-batches, L_k by a difference array, S(k, b, ell) by a greedy window scan.
-The F/R/C scan also runs block by block: a column block of the traces,
-flagged right to left, needs only the pair (min of i - v_i, min of v_i) over
-the columns right of it, and hands the same pair at its own left edge on to
-the block before it, so a long trace is flagged in memory of one block.
+All detectors run in O(n) per trace: F/R/C by windowed and suffix minima
+across trial batches, L_k by a difference array, S(k, b, ell) by a greedy
+window scan.  The F/R/C flags also run block by block: a column block of the
+traces, flagged right to left, needs only the pair (min of i - v_i, min of
+v_i) over the columns right of it, and hands the same pair at its own left
+edge on to the block before it, so a long trace is flagged in memory of one
+block.
 Probabilities are computed in log space and clamped to [0, 1] within 1e-12.
 """
 
@@ -54,6 +55,12 @@ def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...
 # ---------------------------------------------------------------------------
 
 
+# Blocks below this many entries skip the window passes, whose calls cost more.
+_SCAN_ENTRIES = 2**14
+
+_NO_TAIL = 1 << 60
+
+
 def event_flag_matrix(
     v: np.ndarray, first: int = 0, tail: tuple[np.ndarray, np.ndarray] | None = None
 ) -> dict[str, np.ndarray]:
@@ -68,41 +75,70 @@ def event_flag_matrix(
     holds the flag for index k = first + j + 1, and under "tail" the same
     pair at the block's left edge, to pass with the block left of it.  Uses
     that F_k is equivalent to min_{i>k} (i - v_i) >= k and R_k to
-    min_{i>k} v_i > k, so one reversed cumulative minimum per family covers
-    every k at once.
+    min_{i>k} v_i > k (see :func:`_flag_block`).
     """
     v = np.asarray(v, dtype=np.int64)
-    m, ncols = v.shape
-    i_grid = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
-    # column ncols holds the minima right of the block; the reversed
-    # cumulative minimum then gives at column j the minimum over columns >= j
-    d = np.empty((m, ncols + 1), dtype=np.int64)
-    w = np.empty((m, ncols + 1), dtype=np.int64)
-    np.subtract(i_grid, v, out=d[:, :ncols])
-    w[:, :ncols] = v
-    if tail is None:
-        d[:, ncols] = w[:, ncols] = 1 << 60
-    else:
-        d[:, ncols], w[:, ncols] = tail
-    suffix_d = np.minimum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
-    suffix_v = np.minimum.accumulate(w[:, ::-1], axis=1)[:, ::-1]
-    flush = suffix_d[:, 1:] >= i_grid
-    reverse_flush = suffix_v[:, 1:] > i_grid
-    cut_forward = flush & (v == 1)
-    cut_reverse = reverse_flush & (v == i_grid)
-    cut = cut_forward | cut_reverse
+    keys = ("flush", "reverse_flush", "cut_forward", "cut_reverse", "cut")
+    flags = dict(zip(keys, np.empty((5, *v.shape), dtype=bool)))
+    pair = (np.full(len(v), _NO_TAIL, dtype=np.int64),) * 2 if tail is None else tail
+    flags["tail"] = _flag_block(v, first, pair, list(flags.values()))
     if first == 0:
-        cut[:, 0] = False
+        flags["cut"][:, 0] = False
     if tail is None:
-        cut[:, -1] = False
-    return {
-        "flush": flush,
-        "reverse_flush": reverse_flush,
-        "cut_forward": cut_forward,
-        "cut_reverse": cut_reverse,
-        "cut": cut,
-        "tail": (suffix_d[:, 0], suffix_v[:, 0]),
-    }
+        flags["cut"][:, -1] = False
+    return flags
+
+
+def _flag_block(v: np.ndarray, first: int, tail: tuple, out: list) -> tuple:
+    """Write the five flag arrays of ``v`` into ``out``; return its tail pair.
+
+    With V the largest v_i, F_k is decided by the minimum of
+    d_i = min(i - v_i, tail d) over k < i <= k + V (later i have i - v_i > k),
+    which ceil(log2 V) passes of np.minimum on shifted copies give; R_k can
+    hold only for k < V, a prefix flagged on its own, and in the last column.
+    Where V spans the block, or it is small, one reversed cumulative minimum
+    of d and of v is cheaper."""
+    flush, reverse_flush, cut_forward, cut_reverse, cut = out
+    m, ncols = v.shape
+    tail_d, tail_v = tail
+    i_grid = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
+    big = int(v.max(initial=1))
+    span, p = 1 << (big - 1).bit_length(), big - first - 1
+    if span >= ncols or v.size < _SCAN_ENTRIES:
+        dv = np.empty((2, m, ncols + 1), dtype=np.int64)
+        np.subtract(i_grid, v, out=dv[0, :, :ncols])
+        dv[1, :, :ncols] = v
+        dv[0, :, ncols], dv[1, :, ncols] = tail_d, tail_v
+        dv = np.minimum.accumulate(dv[:, :, ::-1], axis=2)[:, :, ::-1]
+        np.greater_equal(dv[0, :, 1:], i_grid, out=flush)
+        np.greater(dv[1, :, 1:], i_grid, out=reverse_flush)
+        left_tail = dv[0, :, 0], dv[1, :, 0]
+    elif p > 0:
+        right = _flag_block(v[:, p:], first + p, tail, [f[:, p:] for f in out])
+        return _flag_block(v[:, :p], first, right, [f[:, :p] for f in out])
+    else:
+        # d in int32 below 2**31, each row padded with `span` copies of its tail
+        # clipped to the last i: the passes run flat, no window reaching a next row
+        dtype = np.int32 if first + ncols < 2**31 else np.int64
+        i_small = i_grid.astype(dtype)
+        a = np.empty((m, ncols + span), dtype=dtype)
+        np.subtract(i_small, v, out=a[:, :ncols], dtype=dtype)
+        np.minimum(a[:, :ncols], tail_d[:, None], out=a[:, :ncols])
+        a[:, ncols:] = np.minimum(tail_d, i_grid[-1])[:, None]
+        a, b, w = a.ravel(), np.empty(a.size, dtype=dtype), 1
+        while w < span:  # then a[x] = min of d[x : x + 2w]
+            np.minimum(a[:-w], a[w:], out=b[:-w])
+            b[-w:] = a[-w:]
+            a, b, w = b, a, 2 * w
+        a = a.reshape(m, -1)
+        np.greater_equal(a[:, 1 : ncols + 1], i_small, out=flush)
+        reverse_flush[:, :-1] = False
+        np.greater(tail_v, i_grid[-1], out=reverse_flush[:, -1])
+        left_tail = a[:, :ncols:span].min(axis=1).astype(np.int64), np.minimum(v.min(1), tail_v)
+    np.logical_and(flush, v == 1, out=cut_forward)
+    np.logical_and(reverse_flush, v == i_grid, out=cut_reverse)
+    np.logical_or(cut_forward, cut_reverse, out=cut)
+    return left_tail
 
 
 def b_value(n: int, q: float) -> int:

@@ -122,9 +122,11 @@ def _from_pairs(
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
     """Build a TangledGraph from an arbitrary 1-based edge list.
 
-    This is where edge lists are validated: vertices must lie in 1..n and
-    self-loops are refused; duplicate and reversed edges collapse.
+    This is where edge lists are validated: n is an integer, vertices lie in
+    1..n, self-loops are refused; duplicate and reversed edges collapse.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
         raise ValueError("graph needs at least one vertex")

@@ -164,22 +164,26 @@ class TruncatedGeometric:
 def _positions_from_uniforms(u: np.ndarray, q: float, first: int = 0) -> np.ndarray:
     """Inverse-CDF transform, one column per index i = first+1 .. first+ncols.
 
-    u has shape (m, ncols); column j is mapped through the truncated geometric
-    on {1..first+j+1}.  Runs in one vectorized pass; the floor result is
-    clamped into [1, i] to absorb end-of-interval rounding.
+    Column j of the C-contiguous float64 (m, ncols) array u is mapped, in
+    place, through the truncated geometric on {1..first+j+1}; the result, an
+    int64 view of u, is at least 1 and is clamped to i against rounding.
     """
-    m, ncols = u.shape
+    ncols = u.shape[1]
     i_int = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
-    i_grid = i_int.astype(np.float64)
+    v = u.view(np.int64)
+    if q == 0.0:
+        v.fill(1)
+        return v
     if q == 1.0:
-        v = np.floor(u * i_grid[None, :]).astype(np.int64) + 1
-    elif q == 0.0:
-        return np.ones((m, ncols), dtype=np.int64)
+        u *= i_int
     else:
         logq = math.log(q)
-        c = -np.expm1(i_grid * logq)  # 1 - q^i, accurately
-        v = 1 + np.floor(np.log1p(-u * c[None, :]) / logq).astype(np.int64)
-    np.clip(v, 1, i_int[None, :], out=v)
+        u *= np.expm1(i_int * logq)  # -(1 - q^i), so u * it is -u * (1 - q^i)
+        np.log1p(u, out=u)
+        u /= logq
+    np.floor(u, out=v, casting="unsafe")
+    v += 1
+    np.minimum(v, i_int, out=v)
     return v
 
 

@@ -46,14 +46,15 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` on a uint64 array (multiplication wraps)."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MULT1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MULT2)
-    z ^= z >> np.uint64(31)
+def mix64_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized :func:`mix64` on a uint64 array (multiplication wraps): on
+    a copy, or in place with ``scratch`` (a uint64 array of z's shape)."""
+    if scratch is None:
+        z, scratch = z.astype(np.uint64, copy=True), np.empty(z.shape, dtype=np.uint64)
+    for shift, mult in ((30, _MULT1), (27, _MULT2), (31, None)):
+        z ^= np.right_shift(z, np.uint64(shift), out=scratch)
+        if mult:
+            z *= np.uint64(mult)
     return z
 
 
@@ -84,12 +85,15 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def uniform_matrix(seeds: np.ndarray, ncols: int) -> np.ndarray:
-    """Row r holds the first ``ncols`` uniforms in [0, 1) of stream ``seeds[r]``."""
-    s = seeds.astype(np.uint64, copy=False)
-    idx = np.arange(1, ncols + 1, dtype=np.uint64)
-    counters = s[:, None] + idx[None, :] * np.uint64(GOLDEN)
-    words = mix64_array(counters)
-    return (words >> np.uint64(11)).astype(np.float64) * _U53
+    """Row r holds the first ``ncols`` uniforms in [0, 1) of stream ``seeds[r]``,
+    mixed in one buffer whose scratch becomes the float64 result."""
+    steps = np.arange(1, ncols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    words = np.add(seeds.astype(np.uint64, copy=False)[:, None], steps, dtype=np.uint64)
+    out = np.empty(words.shape, dtype=np.float64)
+    mix64_array(words, out.view(np.uint64))
+    words >>= np.uint64(11)
+    # below 2**53 the words read alike as int64, whose cast is vectorized
+    return np.multiply(words.view(np.int64), _U53, out=out)
 
 
 class SplitMix64:

@@ -377,8 +377,8 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # The separator and sampled flush-validate cells read only event flags, and
 # only from some column k - 1 on.  Their trials walk each chunk through
 # _flag_blocks: right to left in column blocks of about _BLOCK_ENTRIES trace
-# entries, each sampled and flagged while still in cache, with the two suffix
-# minima carried across block edges and nothing sampled left of the first
+# entries, each sampled and flagged while still in cache, with the tail pair
+# of minima carried across block edges and nothing sampled left of the first
 # column the cell reads.  Their outputs equal the whole-matrix route's; the
 # blocking keeps a chunk's working set in cache and its memory flat in n.
 # The other cells build graphs or scan whole traces and take the whole matrix.
@@ -386,9 +386,9 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 _Run = Callable[[Callable[[np.ndarray], np.ndarray]], np.ndarray]
 _CellStats = tuple[int, list[tuple[str, float, float | None, float | None]]]
 
-# Trace entries per streamed column block, sized so a block's dozen int64
-# and float64 temporaries stay in cache: one chunk at n = 10^5 ran alike at
-# 2**14-2**16 entries and 1.4-1.9x slower at 2**12 and at 2**18 or more.
+# Trace entries per streamed column block.  The bench separator job (n = 10^5,
+# 2 threads) ran 73-84 M entries/s at 2**16, 47-64 M at 2**15, 27-36 M at
+# 2**14, and no faster at 2**17.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -592,9 +592,10 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
 
 def _displacement_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Displacement tails Pr[|sigma(i) - i| >= t] at i = round(i_frac * n),
-    with the 2 q^t reference bound reported alongside each tail row."""
+    with the 2 q^t reference bound reported alongside each tail row; like
+    displacement_samples, a trial samples and scans only v_i .. v_n."""
     i = max(1, math.floor(cfg.i_frac * n + 0.5))
-    disp = run(lambda seeds: trace_displacements(sample_trace_matrix(n, q, seeds), i))
+    disp = run(lambda seeds: trace_displacements(sample_trace_matrix(n, q, seeds, i - 1), 1))
     stats = []
     for t in cfg.t_list:
         stats += [

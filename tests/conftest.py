@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from tangledpath import SplitMix64
 
 
@@ -135,6 +137,42 @@ def naive_sparse_flush(v, k, b, ell):
         if all(v[t - 1] <= i for i, t in enumerate(combo, start=1)):
             return True
     return False
+
+
+def reference_event_flags(v, first=0, tail=None):
+    """event_flag_matrix by one reversed cumulative minimum per family over
+    whole rows: column j is flagged from the minima over columns j + 1 ..
+    and the tail."""
+    v = np.asarray(v, dtype=np.int64)
+    m, ncols = v.shape
+    i_grid = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
+    d = np.empty((m, ncols + 1), dtype=np.int64)
+    w = np.empty((m, ncols + 1), dtype=np.int64)
+    np.subtract(i_grid, v, out=d[:, :ncols])
+    w[:, :ncols] = v
+    if tail is None:
+        d[:, ncols] = w[:, ncols] = 1 << 60
+    else:
+        d[:, ncols], w[:, ncols] = tail
+    suffix_d = np.minimum.accumulate(d[:, ::-1], axis=1)[:, ::-1]
+    suffix_v = np.minimum.accumulate(w[:, ::-1], axis=1)[:, ::-1]
+    flush = suffix_d[:, 1:] >= i_grid
+    reverse_flush = suffix_v[:, 1:] > i_grid
+    cut_forward = flush & (v == 1)
+    cut_reverse = reverse_flush & (v == i_grid)
+    cut = cut_forward | cut_reverse
+    if first == 0:
+        cut[:, 0] = False
+    if tail is None:
+        cut[:, -1] = False
+    return {
+        "flush": flush,
+        "reverse_flush": reverse_flush,
+        "cut_forward": cut_forward,
+        "cut_reverse": cut_reverse,
+        "cut": cut,
+        "tail": (suffix_d[:, 0], suffix_v[:, 0]),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ from tangledpath import (
     sparse_flush_holds,
     threshold_window,
 )
-from tangledpath.rng import derive, derive_array
+import tangledpath.events as events
+from tangledpath.rng import SplitMix64, derive, derive_array
 from tangledpath.sweeps import _BLOCK_ENTRIES
 from conftest import (
+    reference_event_flags,
     naive_cut_forward,
     naive_cut_reverse,
     naive_cut_set,
@@ -112,6 +114,70 @@ def test_flag_matrix_block_chain_matches_one_call(data):
     d = np.arange(1, n + 1) - v
     assert np.array_equal(tail[0], d.min(axis=1)) and np.array_equal(tail[1], v.min(axis=1))
     assert all(np.array_equal(a, b) for a, b in zip(tail, whole["tail"]))
+
+
+_FLAG_KEYS = ("flush", "reverse_flush", "cut_forward", "cut_reverse", "cut")
+
+
+def _assert_flags_equal(got, want, where):
+    for key in _FLAG_KEYS:
+        assert np.array_equal(got[key], want[key]), (key, where)
+    assert all(np.array_equal(a, b) for a, b in zip(got["tail"], want["tail"])), ("tail", where)
+
+
+def _reference_batches(n):
+    """Five sampled traces per q, then the all-ones trace, the trace v_i = i,
+    and all-ones traces with spikes v_i = s, each of which alone breaks F_k
+    for the s - 1 indices k left of i, so a window one column short shows.
+    Each batch is flagged on its own, since the largest v_i over all rows
+    picks the route."""
+    qs = [0.0, 0.3, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
+    qs += [threshold_window(n, 0.0).q_critical] if n >= 16 else []
+    seeds = derive_array(17, np.arange(5, dtype=np.uint64))
+    spikes = np.ones((6, n), dtype=np.int64)
+    for row, s in zip(spikes, (3, 6, 12, 33, 130, 1000)):
+        for at in (s + 5, 2 * s + 100, n - 1):
+            if s <= at < n:
+                row[at] = s
+    return [sample_trace_matrix(n, q, seeds) for q in qs] + [
+        np.ones((1, n), dtype=np.int64), np.arange(1, n + 1)[None, :], spikes]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 300, 2500])
+@pytest.mark.parametrize("scan_entries", [events._SCAN_ENTRIES, 0])
+def test_flag_matrix_matches_reference_formula(monkeypatch, n, scan_entries):
+    """The windowed routine gives the reversed-accumulate formula's five
+    arrays and tail: over right-to-left block chains of width 1, of random
+    widths and of the whole row, on blocks whose largest v_i is below and
+    at or above their width; and on single blocks with tails below, inside
+    and above the block.  ``scan_entries`` 0 sends even small blocks through
+    the window passes."""
+    monkeypatch.setattr(events, "_SCAN_ENTRIES", scan_entries)
+    gen = SplitMix64(n)
+    for v in _reference_batches(n):
+        chains = [[1] * n] if n <= 300 else []
+        widths = []
+        while sum(widths) < n:
+            widths.append(1 + int(gen.uniform() * max(1, n // 3)))
+        chains += [widths, [n]]
+        for chain in chains:
+            tail, hi = None, n
+            for w in chain:
+                lo = max(0, hi - w)
+                block = v[:, lo:hi]
+                got = event_flag_matrix(block, lo, tail)
+                _assert_flags_equal(got, reference_event_flags(block, lo, tail), (lo, hi))
+                tail, hi = got["tail"], lo
+                if hi == 0:
+                    break
+        for lo in {0, n // 3, n - 1}:
+            hi = max(lo + 1, (lo + n) // 2)
+            block = v[:, lo:hi]
+            for td in (0, lo // 2, (lo + hi) // 2, hi + 5):
+                for tv in (1, (lo + hi) // 2 + 1, hi + 3):
+                    tail = (np.full(len(v), td), np.full(len(v), tv))
+                    want = reference_event_flags(block, lo, tail)
+                    _assert_flags_equal(event_flag_matrix(block, lo, tail), want, (lo, td, tv))
 
 
 @given(traces_strategy)

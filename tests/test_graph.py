@@ -174,6 +174,11 @@ def test_make_graph_validation():
     with pytest.raises(ValueError):
         make_graph(0, [])
     assert make_graph(3, []).edges == ()
+    # A fractional or bool vertex count is refused, not truncated by int().
+    for n in (3.7, 3.0, True):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            make_graph(n, [(1, 2)])
+    assert type(make_graph(np.int64(3), [(1, 2)]).n) is int
 
 
 # ---------------------------------------------------------------------------

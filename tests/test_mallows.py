@@ -137,6 +137,18 @@ def test_permutation_validation():
     assert p.inverse().image == (2, 3, 1)
 
 
+def test_bools_among_ints_are_refused():
+    """numpy reads a bool among ints as an int, so (True, 2) would pass as
+    the permutation (1, 2) and (1, True) as a trace; both are refused."""
+    with pytest.raises(ValueError, match="permutation entries must be integers, got True"):
+        Permutation((True, 2))
+    with pytest.raises(ValueError, match="must be integers, got np.True_"):
+        Permutation([2, np.bool_(True)])
+    with pytest.raises(ValueError, match="trace positions must be integers, got True"):
+        mallows_process([1, True])
+    assert Permutation([2, np.int64(1)]).image == (2, 1)
+
+
 def test_inversions_and_reverse():
     assert inversions((1, 2, 3)) == 0
     assert inversions((3, 2, 1)) == 3
@@ -356,6 +368,22 @@ def test_sample_matrix_matches_scalar_path():
         ref = _positions_from_uniforms(SplitMix64(s).uniforms(n)[None], q)[0]
         assert trace.positions == tuple(ref.tolist())
         assert trace.seed == s
+
+
+def test_positions_need_no_lower_clamp():
+    """The sampler clamps v_i only from above.  Its map from u to v_i is
+    nondecreasing and sends u = 0 to 1 at every q, so no uniform the RNG
+    can give (multiples of 2**-53 in [0, 1)) lands below 1; the upper clamp
+    to i still holds at the largest one."""
+    us = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    tiny = np.nextafter(0.0, 1.0)
+    for first in (0, 7, 2**40):
+        for q in (0.0, tiny, 1e-300, 1e-9, 0.3, 0.9, 1 - 1e-9, 1 - 2.0**-53, 1.0):
+            u = np.repeat(us[:, None], 3, axis=1)
+            v = _positions_from_uniforms(u, q, first)
+            i = np.arange(first + 1, first + 4)
+            assert (v[0] == 1).all() and (v >= 1).all() and (v <= i).all(), (first, q)
+            assert (np.diff(v, axis=0) >= 0).all(), (first, q)
 
 
 def test_sample_matrix_seed_handling():

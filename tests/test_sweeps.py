@@ -1,6 +1,7 @@
 """Monte Carlo sweep harness: configs, determinism, bands, output formats."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -213,6 +214,32 @@ def test_thread_count_does_not_change_csv():
         assert render_csv(one) == render_csv(threaded), raw
         for r in one.rows + threaded.rows:
             assert type(r.within_band) is (bool if r.exact is not None else type(None))
+
+
+# SHA-256 of render_csv for one small sweep per streamed or sampled cell
+# kind, recorded before the sampler and flag routines were rewritten in
+# place; the CSVs must stay byte-identical to that history at any thread
+# count, not merely agree between thread counts.
+GOLDEN_CSV_DIGESTS = {
+    "85aad01174619803be6ebf96ec588e451c64db09dbeecae1b660b9e0e3f7df90": dict(
+        experiment="separator", n_list=[30, 3000], q_grid=[0.0, 0.5, "critical", 1.0],
+        trials=130),
+    "61990ffa0488cfe5747c9648f7451f77bc04c24d6be67bb7ecd0c5b4a12cbb92": dict(
+        experiment="flush-validate", n_list=[30, 3000], q_grid=[0.5, 0.9, 1.0],
+        k_fracs=[0.3, 0.6], trials=130),
+    "34979982cef7d3c6e30a305dac62f585c551ea52b30d5a824d666d57d1d4792f": dict(
+        experiment="displacement", n_list=[30, 2000], q_grid=[0.0, 0.6, 1.0], trials=70,
+        t_list=[1, 3], i_frac=0.3),
+    "ccd4049a0ed4ee8ee27956d15bc83ed2b2482397052a9c888897f1128ad80fff": dict(
+        experiment="diameter", n_list=[25, 300], q_grid=[0.0, 0.7], trials=20),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("digest", list(GOLDEN_CSV_DIGESTS))
+def test_csv_matches_recorded_digest(digest, threads):
+    cfg = make_config(master_seed=11, thread_count=threads, **GOLDEN_CSV_DIGESTS[digest])
+    assert hashlib.sha256(render_csv(run_sweep(cfg)).encode()).hexdigest() == digest
 
 
 def test_seed_changes_results():
