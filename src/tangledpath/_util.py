@@ -1,5 +1,5 @@
 """Small shared helpers: alpha-range snapping, probability clamping,
-weighted sums over a trace table, and integer input arrays."""
+weighted sums over a trace table, and integer inputs."""
 
 from __future__ import annotations
 
@@ -55,6 +55,14 @@ def trace_order_sum(w: np.ndarray, values) -> float:
     bits of the result.
     """
     return float(np.cumsum(w * values)[-1])
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; a bool, float or other non-integer raises
+    ValueError naming ``what`` rather than being truncated by ``int()``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_int64(values, what: str) -> np.ndarray:

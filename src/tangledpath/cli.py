@@ -71,10 +71,6 @@ from .widths import (
 ANALYZE_METRICS = ("tw", "cw", "cwid", "diam", "iso", "cuts")
 
 
-class UsageError(Exception):
-    """Bad flags or unparseable input; exits with code 2."""
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -84,11 +80,11 @@ def _resolve_seed(seed: int | None) -> int:
         return seed
     env = os.environ.get("TANGLED_SEED")
     if env is None:
-        raise UsageError("no --seed given and TANGLED_SEED is unset")
+        raise ValueError("no --seed given and TANGLED_SEED is unset")
     try:
         return int(env, 0)
     except ValueError as exc:
-        raise UsageError(f"TANGLED_SEED={env!r} is not an integer") from exc
+        raise ValueError(f"TANGLED_SEED={env!r} is not an integer") from exc
 
 
 def _load_instance(args) -> tuple[InsertionTrace | None, tuple[int, ...]]:
@@ -100,20 +96,20 @@ def _load_instance(args) -> tuple[InsertionTrace | None, tuple[int, ...]]:
     """
     sources = [args.perm is not None, args.trace is not None, args.n is not None]
     if sum(sources) != 1:
-        raise UsageError("give exactly one of --perm, --trace, or --n")
+        raise ValueError("give exactly one of --perm, --trace, or --n")
     if args.perm is not None:
         if args.q is not None or args.seed is not None:
-            raise UsageError("--perm conflicts with --q/--seed")
+            raise ValueError("--perm conflicts with --q/--seed")
         return None, parse_permutation(args.perm)
     if args.trace is not None:
         if args.seed is not None:
-            raise UsageError("--trace conflicts with --seed")
+            raise ValueError("--trace conflicts with --seed")
         if args.q is None:
-            raise UsageError("--trace requires --q")
+            raise ValueError("--trace requires --q")
         trace = parse_trace(args.trace, args.q)
         return trace, mallows_process(trace)
     if args.q is None:
-        raise UsageError("--n requires --q")
+        raise ValueError("--n requires --q")
     trace = sample_trace(args.n, args.q, _resolve_seed(args.seed))
     return trace, mallows_process(trace)
 
@@ -133,7 +129,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_sample(args) -> int:
     if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     seed = _resolve_seed(args.seed)
     for i in range(args.count):
         trace = sample_trace(args.n, args.q, derive(seed, i) if args.count > 1 else seed)
@@ -154,7 +150,7 @@ def cmd_analyze(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     bad = [m for m in metrics if m not in ANALYZE_METRICS]
     if bad or not metrics:
-        raise UsageError(
+        raise ValueError(
             f"unknown metrics {bad}; choose from {','.join(ANALYZE_METRICS)}"
         )
     trace, sigma = _load_instance(args)
@@ -185,7 +181,7 @@ def cmd_analyze(args) -> int:
 def cmd_prob(args) -> int:
     n, q = args.n, args.q
     if args.what in ("flush", "cut") and args.k is None:
-        raise UsageError(f"prob {args.what} requires --k")
+        raise ValueError(f"prob {args.what} requires --k")
     if args.what == "flush":
         out = {
             "n": n,
@@ -228,16 +224,16 @@ def cmd_prob(args) -> int:
 def cmd_events(args) -> int:
     trace, _ = _load_instance(args)
     if trace is None:
-        raise UsageError("events needs a trace source (--trace or --n), not --perm")
+        raise ValueError("events needs a trace source (--trace or --n), not --perm")
     sparse = []
     for spec in args.sparse or ():
         parts = spec.split(":")
         if len(parts) != 3:
-            raise UsageError(f"--sparse wants K:B:ELL, got {spec!r}")
+            raise ValueError(f"--sparse wants K:B:ELL, got {spec!r}")
         try:
             sparse.append(tuple(int(p) for p in parts))
         except ValueError as exc:
-            raise UsageError(f"--sparse wants integers, got {spec!r}") from exc
+            raise ValueError(f"--sparse wants integers, got {spec!r}") from exc
     rep = detect_events(trace, local=args.local, sparse=sparse)
 
     def true_ks(flags) -> list[int]:
@@ -269,11 +265,11 @@ def cmd_oracle(args) -> int:
         try:
             k = int(event.split("@", 1)[1])
         except ValueError as exc:
-            raise UsageError(f"bad --event {event!r}") from exc
+            raise ValueError(f"bad --event {event!r}") from exc
         if not 1 <= k <= n:
-            raise UsageError(f"flush index k={k} outside [1, {n}]")
+            raise ValueError(f"flush index k={k} outside [1, {n}]")
     elif event not in (None, "cut"):
-        raise UsageError(f"unknown --event {event!r}; use flush@K or cut")
+        raise ValueError(f"unknown --event {event!r}; use flush@K or cut")
     V, w = trace_table(n, q)
     if event is None:
         _emit({"n": n, "q": q, "count": len(w), "total_weight": trace_order_sum(w, 1.0)})
@@ -403,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
@@ -411,12 +407,6 @@ def main(argv=None) -> int:
         return 3
     except StatisticalCheckError as exc:
         print(f"statistical check failed: {exc}", file=sys.stderr)
-        for row in exc.rows:
-            print(
-                f"  n={row.n} q={row.q} stat={row.stat} mean={row.mean} "
-                f"exact={row.exact} stderr={row.stderr}",
-                file=sys.stderr,
-            )
         return 4
 
 

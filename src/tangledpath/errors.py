@@ -13,8 +13,8 @@ class CapabilityError(Exception):
 class StatisticalCheckError(Exception):
     """Raised when a sweep's exact-reference rows fall outside their error band.
 
-    Carries the offending rows so the CLI can list them before exiting with
-    code 4.
+    Carries the offending rows; the message lists each one, and the CLI
+    prints it before exiting with code 4.
     """
 
     def __init__(self, message: str, rows: list | None = None) -> None:

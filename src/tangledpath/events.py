@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import alpha_cut_range, clamp01
+from ._util import alpha_cut_range, as_int, clamp01
 from .errors import CapabilityError
 from .mallows import InsertionTrace, _checked_positions, mallows_process
 
@@ -290,6 +290,7 @@ def flush_prob(n: int, k: int, q: float) -> float:
     q = 0 gives 1 (all v_i = 1 satisfy every flush); q = 1 is the telescoped
     limit k! (n-k)! / n!, evaluated through lgamma.
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     if not 0.0 <= q <= 1.0:
@@ -299,14 +300,13 @@ def flush_prob(n: int, k: int, q: float) -> float:
 
 def reverse_flush_prob(n: int, k: int, q: float) -> float:
     """Pr[R_k] = q^{k(n-k)} * Pr[F_k], evaluated in log space."""
+    n, k = as_int(n, "n"), as_int(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
     if q == 0.0:
         return 1.0 if k == n else 0.0
-    if q == 1.0:
-        return flush_prob(n, k, q)
     return clamp01(math.exp(_log_flush(n, k, q) + k * (n - k) * math.log(q)))
 
 
@@ -323,6 +323,7 @@ def cut_event_probs(n: int, k: int, q: float) -> tuple[float, float]:
     Pr[C_k^F] = Pr[F_k] * (1-q)/(1-q^k) by independence of v_k from later
     positions; Pr[C_k^R] = q^{k(n-k+1)-1} * Pr[C_k^F].
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if not 2 <= k <= n - 1:
         raise ValueError(f"k={k} outside [2, {n - 1}]")
     if not 0.0 <= q <= 1.0:
@@ -330,9 +331,6 @@ def cut_event_probs(n: int, k: int, q: float) -> tuple[float, float]:
     if q == 0.0:
         return 1.0, 0.0
     log_pf = _log_flush(n, k, q) + _log_pick_first(k, q)
-    if q == 1.0:
-        p = clamp01(math.exp(log_pf))
-        return p, p
     log_pr = log_pf + (k * (n - k + 1) - 1) * math.log(q)
     return clamp01(math.exp(log_pf)), clamp01(math.exp(log_pr))
 
@@ -351,6 +349,7 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
     Vectorized via prefix sums of log(1 - q^i): log Pr[F_k] = A(k) + A(n-k)
     - A(n) with A(m) = sum_{i<=m} log(1-q^i).
     """
+    n, k_lo, k_hi = as_int(n, "n"), as_int(k_lo, "k_lo"), as_int(k_hi, "k_hi")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
     k_lo, k_hi = max(1, k_lo), min(n, k_hi)

@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
-from ._util import as_int64
+from ._util import as_int, as_int64
 from .errors import CapabilityError
 from .mallows import InsertionTrace, Permutation, mallows_process
 
@@ -125,9 +125,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
     This is where edge lists are validated: n is an integer, vertices lie in
     1..n, self-loops are refused; duplicate and reversed edges collapse.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"vertex count must be an integer, got {n!r}")
-    n = int(n)
+    n = as_int(n, "vertex count")
     if n < 1:
         raise ValueError("graph needs at least one vertex")
     pairs = list(edges)
@@ -190,6 +188,7 @@ def _bfs(csr: csr_matrix, sources) -> np.ndarray:
 def bfs_distances(g: TangledGraph, source: int) -> list[int]:
     """Hop distances from ``source`` (1-based), at index v-1 for vertex v;
     -1 marks unreachable vertices."""
+    source = as_int(source, "source")
     if not 1 <= source <= g.n:
         raise ValueError(f"source {source} outside 1..{g.n}")
     d = _bfs(g._csr, source - 1)

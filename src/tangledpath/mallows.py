@@ -223,11 +223,11 @@ def sample_trace_matrix(
 
 def sample_trace(n: int, q: float, seed: int) -> InsertionTrace:
     """Draw (v_1, ..., v_n) with independent truncated-geometric components:
-    row 0 of :func:`sample_trace_matrix` for the stream of ``seed`` (taken
-    mod 2**64), with the seed recorded on the trace.  The same (n, q, seed)
-    always yields the same trace.
+    row 0 of :func:`sample_trace_matrix` for the stream of ``seed`` (checked
+    and taken mod 2**64 there), with the seed recorded on the trace.  The
+    same (n, q, seed) always yields the same trace.
     """
-    return InsertionTrace(sample_trace_matrix(n, q, [int(seed)])[0], q, int(seed))
+    return InsertionTrace(sample_trace_matrix(n, q, [seed])[0], q, int(seed))
 
 
 def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permutation:
@@ -241,7 +241,10 @@ def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permu
     The first ``_DECODE_BLOCK`` values go into one list.  Past that the
     output is a list of blocks: value i walks in from the nearer end to the
     block holding slot v_i, so an insert shifts one block, not the whole
-    output, and a block reaching twice the block size is split in two.
+    output, and a block reaching twice the block size is split in two.  The
+    plain first list is kept because the block walk costs more than the
+    short shifts it saves: run from i = 1 it was 1.4-2.5x slower at n = 50
+    and n = 200, and at n = 2000 no faster beyond noise (0.75-1.26x).
     """
     if isinstance(trace, InsertionTrace):
         positions = trace.positions

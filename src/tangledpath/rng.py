@@ -47,10 +47,10 @@ def mix64(z: int) -> int:
 
 
 def mix64_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized :func:`mix64` on a uint64 array (multiplication wraps): on
-    a copy, or in place with ``scratch`` (a uint64 array of z's shape)."""
+    """Vectorized :func:`mix64` on a uint64 array, in place (multiplication
+    wraps); ``scratch`` is a uint64 array of z's shape, else one is made."""
     if scratch is None:
-        z, scratch = z.astype(np.uint64, copy=True), np.empty(z.shape, dtype=np.uint64)
+        scratch = np.empty(z.shape, dtype=np.uint64)
     for shift, mult in ((30, _MULT1), (27, _MULT2), (31, None)):
         z ^= np.right_shift(z, np.uint64(shift), out=scratch)
         if mult:

@@ -46,7 +46,7 @@ from .events import (
     threshold_window,
 )
 from ._util import alpha_cut_range, trace_order_sum
-from .graph import build_tangled, diameter
+from .graph import _edge_ends, build_tangled, diameter
 from .mallows import (
     mallows_process,
     sample_trace_matrix,
@@ -561,8 +561,7 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
             if small:
                 out_iso[r] = float(vertex_iso(g))
             else:
-                # each edge is stored in both directions, so it crosses twice
-                tails = np.repeat(np.arange(n), degrees)
+                u, w = _edge_ends(g)
                 bis_seeds = derive_array(
                     int(seeds[r]), np.arange(cfg.bisections, dtype=np.uint64)
                 )
@@ -572,7 +571,7 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
                 half = n // 2
                 row_idx = np.repeat(np.arange(cfg.bisections), half)
                 side[row_idx, ranks[:, :half].ravel()] = True
-                cross = (side[:, tails] ^ side[:, g.indices]).sum(axis=1) // 2
+                cross = (side[:, u] ^ side[:, w]).sum(axis=1)
                 out_iso[r] = float(cross.min()) / half
         return out_iso
 

@@ -393,7 +393,7 @@ def boundary_subset_count(n: int, k: int) -> int:
 
 @dataclass
 class WidthReport:
-    """Widths of one graph with per-entry method provenance.
+    """Widths of one graph; :meth:`to_json` names each entry's method.
 
     ``treewidth`` is an exact int when the solver ran, else a (lower, upper)
     pair from the bounds route; iso entries stay exact rationals so chain
@@ -403,7 +403,6 @@ class WidthReport:
     n: int
     edge_count: int
     treewidth: int | tuple[int, int]
-    treewidth_method: str
     cutwidth_identity: int
     cutwidth_profile: tuple[int, ...]
     cutwidth_exact: int | None = None
@@ -426,7 +425,7 @@ class WidthReport:
                 "method": "degeneracy-lower/minfill-upper",
             }
         else:
-            out["treewidth"] = {"value": self.treewidth, "method": self.treewidth_method}
+            out["treewidth"] = {"value": self.treewidth, "method": "exact-dp"}
         if self.cutwidth_exact is not None:
             out["cutwidth_exact"] = {"value": self.cutwidth_exact, "method": "exact-dp"}
         if self.vertex_iso is not None:
@@ -451,23 +450,13 @@ def build_width_report(g: TangledGraph, exact: bool | None = None) -> WidthRepor
     n = g.n
     use_exact = n <= EXACT_CAP if exact is None else exact
     cw_val, cw_profile = cutwidth_identity(g)
-    if use_exact:
-        return WidthReport(
-            n=n,
-            edge_count=g.indices.size // 2,
-            treewidth=treewidth_exact(g),
-            treewidth_method="exact-dp",
-            cutwidth_identity=cw_val,
-            cutwidth_profile=cw_profile,
-            cutwidth_exact=cutwidth_exact(g),
-            vertex_iso=vertex_iso(g) if n >= 2 else None,
-            edge_iso=edge_iso(g) if n >= 2 else None,
-        )
     return WidthReport(
         n=n,
         edge_count=g.indices.size // 2,
-        treewidth=treewidth_bounds(g),
-        treewidth_method="degeneracy-lower/minfill-upper",
+        treewidth=treewidth_exact(g) if use_exact else treewidth_bounds(g),
         cutwidth_identity=cw_val,
         cutwidth_profile=cw_profile,
+        cutwidth_exact=cutwidth_exact(g) if use_exact else None,
+        vertex_iso=vertex_iso(g) if use_exact and n >= 2 else None,
+        edge_iso=edge_iso(g) if use_exact and n >= 2 else None,
     )

@@ -304,8 +304,10 @@ def test_sweep_band_failure_is_exit_four(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(sweeps, "expected_cuts_in_range", lambda *a: 999.0)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(
-        "experiment = separator\nn_list = 25\nq_grid = 0.5\ntrials = 20\n"
+        "experiment = separator\nn_list = 25\nq_grid = 0.5, 0.7\ntrials = 20\n"
     )
     code, _, err = run(capsys, "sweep", "--config", str(cfg))
     assert code == 4 and "statistical check failed" in err
-    assert "cut_count" in err
+    # each failed row is listed once
+    assert err.count("cut_count") == 2
+    assert err.count("q=0.5 cut_count") == err.count("q=0.7 cut_count") == 1

@@ -424,6 +424,41 @@ def test_cut_event_prob_identities():
     assert pr < pf
 
 
+def test_q1_reverse_and_cut_probs_equal_exactly():
+    """At q = 1 the log-space formulas add an exact 0.0 for the q factor, so
+    R_k is as likely as F_k and C_k^R as C_k^F, bit for bit."""
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            assert reverse_flush_prob(n, k, 1.0) == flush_prob(n, k, 1.0), (n, k)
+            if 2 <= k <= n - 1:
+                pf, pr = cut_event_probs(n, k, 1.0)
+                assert pf == pr, (n, k)
+
+
+def test_probabilities_refuse_non_integer_sizes():
+    """A fractional or bool n, k, k_lo or k_hi belongs to no graph: it is
+    refused, not used as a real number; numpy integers pass."""
+    calls = [
+        ("n", lambda x: flush_prob(x, 3, 0.5)),
+        ("k", lambda x: flush_prob(10, x, 0.5)),
+        ("n", lambda x: reverse_flush_prob(x, 3, 0.5)),
+        ("k", lambda x: reverse_flush_prob(10, x, 0.5)),
+        ("n", lambda x: cut_event_probs(x, 3, 0.5)),
+        ("k", lambda x: cut_event_probs(10, x, 0.5)),
+        ("n", lambda x: expected_cuts_in_range(x, 0.5, 2, 7)),
+        ("k_lo", lambda x: expected_cuts_in_range(10, 0.5, x, 7)),
+        ("k_hi", lambda x: expected_cuts_in_range(10, 0.5, 2, x)),
+    ]
+    for bad in (5.5, 5.0, np.float64(5.0), True):
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call(bad)
+    assert flush_prob(np.int64(10), np.int32(3), 0.5) == flush_prob(10, 3, 0.5)
+    assert expected_cuts_in_range(np.int64(10), 0.5, np.int64(2), np.uint8(7)) == (
+        expected_cuts_in_range(10, 0.5, 2, 7)
+    )
+
+
 def test_expected_cuts_range_identities():
     assert expected_cuts(9, 0.0, 2 / 3) == 4.0
     assert expected_cuts_in_range(10, 0.0, 4, 7) == 4.0

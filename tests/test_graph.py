@@ -192,6 +192,14 @@ def test_bfs_distances_on_path():
     assert list(bfs_distances(g, 3)) == [2, 1, 0, 1, 2, 3]
 
 
+def test_bfs_distances_refuses_non_integer_source():
+    g = make_graph(*path_graph(3))
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="source must be an integer"):
+            bfs_distances(g, bad)
+    assert bfs_distances(g, np.int64(1)) == [0, 1, 2]
+
+
 def test_bfs_marks_unreachable():
     g = make_graph(4, [(1, 2)])
     d = bfs_distances(g, 1)

@@ -1,10 +1,12 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
-top-level private function or class in src/ is referenced, and every library
-function the benchmark's tracer wraps still exists."""
+top-level private function or class in src/ is referenced, every library
+function the benchmark's tracer wraps still exists, and the src/ line count
+README quotes is the tree's."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -95,3 +97,11 @@ def test_traced_separator_sweep_records_required_spans():
     calls = tracer.calls()
     missing = [span for span in workloads.Separator.required if not calls[span]]
     assert not missing, "spans recorded no calls:\n" + "\n".join(missing)
+
+
+def test_readme_src_line_count_is_current():
+    # ROADMAP tracks the size of src/ through this number, so it must not
+    # go stale when src/ changes.
+    quoted = re.findall(r"`src/` is (\d+) lines", (ROOT / "README.md").read_text())
+    actual = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    assert quoted == [str(actual)], f"README quotes {quoted}, src/ has {actual} lines"

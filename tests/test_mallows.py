@@ -388,7 +388,8 @@ def test_positions_need_no_lower_clamp():
 
 def test_sample_matrix_seed_handling():
     """Integer seeds of any size are taken mod 2**64, in one mixed list too;
-    float, bool and other non-integer seeds are refused rather than cast."""
+    float, bool and other non-integer seeds are refused rather than cast, by
+    the batch and the scalar entry point alike."""
     n, q = 30, 0.7
     seeds = [-1, 2**64 - 1, 2**63, 2**70 + 3]
     with warnings.catch_warnings():
@@ -402,6 +403,11 @@ def test_sample_matrix_seed_handling():
                 ["5"], np.array([5.0], dtype=object), [None]):
         with pytest.raises(ValueError, match="seeds must be integers"):
             sample_trace_matrix(n, q, bad)
+    for bad in (5.9, 5.0, np.float64(5.0), True, np.bool_(True), "5", None):
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            sample_trace(n, q, bad)
+    trace = sample_trace(n, q, np.uint64(2**63))
+    assert trace.positions == tuple(mat[2].tolist()) and trace.seed == 2**63
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 3000])

@@ -232,6 +232,11 @@ GOLDEN_CSV_DIGESTS = {
         t_list=[1, 3], i_frac=0.3),
     "ccd4049a0ed4ee8ee27956d15bc83ed2b2482397052a9c888897f1128ad80fff": dict(
         experiment="diameter", n_list=[25, 300], q_grid=[0.0, 0.7], trials=20),
+    "bf39b144afa65539f201cd2af3f65bfc6f22565f5c63febd6e129842dea4af1a": dict(
+        experiment="width", n_list=[12, 40], q_grid=[0.0, 0.6, 1.0], trials=20),
+    "1e638d24abb1112989cf0940b17c7d9ff55008726cfecb7436da2094f7e8477f": dict(
+        experiment="expansion", n_list=[12, 60], q_grid=[0.0, 0.7, 1.0], trials=20,
+        bisections=8),
 }
 
 
