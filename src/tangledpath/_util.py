@@ -1,5 +1,9 @@
 """Small shared helpers: alpha-range snapping, probability clamping,
-weighted sums over a trace table, and integer inputs."""
+weighted sums over a trace table, and the input checks.
+
+The input policy lives here: a size or index goes through :func:`as_int`,
+a q, alpha or bound parameter through :func:`as_real`.  Public entry points
+call them once; internal calls on values valid by construction do not."""
 
 from __future__ import annotations
 
@@ -23,8 +27,7 @@ def alpha_cut_range(n: int, alpha: float) -> tuple[int, int]:
     Requires 1/2 < alpha < 1 so that both sides of a cut at k in the range have
     at most alpha*n vertices.
     """
-    if not 0.5 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (1/2, 1)")
+    as_real(alpha, "alpha", 0.5, 1, "()")
     k_lo = math.ceil((1.0 - alpha) * n - ALPHA_EPS)
     k_hi = math.floor(alpha * n + ALPHA_EPS)
     return max(1, k_lo), min(n, k_hi)
@@ -36,7 +39,10 @@ def balanced_at_most(size: int, n: int, alpha: float) -> bool:
 
 
 def clamp01(x: float) -> float:
-    """Clamp a probability to [0, 1], tolerating PROB_EPS of float overshoot."""
+    """Clamp a probability to [0, 1], tolerating PROB_EPS of float overshoot;
+    NaN is refused like a value beyond the tolerance."""
+    if x != x:
+        raise ValueError("probability is NaN")
     if x < 0.0:
         if x < -PROB_EPS:
             raise ValueError(f"probability {x} below 0 beyond tolerance")
@@ -57,12 +63,24 @@ def trace_order_sum(w: np.ndarray, values) -> float:
     return float(np.cumsum(w * values)[-1])
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as an int; a bool, float or other non-integer raises
-    ValueError naming ``what`` rather than being truncated by ``int()``."""
+def as_real(value, what: str, lo=-math.inf, hi=math.inf, ends: str = "[]"):
+    """``value`` itself, unchanged, once it lies between ``lo`` and ``hi``;
+    ``ends`` marks each end closed ("[", "]") or open ("(", ")").  Anything
+    outside, NaN included, raises ValueError naming ``what``."""
+    above = value >= lo if ends[0] == "[" else value > lo
+    below = value <= hi if ends[1] == "]" else value < hi
+    if above and below:
+        return value
+    raise ValueError(f"{what}={value} outside {ends[0]}{lo}, {hi}{ends[1]}")
+
+
+def as_int(value, what: str, lo=-math.inf, hi=math.inf) -> int:
+    """``value`` as an int in [lo, hi]; a bool, float or other non-integer
+    raises ValueError naming ``what`` rather than being truncated by
+    ``int()``, and so does an int outside the range."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return as_real(int(value), what, lo, hi)
 
 
 def as_int64(values, what: str) -> np.ndarray:

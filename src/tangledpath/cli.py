@@ -38,7 +38,7 @@ from .events import (
     flush_prob,
     reverse_flush_prob,
 )
-from ._util import alpha_cut_range, trace_order_sum
+from ._util import alpha_cut_range, as_int, trace_order_sum
 from .graph import articulation_points, build_tangled, diameter, format_edge_list
 from .mallows import (
     InsertionTrace,
@@ -128,8 +128,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_sample(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
+    as_int(args.count, "--count", 1)
     seed = _resolve_seed(args.seed)
     for i in range(args.count):
         trace = sample_trace(args.n, args.q, derive(seed, i) if args.count > 1 else seed)
@@ -266,8 +265,7 @@ def cmd_oracle(args) -> int:
             k = int(event.split("@", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad --event {event!r}") from exc
-        if not 1 <= k <= n:
-            raise ValueError(f"flush index k={k} outside [1, {n}]")
+        formula = flush_prob(n, k, q)  # refuses k outside [1, n]
     elif event not in (None, "cut"):
         raise ValueError(f"unknown --event {event!r}; use flush@K or cut")
     V, w = trace_table(n, q)
@@ -287,7 +285,6 @@ def cmd_oracle(args) -> int:
         )
     else:
         p = trace_order_sum(w, event_flag_matrix(V)["flush"][:, k - 1])
-        formula = flush_prob(n, k, q)
         _emit(
             {
                 "n": n,

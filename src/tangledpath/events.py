@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import alpha_cut_range, as_int, clamp01
+from ._util import alpha_cut_range, as_int, as_real, clamp01
 from .errors import CapabilityError
 from .mallows import InsertionTrace, _checked_positions, mallows_process
 
@@ -145,8 +145,7 @@ def b_value(n: int, q: float) -> int:
     """b(q) = ceil(8 log n / log(1/q)); finite only for 0 < q < 1."""
     if not 0.0 < q < 1.0:
         raise CapabilityError(f"b(q) is undefined at q={q}; needs 0 < q < 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int(n, "n", 1)
     return math.ceil(8.0 * math.log(n) / math.log(1.0 / q))
 
 
@@ -161,13 +160,8 @@ def sparse_flush_holds(
     threshold can never block a later match that some other selection would
     have allowed.
     """
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
     n = len(positions)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
+    b, ell, k = as_int(b, "b", 1), as_int(ell, "ell", 0), as_int(k, "k", 1, n)
     need = 1
     for t in range(k, min(k + ell, n) + 1):
         if positions[t - 1] <= need:
@@ -290,21 +284,17 @@ def flush_prob(n: int, k: int, q: float) -> float:
     q = 0 gives 1 (all v_i = 1 satisfy every flush); q = 1 is the telescoped
     limit k! (n-k)! / n!, evaluated through lgamma.
     """
-    n, k = as_int(n, "n"), as_int(k, "k")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    n = as_int(n, "n")
+    k = as_int(k, "k", 1, n)
+    as_real(q, "q", 0, 1)
     return clamp01(math.exp(_log_flush(n, k, q)))
 
 
 def reverse_flush_prob(n: int, k: int, q: float) -> float:
     """Pr[R_k] = q^{k(n-k)} * Pr[F_k], evaluated in log space."""
-    n, k = as_int(n, "n"), as_int(k, "k")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    n = as_int(n, "n")
+    k = as_int(k, "k", 1, n)
+    as_real(q, "q", 0, 1)
     if q == 0.0:
         return 1.0 if k == n else 0.0
     return clamp01(math.exp(_log_flush(n, k, q) + k * (n - k) * math.log(q)))
@@ -323,11 +313,9 @@ def cut_event_probs(n: int, k: int, q: float) -> tuple[float, float]:
     Pr[C_k^F] = Pr[F_k] * (1-q)/(1-q^k) by independence of v_k from later
     positions; Pr[C_k^R] = q^{k(n-k+1)-1} * Pr[C_k^F].
     """
-    n, k = as_int(n, "n"), as_int(k, "k")
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [2, {n - 1}]")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    n = as_int(n, "n")
+    k = as_int(k, "k", 2, n - 1)
+    as_real(q, "q", 0, 1)
     if q == 0.0:
         return 1.0, 0.0
     log_pf = _log_flush(n, k, q) + _log_pick_first(k, q)
@@ -350,8 +338,7 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
     - A(n) with A(m) = sum_{i<=m} log(1-q^i).
     """
     n, k_lo, k_hi = as_int(n, "n"), as_int(k_lo, "k_lo"), as_int(k_hi, "k_hi")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    as_real(q, "q", 0, 1)
     k_lo, k_hi = max(1, k_lo), min(n, k_hi)
     if k_lo > k_hi:
         return 0.0
@@ -384,8 +371,7 @@ def dilogarithm(x: float) -> float:
     Power series for x <= 1/2, the standard reflection through
     Li_2(x) + Li_2(1-x) = pi^2/6 - log(x) log(1-x) above.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"dilogarithm implemented on [0, 1]; got {x}")
+    as_real(x, "x", 0, 1)
     if x == 1.0:
         return _PI2_6
     if x > 0.5:
@@ -403,8 +389,7 @@ def dilogarithm(x: float) -> float:
 def euler_log_product(q: float) -> float:
     """sum_{i>=1} log(1 - q^i), truncated at the first |log(1-q^i)| below
     _EULER_TOL."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"needs 0 < q < 1; got q={q}")
+    as_real(q, "q", 0, 1, "()")
     total = 0.0
     i = 1
     while True:
@@ -425,10 +410,9 @@ def flush_log_bounds(n: int, k: int, q: float) -> tuple[float, float]:
     m = 0 (k = n) makes the event certain and the finite-size correction
     degenerate; the upper bound is +inf there.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"needs 0 < q < 1; got q={q}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
+    as_real(q, "q", 0, 1, "()")
+    n = as_int(n, "n")
+    k = as_int(k, "k", 1, n)
     logq = math.log(q)
     center = _PI2_6 / logq - 0.5 * math.log1p(-q)
     lower = center + q * logq / (6.0 * (1.0 - q))
@@ -442,10 +426,9 @@ def flush_log_bounds(n: int, k: int, q: float) -> tuple[float, float]:
 
 def flush_cheap_bound(n: int, k: int, q: float) -> float:
     """Upper bound exp(-q (1 - q^m) / (2(1-q))), m = min(k, n-k), on Pr[F_k]."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"needs 0 < q < 1; got q={q}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
+    as_real(q, "q", 0, 1, "()")
+    n = as_int(n, "n")
+    k = as_int(k, "k", 1, n)
     m = min(k, n - k)
     return clamp01(math.exp(-q * (1.0 - q**m) / (2.0 * (1.0 - q))))
 
@@ -469,6 +452,7 @@ def cut_prob_window(
     for interesting alpha; ``relaxed=True`` skips it explicitly and then only
     the upper end is claimed (lower is returned as None).
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     k_lo, k_hi = alpha_cut_range(n, alpha)
     if not k_lo <= k <= k_hi:
         raise CapabilityError(
@@ -509,14 +493,10 @@ class ThresholdWindow:
 
 
 def threshold_window(n: int, margin: float) -> ThresholdWindow:
-    if n < 16:
-        raise ValueError(f"threshold window needs n >= 16; got {n}")
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0; got {margin}")
+    n = as_int(n, "n", 16)
+    as_real(margin, "margin", 0)
     logn = math.log(n)
     llog = math.log(logn)
-    if llog <= 0:
-        raise ValueError(f"log log n = {llog} <= 0 at n={n}")
     denom_exist = logn - margin * llog
     if denom_exist <= 0:
         raise ValueError(
@@ -542,13 +522,11 @@ def bad_edge_classification(
     above i partition into A_i = {i+1 .. i+L : v > ell} (late-insertion
     candidates), B_i = the rest of that window, and C_i = {i+L+1 .. n}.
     """
-    positions, _ = _positions_of(trace)
+    sigma = mallows_process(trace)  # checks a raw sequence
+    positions = trace.positions if isinstance(trace, InsertionTrace) else tuple(trace)
     n = len(positions)
-    if not 1 <= i <= n:
-        raise ValueError(f"i={i} outside [1, {n}]")
-    if ell > L:
-        raise ValueError(f"ell={ell} exceeds L={L}")
-    sigma = mallows_process(positions)
+    i, ell = as_int(i, "i", 1, n), as_int(ell, "ell")
+    L = as_int(L, "L", ell)
     bad = sorted(
         (min(a, b), max(a, b))
         for a, b in zip(sigma.image, sigma.image[1:])
@@ -564,12 +542,9 @@ def bad_edge_classification(
 def janson_tail_bound(lam: float, mu: float, p_star: float) -> float:
     """Tail bound lam^{-1} (1-p_star)^{mu (lam - 1 - log lam)} for sums of
     independent geometrics with success probs >= p_star and mean mu."""
-    if lam < 1.0:
-        raise ValueError(f"lambda must be >= 1; got {lam}")
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0; got {mu}")
-    if not 0.0 < p_star <= 1.0:
-        raise ValueError(f"p_star must be in (0, 1]; got {p_star}")
+    as_real(lam, "lambda", 1)
+    as_real(mu, "mu", 0)
+    as_real(p_star, "p_star", 0, 1, "(]")
     exponent = mu * (lam - 1.0 - math.log(lam))
     if p_star == 1.0:
         power = 1.0 if exponent == 0.0 else 0.0
@@ -580,10 +555,8 @@ def janson_tail_bound(lam: float, mu: float, p_star: float) -> float:
 
 def chernoff_bound(mu: float, delta: float) -> float:
     """Poisson-style upper tail (e^delta / (1+delta)^{1+delta})^mu."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0; got {mu}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0; got {delta}")
+    as_real(mu, "mu", 0)
+    as_real(delta, "delta", 0, ends="(]")
     return clamp01(math.exp(mu * (delta - (1.0 + delta) * math.log1p(delta))))
 
 
@@ -596,14 +569,10 @@ def sparse_flush_bound(
     ell may exceed n; the event is then evaluated on the truncated window and
     the bound still applies.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"needs 0 < q < 1; got q={q}")
-    if b < 1:
-        raise ValueError(f"b must be >= 1; got {b}")
-    if lam < 1.0:
-        raise ValueError(f"lambda must be >= 1; got {lam}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    as_real(q, "q", 0, 1, "()")
+    b = as_int(b, "b", 1)
+    as_real(lam, "lambda", 1)
+    as_int(n, "n", 1)
     logq = math.log(q)
     log_1mqb = math.log(-math.expm1(b * logq))
     ell = lam * (b + q / (1.0 - q) + (math.log1p(-q) - log_1mqb) / logq)

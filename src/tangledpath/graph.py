@@ -125,9 +125,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
     This is where edge lists are validated: n is an integer, vertices lie in
     1..n, self-loops are refused; duplicate and reversed edges collapse.
     """
-    n = as_int(n, "vertex count")
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
+    n = as_int(n, "vertex count", 1)
     pairs = list(edges)
     e = as_int64(pairs, "edge endpoints").reshape(len(pairs), 2)
     u, v = e.T
@@ -188,9 +186,7 @@ def _bfs(csr: csr_matrix, sources) -> np.ndarray:
 def bfs_distances(g: TangledGraph, source: int) -> list[int]:
     """Hop distances from ``source`` (1-based), at index v-1 for vertex v;
     -1 marks unreachable vertices."""
-    source = as_int(source, "source")
-    if not 1 <= source <= g.n:
-        raise ValueError(f"source {source} outside 1..{g.n}")
+    source = as_int(source, "source", 1, g.n)
     d = _bfs(g._csr, source - 1)
     d[np.isinf(d)] = -1
     return d.astype(np.int64).tolist()

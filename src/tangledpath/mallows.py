@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import as_int64
+from ._util import as_int, as_int64, as_real
 from .errors import CapabilityError
 from .rng import GOLDEN, MASK64, derive_array, uniform_matrix
 
@@ -41,6 +41,13 @@ _DECODE_BLOCK = 512
 # ---------------------------------------------------------------------------
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields``, unchecked: for values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n} stored as its image sequence."""
@@ -53,13 +60,6 @@ class Permutation:
         if not np.array_equal(np.sort(img), np.arange(1, img.size + 1)):
             raise ValueError(f"not a permutation of 1..{img.size}: {self.image}")
 
-    @classmethod
-    def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
-        """A Permutation of an image that is one by construction, unchecked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "image", image)
-        return p
-
     @property
     def n(self) -> int:
         return len(self.image)
@@ -67,15 +67,11 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.image)
 
-    def at(self, i: int) -> int:
-        """Image of i (1-based)."""
-        return self.image[i - 1]
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.image)
         for pos, val in enumerate(self.image, 1):
             inv[val - 1] = pos
-        return Permutation(tuple(inv))
+        return _unchecked(Permutation, image=tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,7 @@ class InsertionTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", tuple(_checked_positions(self.positions)))
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q={self.q} outside [0, 1]")
+        as_real(self.q, "q", 0, 1)
 
     @property
     def n(self) -> int:
@@ -123,10 +118,8 @@ class TruncatedGeometric:
     q: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q={self.q} outside [0, 1]")
+        as_int(self.n, "n", 1)
+        as_real(self.q, "q", 0, 1)
 
     def pmf(self, j: int) -> float:
         if not 1 <= j <= self.n:
@@ -209,12 +202,9 @@ def sample_trace_matrix(
     result is the whole matrix's columns ``first ..`` bit for bit, and
     columns lo .. hi-1 are ``sample_trace_matrix(hi, q, seeds, lo)``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
-    if not 0 <= first < n:
-        raise ValueError(f"first={first} outside [0, {n - 1}]")
+    n = as_int(n, "n", 1)
+    as_real(q, "q", 0, 1)
+    first = as_int(first, "first", 0, n - 1)
     s = _seed_array(seeds)
     if first:  # word first + j of the stream is word j of seed + first * GOLDEN
         s = s + np.uint64(first * GOLDEN & MASK64)
@@ -227,7 +217,8 @@ def sample_trace(n: int, q: float, seed: int) -> InsertionTrace:
     and taken mod 2**64 there), with the seed recorded on the trace.  The
     same (n, q, seed) always yields the same trace.
     """
-    return InsertionTrace(sample_trace_matrix(n, q, [seed])[0], q, int(seed))
+    v = sample_trace_matrix(n, q, [seed])[0]
+    return _unchecked(InsertionTrace, positions=tuple(v.tolist()), q=q, seed=int(seed))
 
 
 def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permutation:
@@ -273,7 +264,7 @@ def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permu
         block.insert(k, i)
         if len(block) == 2 * _DECODE_BLOCK:
             blocks[j:j + 1] = [block[:_DECODE_BLOCK], block[_DECODE_BLOCK:]]
-    return Permutation._trusted(tuple(chain.from_iterable(blocks)))
+    return _unchecked(Permutation, image=tuple(chain.from_iterable(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +299,10 @@ def reverse(p: Permutation | Sequence[int]) -> Permutation:
 
     inv(sigma^R) = C(n, 2) - inv(sigma), so reversal swaps the roles of q and
     1/q under the Mallows measure; it is how process outputs r_n turn into
-    mu_{n,q} samples.
+    mu_{n,q} samples.  A raw sequence is checked to be a permutation.
     """
-    return Permutation(_image_of(p)[::-1])
+    img = (p if isinstance(p, Permutation) else Permutation(_image_of(p))).image
+    return _unchecked(Permutation, image=img[::-1])
 
 
 def standardize(window: Sequence[int]) -> Permutation:
@@ -319,7 +311,7 @@ def standardize(window: Sequence[int]) -> Permutation:
     if len(set(vals)) != len(vals):
         raise ValueError("window entries must be distinct")
     rank = {v: r for r, v in enumerate(sorted(vals), 1)}
-    return Permutation(tuple(rank[v] for v in vals))
+    return _unchecked(Permutation, image=tuple(rank[v] for v in vals))
 
 
 def contains_consecutively(
@@ -347,10 +339,8 @@ def log_partition_function(n: int, q: float) -> float:
 
     Accumulated in log space so large n never overflows.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    n = as_int(n, "n", 0)
+    as_real(q, "q", 0, 1)
     if q == 1.0:
         return math.lgamma(n + 1)
     if q == 0.0:
@@ -361,9 +351,9 @@ def log_partition_function(n: int, q: float) -> float:
 
 
 def partition_function(n: int, q: float) -> float:
+    logz = log_partition_function(n, q)
     if q == 1.0:
         return float(math.factorial(n)) if n <= 170 else math.inf
-    logz = log_partition_function(n, q)
     return math.inf if logz > 709.0 else math.exp(logz)
 
 
@@ -372,8 +362,7 @@ def mallows_pmf(p: Permutation | Sequence[int], q: float) -> float:
     A raw sequence is checked to be a permutation."""
     img = (p if isinstance(p, Permutation) else Permutation(p)).image
     n = len(img)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    as_real(q, "q", 0, 1)
     if q == 0.0:
         return 1.0 if img == tuple(range(1, n + 1)) else 0.0
     if q == 1.0:
@@ -393,8 +382,7 @@ def trace_table(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
         raise CapabilityError(
             f"exact trace enumeration supports n <= {ENUMERATION_CAP}, got n={n}"
         )
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int(n, "n", 1)
     V = np.indices(range(1, n + 1)).reshape(n, -1).T + 1
     w = np.ones(len(V))
     for i in range(n):
@@ -408,13 +396,12 @@ def enumerate_traces(
     """The rows of :func:`trace_table` one at a time, as (trace, weight)."""
     V, w = trace_table(n, q)
     for positions, weight in zip(V.tolist(), w):
-        yield InsertionTrace(positions, q), weight
+        yield _unchecked(InsertionTrace, positions=tuple(positions), q=q, seed=None), weight
 
 
 def tv_distance_to_uniform(k: int, q: float) -> float:
     """Total variation distance between the truncated geometric on {1..k} and uniform."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_int(k, "k", 1)
     dist = TruncatedGeometric(k, q)
     return 0.5 * sum(abs(dist.pmf(j) - 1.0 / k) for j in range(1, k + 1))
 
@@ -438,10 +425,9 @@ def displacement_samples(
     v_i .. v_n move value i: a batch samples those columns alone and scans
     them as a trace of length n - i + 1 at index 1, with the same result.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"index i={i} outside [1, {n}]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n = as_int(n, "n", 1)
+    i = as_int(i, "i", 1, n)
+    trials = as_int(trials, "trials", 1)
     out = np.empty(trials, dtype=np.int64)
     chunk = max(1, (1 << 20) // n)
     done = 0
@@ -463,6 +449,7 @@ def trace_displacements(v: np.ndarray, i: int) -> np.ndarray:
     rows; constructing sigma(i) directly would not.
     """
     n = v.shape[1]
+    i = as_int(i, "i", 1, n)
     p = v[:, i - 1].copy()
     for j in range(i + 1, n + 1):
         p += v[:, j - 1] <= p

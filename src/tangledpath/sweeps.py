@@ -45,7 +45,7 @@ from .events import (
     flush_prob,
     threshold_window,
 )
-from ._util import alpha_cut_range, trace_order_sum
+from ._util import alpha_cut_range, as_int, as_real, trace_order_sum
 from .graph import _edge_ends, build_tangled, diameter
 from .mallows import (
     mallows_process,
@@ -100,31 +100,23 @@ class SweepConfig:
             raise ValueError(
                 f"experiment {self.experiment!r} not one of {tuple(_EXPERIMENTS)}"
             )
-        if not self.n_list:
-            raise ValueError("n_list must be nonempty")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError("all n must be >= 1")
-        if self.experiment == "expansion" and 1 in self.n_list:
-            raise ValueError("expansion needs every n in n_list >= 2")
-        if not self.q_grid:
-            raise ValueError("q_grid must be nonempty")
+        for name in ("n_list", "q_grid", "k_fracs", "t_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        for n in self.n_list:  # the expansion cell bisects, so needs n >= 2
+            as_int(n, "n_list entry", 2 if self.experiment == "expansion" else 1)
         for q in self.q_grid:
-            if not isinstance(q, str) and not 0.0 <= q <= 1.0:
-                raise ValueError(f"q={q} outside [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be >= 1")
-        if not 0.5 < self.alpha < 1.0:
-            raise ValueError(f"alpha={self.alpha} outside (1/2, 1)")
-        if self.bisections < 1:
-            raise ValueError("bisections must be >= 1")
-        if not self.k_fracs or any(not 0.0 < f <= 1.0 for f in self.k_fracs):
-            raise ValueError(f"k_fracs {self.k_fracs} must lie in (0, 1]")
-        if not 0.0 < self.i_frac <= 1.0:
-            raise ValueError(f"i_frac={self.i_frac} outside (0, 1]")
-        if not self.t_list or any(t < 1 for t in self.t_list):
-            raise ValueError(f"t_list {self.t_list} must hold positive values")
+            if not isinstance(q, str):
+                as_real(q, "q", 0, 1)
+        as_int(self.trials, "trials", 1)
+        as_int(self.thread_count, "thread_count", 1)
+        alpha_cut_range(1, self.alpha)  # refuses alpha outside (1/2, 1)
+        as_int(self.bisections, "bisections", 1)
+        for f in self.k_fracs:
+            as_real(f, "k_fracs entry", 0, 1, "(]")
+        as_real(self.i_frac, "i_frac", 0, 1, "(]")
+        for t in self.t_list:
+            as_int(t, "t_list entry", 1)
         if self.exhaustive and self.experiment != "flush-validate":
             raise ValueError("exhaustive applies only to flush-validate")
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from ._util import balanced_at_most
+from ._util import alpha_cut_range, as_int, balanced_at_most
 from .errors import CapabilityError
 from .graph import TangledGraph, _cut_sides, _edge_ends
 
@@ -331,8 +331,7 @@ def _isoperimetric(g: TangledGraph, what: str, boundary) -> Fraction:
     """min over 0 < |S| <= n/2 of boundary(g, S) / |S|, as an exact rational."""
     n = g.n
     _require_small(n, what)
-    if n < 2:
-        raise ValueError("isoperimetric ratio needs at least 2 vertices")
+    as_int(n, "vertex count", 2)
     masks, sizes = _subset_tables(n)
     per_size = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(per_size, sizes, boundary(g, masks))
@@ -362,9 +361,8 @@ def unit_separator(g: TangledGraph, alpha: float) -> tuple[int, tuple[int, int]]
     parts are always {1..k-1} and {k+1..n}.  Returns None when no cut vertex
     qualifies.
     """
-    if not 0.5 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (1/2, 1)")
     n = g.n
+    alpha_cut_range(n, alpha)  # refuses alpha outside (1/2, 1)
     total = n - 1
     for k, sides in sorted(_cut_sides(g).items()):
         reach = 1  # bit a set: some of the components of g - k hold a vertices
@@ -381,8 +379,8 @@ def unit_separator(g: TangledGraph, alpha: float) -> tuple[int, tuple[int, int]]
 def boundary_subset_count(n: int, k: int) -> int:
     """Upper bound 2*C(n-1, k) on the number of vertex subsets of the path P_n
     whose edge boundary has exactly k edges."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} outside [1, {n - 1}]")
+    n = as_int(n, "n")
+    k = as_int(k, "k", 1, n - 1)
     return 2 * math.comb(n - 1, k)
 
 

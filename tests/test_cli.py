@@ -249,6 +249,24 @@ def test_oracle_refuses_large_n(capsys):
     assert code == 3 and "refused" in err
 
 
+def test_oracle_refuses_flush_index_beyond_n(capsys):
+    for event in ("flush@9", "flush@0", "flush@-1"):
+        code, out, err = run(capsys, "oracle", "enumerate", "--n", "4", "--q", "0.5",
+                             "--event", event)
+        assert code == 2 and out == "" and f"k={event[6:]} outside" in err, (event, err)
+
+
+def test_sweep_nan_margin_is_a_config_error_before_any_cell(capsys, tmp_path, monkeypatch):
+    import tangledpath.sweeps as sweeps
+
+    monkeypatch.setattr(sweeps, "_run_cell", lambda *a: pytest.fail("a cell ran"))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("experiment = separator\nn_list = 100\nq_grid = critical+nanmargin\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: margin=nan outside") and "cell" not in err
+
+
 def test_sweep_writes_csv_and_json(capsys, tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(

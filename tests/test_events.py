@@ -42,7 +42,10 @@ from tangledpath import (
     sparse_flush_holds,
     threshold_window,
 )
+import tangledpath as tp
 import tangledpath.events as events
+from tangledpath._util import as_real, clamp01
+from tangledpath.mallows import trace_displacements
 from tangledpath.rng import SplitMix64, derive, derive_array
 from tangledpath.sweeps import _BLOCK_ENTRIES
 from conftest import (
@@ -435,28 +438,129 @@ def test_q1_reverse_and_cut_probs_equal_exactly():
                 assert pf == pr, (n, k)
 
 
-def test_probabilities_refuse_non_integer_sizes():
-    """A fractional or bool n, k, k_lo or k_hi belongs to no graph: it is
-    refused, not used as a real number; numpy integers pass."""
-    calls = [
-        ("n", lambda x: flush_prob(x, 3, 0.5)),
-        ("k", lambda x: flush_prob(10, x, 0.5)),
-        ("n", lambda x: reverse_flush_prob(x, 3, 0.5)),
-        ("k", lambda x: reverse_flush_prob(10, x, 0.5)),
-        ("n", lambda x: cut_event_probs(x, 3, 0.5)),
-        ("k", lambda x: cut_event_probs(10, x, 0.5)),
-        ("n", lambda x: expected_cuts_in_range(x, 0.5, 2, 7)),
-        ("k_lo", lambda x: expected_cuts_in_range(10, 0.5, x, 7)),
-        ("k_hi", lambda x: expected_cuts_in_range(10, 0.5, 2, x)),
-    ]
+_P = (1, 1, 2, 1, 3, 2, 5, 4)  # a valid trace for the sequence-taking entry points
+_SIZE_CALLS = [
+    # (parameter name, call with that parameter set to x, a valid x)
+    ("n", lambda x: flush_prob(x, 3, 0.5), 10),
+    ("k", lambda x: flush_prob(10, x, 0.5), 3),
+    ("n", lambda x: reverse_flush_prob(x, 3, 0.5), 10),
+    ("k", lambda x: reverse_flush_prob(10, x, 0.5), 3),
+    ("n", lambda x: cut_event_probs(x, 3, 0.5), 10),
+    ("k", lambda x: cut_event_probs(10, x, 0.5), 3),
+    ("n", lambda x: expected_cuts_in_range(x, 0.5, 2, 7), 10),
+    ("k_lo", lambda x: expected_cuts_in_range(10, 0.5, x, 7), 2),
+    ("k_hi", lambda x: expected_cuts_in_range(10, 0.5, 2, x), 7),
+    ("n", lambda x: sample_trace_matrix(x, 0.5, [1, 2]), 6),
+    ("first", lambda x: sample_trace_matrix(9, 0.5, [1, 2], x), 3),
+    ("n", lambda x: tp.sample_trace(x, 0.5, 7), 6),
+    ("n", lambda x: tp.TruncatedGeometric(x, 0.5), 4),
+    ("n", lambda x: tp.log_partition_function(x, 0.5), 6),
+    ("n", lambda x: tp.partition_function(x, 1.0), 6),
+    ("n", lambda x: tp.trace_table(x, 0.5), 4),
+    ("k", lambda x: tp.tv_distance_to_uniform(x, 0.5), 6),
+    ("n", lambda x: tp.displacement_samples(x, 0.5, 3, 10, 1), 8),
+    ("i", lambda x: tp.displacement_samples(8, 0.5, x, 10, 1), 3),
+    ("trials", lambda x: tp.displacement_samples(8, 0.5, 3, x, 1), 10),
+    ("i", lambda x: trace_displacements(np.ones((2, 8), dtype=np.int64), x), 3),
+    ("n", lambda x: b_value(x, 0.5), 100),
+    ("n", lambda x: flush_log_bounds(x, 3, 0.5), 10),
+    ("k", lambda x: flush_log_bounds(10, x, 0.5), 3),
+    ("n", lambda x: flush_cheap_bound(x, 3, 0.5), 10),
+    ("k", lambda x: flush_cheap_bound(10, x, 0.5), 3),
+    ("n", lambda x: threshold_window(x, 1.0), 100),
+    ("n", lambda x: cut_prob_window(x, 40, 0.5, 2 / 3, relaxed=True), 100),
+    ("k", lambda x: cut_prob_window(100, x, 0.5, 2 / 3, relaxed=True), 40),
+    ("n", lambda x: sparse_flush_bound(x, 2, 0.5, 2.0), 10),
+    ("b", lambda x: sparse_flush_bound(10, x, 0.5, 2.0), 2),
+    ("k", lambda x: sparse_flush_holds(_P, x, 2, 3), 2),
+    ("b", lambda x: sparse_flush_holds(_P, 2, x, 3), 2),
+    ("ell", lambda x: sparse_flush_holds(_P, 2, 2, x), 3),
+    ("k", lambda x: detect_events(InsertionTrace(_P, 0.5), sparse=[(x, 2, 3)]), 2),
+    ("i", lambda x: bad_edge_classification(_P, x, 1, 2), 3),
+    ("ell", lambda x: bad_edge_classification(_P, 3, x, 4), 1),
+    ("L", lambda x: bad_edge_classification(_P, 3, 1, x), 2),
+    ("vertex count", lambda x: tp.make_graph(x, [(1, 2)]), 3),
+    ("source", lambda x: tp.bfs_distances(tp.make_graph(3, [(1, 2), (2, 3)]), x), 2),
+    ("n", lambda x: tp.boundary_subset_count(x, 2), 6),
+    ("k", lambda x: tp.boundary_subset_count(6, x), 2),
+    ("n_list entry", lambda x: tp.SweepConfig("separator", (x,), (0.5,)), 10),
+    ("trials", lambda x: tp.SweepConfig("separator", (10,), (0.5,), trials=x), 10),
+    ("thread_count", lambda x: tp.SweepConfig("separator", (10,), (0.5,), thread_count=x), 2),
+    ("bisections", lambda x: tp.SweepConfig("expansion", (10,), (0.5,), bisections=x), 4),
+    ("t_list entry", lambda x: tp.SweepConfig("displacement", (10,), (0.5,), t_list=(x,)), 2),
+]
+
+
+def _ids(table) -> list[str]:
+    """'<function>-<parameter>' for each row, the function read off the call."""
+    return [f"{next(f for f in call.__code__.co_names if f != 'tp')}-{name}"
+            for name, call, _ in table]
+
+
+@pytest.mark.parametrize("name, call, good", _SIZE_CALLS, ids=_ids(_SIZE_CALLS))
+def test_probabilities_refuse_non_integer_sizes(name, call, good):
+    """A fractional or bool size or index belongs to no graph: every public
+    entry point refuses it with ValueError, not using it as a real number;
+    numpy integers pass and give what the int gives."""
     for bad in (5.5, 5.0, np.float64(5.0), True):
-        for name, call in calls:
-            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-                call(bad)
-    assert flush_prob(np.int64(10), np.int32(3), 0.5) == flush_prob(10, 3, 0.5)
-    assert expected_cuts_in_range(np.int64(10), 0.5, np.int64(2), np.uint8(7)) == (
-        expected_cuts_in_range(10, 0.5, 2, 7)
-    )
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(bad)
+    np.testing.assert_equal(call(np.int64(good)), call(good))
+    np.testing.assert_equal(call(np.uint8(good)), call(good))
+
+
+_NAN = float("nan")
+_REAL_CALLS = [
+    # (parameter name, call with that parameter set to x, values it refuses:
+    # NaN, one beyond each end, and each open end itself)
+    ("q", lambda x: sample_trace_matrix(5, x, [1]), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: InsertionTrace([1, 2], x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: tp.TruncatedGeometric(3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: tp.log_partition_function(3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: tp.mallows_pmf((2, 1), x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: flush_prob(10, 3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: reverse_flush_prob(10, 3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: cut_event_probs(10, 3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: expected_cuts_in_range(10, x, 2, 7), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: tp.SweepConfig("separator", (10,), (x,)), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: euler_log_product(x), (_NAN, 0.0, 1.0)),
+    ("q", lambda x: flush_log_bounds(10, 3, x), (_NAN, 0.0, 1.0)),
+    ("q", lambda x: flush_cheap_bound(10, 3, x), (_NAN, 0.0, 1.0)),
+    ("q", lambda x: sparse_flush_bound(10, 2, x, 2.0), (_NAN, 0.0, 1.0)),
+    ("x", lambda x: dilogarithm(x), (_NAN, -0.1, 1.1)),
+    ("alpha", lambda x: expected_cuts(10, 0.5, x), (_NAN, 0.5, 1.0, 0.4)),
+    ("alpha", lambda x: tp.unit_separator(tp.make_graph(3, [(1, 2)]), x), (_NAN, 0.5, 1.0)),
+    ("alpha", lambda x: tp.SweepConfig("separator", (10,), (0.5,), alpha=x), (_NAN, 0.5, 1.0)),
+    ("margin", lambda x: threshold_window(100, x), (_NAN, -1.0)),
+    ("lambda", lambda x: sparse_flush_bound(10, 2, 0.5, x), (_NAN, 0.5)),
+    ("lambda", lambda x: janson_tail_bound(x, 1.0, 0.5), (_NAN, 0.5)),
+    ("mu", lambda x: janson_tail_bound(2.0, x, 0.5), (_NAN, -1.0)),
+    ("p_star", lambda x: janson_tail_bound(2.0, 1.0, x), (_NAN, 0.0, 1.5)),
+    ("mu", lambda x: chernoff_bound(x, 1.0), (_NAN, -1.0)),
+    ("delta", lambda x: chernoff_bound(1.0, x), (_NAN, 0.0, -1.0)),
+    ("i_frac", lambda x: tp.SweepConfig("displacement", (10,), (0.5,), i_frac=x), (_NAN, 0.0, 1.2)),
+    ("k_fracs entry", lambda x: tp.SweepConfig("flush-validate", (10,), (0.5,), k_fracs=(x,)),
+     (_NAN, 0.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("name, call, bad", _REAL_CALLS, ids=_ids(_REAL_CALLS))
+def test_real_parameters_refuse_nan_and_out_of_range(name, call, bad):
+    for x in bad:
+        with pytest.raises(ValueError, match=f"^{name}={x} outside "):
+            call(x)
+
+
+def test_real_check_keeps_the_value_and_its_type():
+    """The real-range check hands its value back as given: a float32 q stays
+    one on the trace, and a closed end is accepted."""
+    q = np.float32(0.5)
+    assert InsertionTrace([1, 2], q).q is q
+    assert as_real(q, "q", 0, 1) is q
+    assert as_real(1.0, "p_star", 0, 1, "(]") == 1.0
+    assert janson_tail_bound(2.0, 1.0, 1.0) == 0.0
+    with pytest.raises(ValueError, match="^probability is NaN$"):
+        clamp01(_NAN)
 
 
 def test_expected_cuts_range_identities():

@@ -149,6 +149,27 @@ def test_bools_among_ints_are_refused():
     assert Permutation([2, np.int64(1)]).image == (2, 1)
 
 
+def test_unchecked_values_equal_checked_ones():
+    """Traces and permutations built without the checks, because they are
+    valid by construction, compare, hash and print like the same values
+    built through the checked constructors."""
+    def same(built, checked):
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+
+    for n, q, seed in ((1, 0.5, 3), (12, 0.3, 2**64 + 5), (40, 1.0, np.uint64(9))):
+        t = sample_trace(n, q, seed)
+        same(t, InsertionTrace(t.positions, q, int(seed)))
+        sigma = mallows_process(t)
+        same(sigma, Permutation(sigma.image))
+        same(sigma.inverse(), Permutation(sigma.inverse().image))
+        same(reverse(sigma), Permutation(sigma.image[::-1]))
+        same(reverse(list(sigma.image)), reverse(sigma))
+        same(standardize([10 * x for x in sigma.image]), sigma)
+    for trace, _ in enumerate_traces(4, 0.5):
+        same(trace, InsertionTrace(list(trace.positions), 0.5))
+
+
 def test_inversions_and_reverse():
     assert inversions((1, 2, 3)) == 0
     assert inversions((3, 2, 1)) == 3
