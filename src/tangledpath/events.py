@@ -141,6 +141,15 @@ def _flag_block(v: np.ndarray, first: int, tail: tuple, out: list) -> tuple:
     return left_tail
 
 
+def _fold_tail(v: np.ndarray, first: int, tail: tuple | None) -> tuple:
+    """event_flag_matrix(v, first, tail)["tail"], the pair (min of i - v_i, min
+    of v_i) per row, without the flags; overwrites ``v`` with i - v_i."""
+    low_v = v.min(axis=1)
+    np.subtract(np.arange(first + 1, first + v.shape[1] + 1, dtype=np.int64), v, out=v)
+    tail_d, tail_v = tail or (_NO_TAIL, _NO_TAIL)
+    return np.minimum(v.min(axis=1), tail_d), np.minimum(low_v, tail_v)
+
+
 def b_value(n: int, q: float) -> int:
     """b(q) = ceil(8 log n / log(1/q)); finite only for 0 < q < 1."""
     if not 0.0 < q < 1.0:
@@ -351,10 +360,15 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
         log_pf = log_flush - np.log(ks)
         return float(2.0 * np.exp(log_pf).sum())
     logq = math.log(q)
-    prefix = np.concatenate(
-        [[0.0], np.cumsum(_log1m_qpow(np.arange(1, n + 1, dtype=np.float64), logq))]
-    )
-    log_flush = prefix[ks] + prefix[n - ks] - prefix[n]
+    # np.cumsum adds the shrinking terms |log(1 - q^i)| <= 2 q^i in order, so
+    # past the first within a quarter ulp of the sum (i <= m) the sum stays put.
+    m = min(n, math.ceil((math.log(-math.log1p(-q)) - 56 * math.log(2.0)) / logq) + 2)
+    prefix = np.arange(m + 1, dtype=np.float64)
+    np.cumsum(_log1m_qpow(prefix[1:], logq), out=prefix[1:])
+    if m < n:
+        terms = _log1m_qpow(np.arange(1, m + 1, dtype=np.float64), logq)
+        prefix = prefix[: np.flatnonzero(-terms <= np.spacing(-prefix[:-1]) / 4)[0] + 1]
+    log_flush = prefix.take(ks, mode="clip") + prefix.take(n - ks, mode="clip") - prefix[-1]
     log_pf = log_flush + math.log1p(-q) - _log1m_qpow(ks.astype(np.float64), logq)
     log_pr = log_pf + (ks * (n - ks + 1) - 1) * logq
     return float(np.exp(log_pf).sum() + np.exp(log_pr).sum())

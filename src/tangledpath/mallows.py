@@ -273,7 +273,8 @@ def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permu
 
 
 def _image_of(p: Permutation | Sequence[int]) -> tuple[int, ...]:
-    return p.image if isinstance(p, Permutation) else tuple(int(x) for x in p)
+    img = p.image if isinstance(p, Permutation) else as_int64(p, "permutation entries").tolist()
+    return tuple(img)
 
 
 def inversions(p: Permutation | Sequence[int]) -> int:
@@ -301,7 +302,7 @@ def reverse(p: Permutation | Sequence[int]) -> Permutation:
     1/q under the Mallows measure; it is how process outputs r_n turn into
     mu_{n,q} samples.  A raw sequence is checked to be a permutation.
     """
-    img = (p if isinstance(p, Permutation) else Permutation(_image_of(p))).image
+    img = (p if isinstance(p, Permutation) else Permutation(p)).image
     return _unchecked(Permutation, image=img[::-1])
 
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import as_int
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
@@ -79,6 +81,7 @@ def derive_array(seed: int, parts: np.ndarray) -> np.ndarray:
 
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start+1 .. start+count`` of the SplitMix64 stream for ``seed``."""
+    start, count = as_int(start, "start", 0), as_int(count, "count", 0)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     counters = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)
     return mix64_array(counters)
@@ -87,6 +90,7 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
 def uniform_matrix(seeds: np.ndarray, ncols: int) -> np.ndarray:
     """Row r holds the first ``ncols`` uniforms in [0, 1) of stream ``seeds[r]``,
     mixed in one buffer whose scratch becomes the float64 result."""
+    ncols = as_int(ncols, "ncols", 0)
     steps = np.arange(1, ncols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     words = np.add(seeds.astype(np.uint64, copy=False)[:, None], steps, dtype=np.uint64)
     out = np.empty(words.shape, dtype=np.float64)

@@ -40,6 +40,7 @@ import numpy as np
 from . import __version__
 from .errors import StatisticalCheckError
 from .events import (
+    _fold_tail,
     event_flag_matrix,
     expected_cuts_in_range,
     flush_prob,
@@ -366,13 +367,13 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # build_tangled and diameter through this module's globals, so a caller can
 # wrap them here.
 #
-# The separator and sampled flush-validate cells read only event flags, and
-# only from some column k - 1 on.  Their trials walk each chunk through
-# _flag_blocks: right to left in column blocks of about _BLOCK_ENTRIES trace
-# entries, each sampled and flagged while still in cache, with the tail pair
-# of minima carried across block edges and nothing sampled left of the first
-# column the cell reads.  Their outputs equal the whole-matrix route's; the
-# blocking keeps a chunk's working set in cache and its memory flat in n.
+# The separator and sampled flush-validate cells read only the event flags of
+# indices k_lo .. k_hi (or min(ks) .. max(ks)).  Their trials walk each chunk
+# through _flag_blocks: right to left in column blocks of about _BLOCK_ENTRIES
+# trace entries, each sampled and flagged (or, right of the last index read,
+# folded) while in cache, with the tail pair of minima carried across block
+# edges and nothing sampled left of the first index read.  Their outputs equal
+# the whole-matrix route's; the blocking keeps memory flat in n.
 # The other cells build graphs or scan whole traces and take the whole matrix.
 
 _Run = Callable[[Callable[[np.ndarray], np.ndarray]], np.ndarray]
@@ -384,15 +385,20 @@ _CellStats = tuple[int, list[tuple[str, float, float | None, float | None]]]
 _BLOCK_ENTRIES = 2**16
 
 
-def _flag_blocks(n: int, q: float, seeds: np.ndarray, first: int):
+def _flag_blocks(n: int, q: float, seeds: np.ndarray, first: int, last: int):
     """Yield (lo, flags) for column blocks of the traces of ``seeds``, from
     the right end down to column ``first``: flags is event_flag_matrix of
-    columns lo .. of the block, so its column j is index k = lo + j + 1."""
+    columns lo .. of the block, so its column j is index k = lo + j + 1.  A
+    block holding no index up to ``last`` is only folded into the tail pair."""
     width = max(1, _BLOCK_ENTRIES // len(seeds))
     tail = None
     for hi in range(n, first, -width):
         lo = max(first, hi - width)
-        flags = event_flag_matrix(sample_trace_matrix(hi, q, seeds, lo), lo, tail)
+        v = sample_trace_matrix(hi, q, seeds, lo)
+        if lo >= last:
+            tail = _fold_tail(v, lo, tail)
+            continue
+        flags = event_flag_matrix(v, lo, tail)
         yield lo, flags
         tail = flags["tail"]
 
@@ -411,8 +417,8 @@ def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
 
     def trial_fn(seeds: np.ndarray) -> np.ndarray:
         counts = np.zeros(len(seeds), dtype=np.int64)
-        for lo, flags in _flag_blocks(n, q, seeds, k_lo - 1):
-            counts += flags["cut"][:, : max(k_hi - lo, 0)].sum(axis=1)
+        for lo, flags in _flag_blocks(n, q, seeds, k_lo - 1, k_hi):
+            counts += flags["cut"][:, : k_hi - lo].sum(axis=1)
         return counts
 
     counts = run(trial_fn)
@@ -438,7 +444,7 @@ def _flush_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
 
     def trial_fn(seeds: np.ndarray) -> np.ndarray:
         out = np.empty((len(seeds), len(ks)), dtype=bool)
-        for lo, flags in _flag_blocks(n, q, seeds, ks[0] - 1):
+        for lo, flags in _flag_blocks(n, q, seeds, ks[0] - 1, ks[-1]):
             flush = flags["flush"]
             for j, k in enumerate(ks):
                 if lo < k <= lo + flush.shape[1]:

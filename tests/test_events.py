@@ -8,6 +8,7 @@ analytic bound against the exact quantity it claims to bracket.
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from tangledpath import (
 )
 import tangledpath as tp
 import tangledpath.events as events
-from tangledpath._util import as_real, clamp01
+from tangledpath._util import alpha_cut_range, as_real, clamp01
 from tangledpath.mallows import trace_displacements
 from tangledpath.rng import SplitMix64, derive, derive_array
 from tangledpath.sweeps import _BLOCK_ENTRIES
@@ -101,7 +102,8 @@ def _traces_and_flags(n, q):
 @settings(max_examples=60, deadline=None)
 def test_flag_matrix_block_chain_matches_one_call(data):
     """event_flag_matrix over a right-to-left chain of column blocks, each
-    passed the tail of the block to its right, gives the one-call flags."""
+    passed the tail of the block to its right, gives the one-call flags; and
+    _fold_tail gives each block's tail pair without the flags."""
     n = data.draw(st.sampled_from([1, 2, _B - 1, _B, _B + 1, 3 * _B + 5]))
     qs = [0.0, 0.5, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
     q = data.draw(st.sampled_from(qs))
@@ -113,6 +115,8 @@ def test_flag_matrix_block_chain_matches_one_call(data):
         flags = event_flag_matrix(v[:, lo:hi], lo, tail)
         for key in ("flush", "reverse_flush", "cut_forward", "cut_reverse", "cut"):
             assert np.array_equal(flags[key], whole[key][:, lo:hi]), (key, lo, hi)
+        folded = events._fold_tail(v[:, lo:hi].copy(), lo, tail)
+        assert all(np.array_equal(a, b) for a, b in zip(folded, flags["tail"])), (lo, hi)
         tail = flags["tail"]
     d = np.arange(1, n + 1) - v
     assert np.array_equal(tail[0], d.min(axis=1)) and np.array_equal(tail[1], v.min(axis=1))
@@ -476,6 +480,10 @@ _SIZE_CALLS = [
     ("b", lambda x: sparse_flush_holds(_P, 2, x, 3), 2),
     ("ell", lambda x: sparse_flush_holds(_P, 2, 2, x), 3),
     ("k", lambda x: detect_events(InsertionTrace(_P, 0.5), sparse=[(x, 2, 3)]), 2),
+    ("start", lambda x: tp.stream_u64(1, x, 3), 2),
+    ("count", lambda x: tp.stream_u64(1, 0, x), 3),
+    ("count", lambda x: tp.SplitMix64(1).uniforms(x), 3),
+    ("ncols", lambda x: tp.uniform_matrix(np.array([1, 2], dtype=np.uint64), x), 3),
     ("i", lambda x: bad_edge_classification(_P, x, 1, 2), 3),
     ("ell", lambda x: bad_edge_classification(_P, 3, x, 4), 1),
     ("L", lambda x: bad_edge_classification(_P, 3, 1, x), 2),
@@ -584,6 +592,50 @@ def test_expected_cuts_q1_route():
     k_lo, k_hi = 10, 20
     direct = sum(sum(cut_event_probs(n, k, 1.0)) for k in range(k_lo, k_hi + 1))
     assert expected_cuts_in_range(n, 1.0, k_lo, k_hi) == pytest.approx(direct, rel=1e-10)
+
+
+def _full_prefix_cuts(n, q, k_lo, k_hi):
+    """expected_cuts_in_range at 0 < q < 1 through the whole n-length prefix
+    sum of log(1 - q^i), with no stop where the sum stalls."""
+    ks, logq = np.arange(k_lo, k_hi + 1, dtype=np.int64), math.log(q)
+    terms = events._log1m_qpow(np.arange(1, n + 1, dtype=np.float64), logq)
+    prefix = np.concatenate([[0.0], np.cumsum(terms)])
+    log_pf = (prefix[ks] + prefix[n - ks] - prefix[n] + math.log1p(-q)
+              - events._log1m_qpow(ks.astype(np.float64), logq))
+    log_pr = log_pf + (ks * (n - ks + 1) - 1) * logq
+    return float(np.exp(log_pf).sum() + np.exp(log_pr).sum())
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000, 65_537, 10**6])
+def test_expected_cuts_prefix_stop_changes_no_bit(n):
+    """Stopping the prefix sum where its terms no longer move it gives the
+    whole prefix's value bit for bit, on both sides of the threshold and at
+    q where it never stalls."""
+    qs = [0.3, 0.9, 1 - 1 / (n * math.log(n)), 0.999999]
+    if n >= 16:
+        qs.append(threshold_window(n, 0.0).q_critical)
+    for q in qs:
+        for alpha in (2 / 3, 0.55):
+            k_lo, k_hi = alpha_cut_range(n, alpha)
+            k_lo, k_hi = max(k_lo, 2), min(k_hi, n - 1)
+            if k_lo <= k_hi:
+                got = expected_cuts_in_range(n, q, k_lo, k_hi)
+                assert repr(got) == repr(_full_prefix_cuts(n, q, k_lo, k_hi)), (q, alpha)
+
+
+def test_expected_cuts_prefix_memory_stops_with_the_sum():
+    """At q = 0.9 the prefix stalls near i = 350, so one call at n = 10^6
+    builds no n-length prefix: its peak stays under 20 MB, where the whole
+    prefix took 25 MB."""
+    n, q = 10**6, 0.9
+    k_lo, k_hi = alpha_cut_range(n, 2 / 3)
+    tracemalloc.start()
+    try:
+        expected_cuts_in_range(n, q, k_lo, k_hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # --- analytic bounds ---

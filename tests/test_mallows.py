@@ -137,6 +137,23 @@ def test_permutation_validation():
     assert p.inverse().image == (2, 3, 1)
 
 
+def test_raw_sequence_statistics_refuse_non_integer_entries():
+    """reverse, inversions, contains_consecutively and format_permutation read
+    a raw sequence as permutation entries: 2.5 and True are refused, not
+    truncated, and integer sequences give what their Permutation gives."""
+    calls = (reverse, inversions, format_permutation,
+             lambda p: contains_consecutively(p, (1,)), lambda p: contains_consecutively((1,), p))
+    for bad in ([2.5, 1], [True, 2], np.array([2.0, 1.0])):
+        for call in calls:
+            with pytest.raises(ValueError, match="permutation entries must be integers"):
+                call(bad)
+    p = Permutation((3, 1, 4, 2))
+    for raw in ([3, 1, 4, 2], np.array([3, 1, 4, 2]), (np.int32(3), 1, 4, 2)):
+        assert reverse(raw) == reverse(p) and inversions(raw) == inversions(p) == 3
+        assert format_permutation(raw) == format_permutation(p) == "σ = 3 1 4 2"
+        assert contains_consecutively(raw, (2, 1)) == contains_consecutively(p, (2, 1)) == 1
+
+
 def test_bools_among_ints_are_refused():
     """numpy reads a bool among ints as an int, so (True, 2) would pass as
     the permutation (1, 2) and (1, True) as a trace; both are refused."""

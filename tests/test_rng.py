@@ -1,6 +1,7 @@
 """Counter-mode SplitMix64 stream: frozen vectors, splitting, vectorization."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from tangledpath.rng import (
@@ -41,6 +42,16 @@ def test_uniforms_in_unit_interval():
     us = gen.uniforms(1000)
     assert us.min() >= 0.0 and us.max() < 1.0
     assert abs(us.mean() - 0.5) < 0.05
+
+
+def test_counts_below_zero_are_refused_before_the_stream_moves():
+    gen = SplitMix64(7)
+    for call in (lambda: stream_u64(7, -1, 3), lambda: stream_u64(7, 0, -1),
+                 lambda: gen.uniforms(-1), lambda: gen.uniforms(2.5),
+                 lambda: uniform_matrix(np.array([7], dtype=np.uint64), -1)):
+        with pytest.raises(ValueError, match="(start|count|ncols)"):
+            call()
+    assert gen.counter == 0 and gen.uniform() == SplitMix64(7).uniform()
 
 
 def test_uniform_matrix_rows_are_per_seed_streams():

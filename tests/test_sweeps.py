@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -446,16 +447,20 @@ def _cell_trials(cfg, n, q):
     return data[0]
 
 
-def _whole_flags(cfg, n, q):
+def _whole_matrix(cfg, n, q):
     seeds = derive_array(derive(cfg.master_seed, 0), np.arange(cfg.trials, dtype=np.uint64))
-    return event_flag_matrix(sample_trace_matrix(n, q, seeds))
+    return sample_trace_matrix(n, q, seeds)
+
+
+def _whole_flags(cfg, n, q):
+    return event_flag_matrix(_whole_matrix(cfg, n, q))
 
 
 def _edge_width(gap, offset):
     """A block width w that splits ``gap`` columns into gap = j*w + offset
-    with j >= 2: offset 0 puts the walk's first column on a block edge, 1 one
-    column left of an edge and -1 one column right of one."""
-    return next(w for w in range(gap // 3, 2, -1) if (gap - offset) % w == 0)
+    with j >= 2: offset 0 puts index n - gap of the right-to-left walk on a
+    block edge, 1 one column left of an edge and -1 one column right of one."""
+    return next(w for w in range(gap // 2, 2, -1) if (gap - offset) % w == 0)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -463,24 +468,80 @@ def _edge_width(gap, offset):
 def test_streamed_cells_match_whole_matrix(monkeypatch, threads, offset):
     """Per-trial separator counts and flush-validate columns equal the
     whole-matrix route's, with the first column read (k_lo - 1, or
-    min(ks) - 1) one before, on and one after a block edge."""
+    min(ks) - 1) one before, on and one after a block edge, and then the last
+    index counted (k_hi, or max(ks)), right of which blocks are only folded
+    into the tail pair."""
     n, rows = 1000, 64  # 128 trials make two chunks of 64 traces
-    for q in (0.5, 0.75):
+    for q in (0.0, 0.5, 0.75, 1.0, 1 - 1 / (n * math.log(n))):
         cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], trials=2 * rows,
                           master_seed=9, thread_count=threads)
         k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
-        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - k_lo + 1, offset))
         want = _whole_flags(cfg, n, q)["cut"][:, k_lo - 1 : k_hi].sum(axis=1)
-        assert want.any()
-        assert np.array_equal(_cell_trials(cfg, n, q), want)
+        assert want.any() or q > 0.9
+        for gap in (n - k_lo + 1, n - k_hi):
+            monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(gap, offset))
+            assert np.array_equal(_cell_trials(cfg, n, q), want), (q, gap)
 
-        cfg = dataclasses.replace(cfg, experiment="flush-validate", k_fracs=(0.35, 0.5, 0.75))
-        ks = (350, 500, 750)
-        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - ks[0] + 1, offset))
-        got, flush = _cell_trials(cfg, n, q), _whole_flags(cfg, n, q)["flush"]
-        assert got.shape == (2 * rows, len(ks))
-        for j, k in enumerate(ks):
-            assert np.array_equal(got[:, j], flush[:, k - 1])
+        cfg = dataclasses.replace(cfg, experiment="flush-validate", k_fracs=(0.35, 0.5, 0.7))
+        ks = (350, 500, 700)
+        flush = _whole_flags(cfg, n, q)["flush"]
+        for gap in (n - ks[0] + 1, n - ks[-1]):
+            monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(gap, offset))
+            got = _cell_trials(cfg, n, q)
+            assert got.shape == (2 * rows, len(ks))
+            for j, k in enumerate(ks):
+                assert np.array_equal(got[:, j], flush[:, k - 1]), (q, gap, k)
+
+
+def test_streamed_cells_carry_the_tail_at_q_one(monkeypatch):
+    """At q = 1 the columns right of the last index counted kill flushes that
+    a trace cut off there shows, so both cells' counts depend on the tail
+    pair folded from those columns: they equal the whole matrix's and differ
+    from the cut-off trace's."""
+    rows = 64
+    monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * 2)
+    cfg = make_config(experiment="separator", n_list=[12], q_grid=[1.0], trials=2 * rows,
+                      master_seed=9)
+    k_lo, k_hi = alpha_cut_range(12, cfg.alpha)
+    v = _whole_matrix(cfg, 12, 1.0)
+    whole, cut_off = (event_flag_matrix(w)["cut"][:, k_lo - 1 : k_hi].sum(axis=1)
+                      for w in (v, v[:, :k_hi]))
+    assert np.array_equal(_cell_trials(cfg, 12, 1.0), whole)
+    assert not np.array_equal(whole, cut_off)
+
+    monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * 40)
+    cfg = dataclasses.replace(cfg, experiment="flush-validate", n_list=(1000,), k_fracs=(0.5, 0.75))
+    v = _whole_matrix(cfg, 1000, 1.0)
+    whole = event_flag_matrix(v)["flush"][:, [499, 749]]
+    cut_off = event_flag_matrix(v[:, :750])["flush"][:, [499, 749]]
+    assert np.array_equal(_cell_trials(cfg, 1000, 1.0), whole)
+    assert cut_off[:, 1].all() and not whole[:, 1].any()
+
+
+def test_separator_flags_only_blocks_holding_a_counted_index(monkeypatch):
+    """Every column range event_flag_matrix gets in a separator cell holds an
+    index in k_lo .. k_hi; the blocks right of k_hi, here one starting right
+    after it, are sampled, not flagged."""
+    n, rows = 1000, 64
+    cfg = make_config(experiment="separator", n_list=[n], q_grid=[0.5], trials=rows)
+    k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
+    monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - k_hi, 0))
+    sampled, flagged = [], []
+
+    def sample(n, q, seeds, first=0):
+        sampled.append((first, n))
+        return sample_trace_matrix(n, q, seeds, first)
+
+    def flag(v, first=0, tail=None):
+        flagged.append((first, first + v.shape[1]))
+        return event_flag_matrix(v, first, tail)
+
+    monkeypatch.setattr(sweeps, "sample_trace_matrix", sample)
+    monkeypatch.setattr(sweeps, "event_flag_matrix", flag)
+    _cell_trials(cfg, n, 0.5)
+    assert flagged and all(lo < k_hi and hi >= k_lo for lo, hi in flagged)
+    assert flagged == [r for r in sampled if r[0] < k_hi] and len(flagged) < len(sampled)
+    assert sampled[0][1] == n and sampled[-1][0] == k_lo - 1
 
 
 def test_streamed_separator_trial_memory_is_flat():
