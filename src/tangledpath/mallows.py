@@ -31,8 +31,8 @@ from .rng import GOLDEN, MASK64, derive_array, uniform_matrix
 
 ENUMERATION_CAP = 9
 
-# mallows_process keeps its output as a list of blocks of about this many
-# entries, split in two when one reaches twice the size
+# mallows_process decodes into one list up to 4 * _DECODE_BLOCK values, then
+# into blocks of about this many entries, split in two at twice the size
 _DECODE_BLOCK = 512
 
 
@@ -229,42 +229,47 @@ def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permu
     (3, 5, 1, 4, 6, 2).  A raw sequence is checked as a trace; an
     :class:`InsertionTrace` already is one.
 
-    The first ``_DECODE_BLOCK`` values go into one list.  Past that the
-    output is a list of blocks: value i walks in from the nearer end to the
-    block holding slot v_i, so an insert shifts one block, not the whole
-    output, and a block reaching twice the block size is split in two.  The
-    plain first list is kept because the block walk costs more than the
-    short shifts it saves: run from i = 1 it was 1.4-2.5x slower at n = 50
-    and n = 200, and at n = 2000 no faster beyond noise (0.75-1.26x).
+    The output is built reversed: value i enters with i - v_i entries left
+    of it, so an insert shifts v_i - 1 entries, a few for any fixed q < 1.
+    Past ``4 * _DECODE_BLOCK`` values it is split into blocks, and value i
+    walks in from the nearer end to its block (small v_i from the right).
+    Against a 512-value plain list, unreversed: 5x faster at n = 2000 and
+    q in {0.5, 0.9}, 1.2x at q = 1.  A 4096-value list lost at n = 5000 and
+    q = 1 (0.8x); blocks of 1024 gained 1.5x at n = 10^5, q = 1 but lost 7%
+    at n = 5000.
     """
     if isinstance(trace, InsertionTrace):
         positions = trace.positions
     else:
         positions = _checked_positions(trace)
-    out: list[int] = []
-    for i, v in enumerate(positions[:_DECODE_BLOCK], 1):
-        out.insert(v - 1, i)
-    blocks = [out]
-    for i, v in enumerate(positions[_DECODE_BLOCK:], _DECODE_BLOCK + 1):
-        if 2 * v <= i:  # slot v - 1 has v - 1 entries left of it
-            k, j = v - 1, 0
-            block = blocks[0]
-            while k > len(block):
-                k -= len(block)
-                j += 1
+    rev: list[int] = []
+    plain = 4 * _DECODE_BLOCK
+    for i, v in enumerate(positions[:plain], 1):
+        rev.insert(i - v, i)
+    if len(positions) > plain:
+        blocks = [rev[a:a + _DECODE_BLOCK] for a in range(0, plain, _DECODE_BLOCK)]
+        for i, v in enumerate(positions[plain:], plain + 1):
+            if 2 * v <= i:  # v - 1 entries right of the slot: walk in from the right
+                k, j = v - 1, len(blocks) - 1
                 block = blocks[j]
-        else:  # and i - v to its right: walk in from the right end
-            k, j = i - v, len(blocks) - 1
-            block = blocks[j]
-            while k > len(block):
-                k -= len(block)
-                j -= 1
-                block = blocks[j]
-            k = len(block) - k
-        block.insert(k, i)
-        if len(block) == 2 * _DECODE_BLOCK:
-            blocks[j:j + 1] = [block[:_DECODE_BLOCK], block[_DECODE_BLOCK:]]
-    return _unchecked(Permutation, image=tuple(chain.from_iterable(blocks)))
+                while k > len(block):
+                    k -= len(block)
+                    j -= 1
+                    block = blocks[j]
+                k = len(block) - k
+            else:  # and i - v left of it: walk in from the left
+                k, j = i - v, 0
+                block = blocks[0]
+                while k > len(block):
+                    k -= len(block)
+                    j += 1
+                    block = blocks[j]
+            block.insert(k, i)
+            if len(block) == 2 * _DECODE_BLOCK:
+                blocks[j:j + 1] = [block[:_DECODE_BLOCK], block[_DECODE_BLOCK:]]
+        rev = list(chain.from_iterable(blocks))
+    rev.reverse()
+    return _unchecked(Permutation, image=tuple(rev))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ candidate vertex ordering.
 Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
 ``build_tangled``, ``graph_from_trace``, ``make_graph`` or ``parse_edge_list``
 and reads its CSR arrays: neighbor sets off the rows for the treewidth
-heuristics and vertex boundaries, the edge-end arrays for edge boundaries and
-the identity-layout profile, and scipy's connected components on the cached
+heuristics and the subset boundaries, the edge-end arrays for the
+identity-layout profile, and scipy's connected components on the cached
 matrix for the forest test.  :func:`unit_separator` takes the sides of every
 cut vertex from the one lowpoint DFS in :mod:`tangledpath.graph`.
 """
@@ -257,48 +257,47 @@ def treewidth_bounds(g: TangledGraph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every vertex subset as a bitmask (bit v-1 for vertex v), and its size."""
-    masks = np.arange(1 << n, dtype=np.uint32)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    return masks, sizes
+def _subset_layers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex subset as a bitmask (bit v for 0-based vertex v), in
+    stable size order, and ends: size s runs from ends[s - 1] to ends[s]."""
+    order = np.argsort(np.bitwise_count(np.arange(1 << n, dtype=np.uint32)), kind="stable")
+    return order, np.cumsum([math.comb(n, s) for s in range(n + 1)])
 
 
-def _edge_boundary(g: TangledGraph, masks: np.ndarray) -> np.ndarray:
-    """Number of edges between each subset in ``masks`` and its complement."""
-    boundary = np.zeros(masks.size, dtype=np.int64)
-    for u, w in np.column_stack(_edge_ends(g)).tolist():
-        crossing = (masks >> np.uint32(u)) ^ (masks >> np.uint32(w))
-        boundary += (crossing & np.uint32(1)).astype(np.int64)
-    return boundary
+def _edge_boundary(g: TangledGraph) -> np.ndarray:
+    """Edges between S and its complement, indexed by the mask S; by top
+    bit, adding v to S below v's bit adds deg(v) - 2 |N(v) & S|."""
+    low = np.arange(1 << (g.n - 1), dtype=np.uint32)
+    out = np.zeros(1 << g.n, dtype=np.int32)
+    for v, nbrs in _neighbor_sets(g).items():
+        nb = sum(1 << w for w in nbrs)
+        out[1 << v:2 << v] = out[:1 << v] + len(nbrs) - 2 * np.bitwise_count(low[:1 << v] & nb)
+    return out
 
 
 def cutwidth_exact(g: TangledGraph) -> int:
     """Minimum over all vertex orderings of the maximum cut, for n <= 20.
 
     Subset DP: cost(S) = max(boundary(S), min over v in S of cost(S - v)),
-    where boundary(S) counts edges between S and its complement.  Evaluated
-    layer by layer over subset popcounts with vectorized gathers.
+    where boundary(S) counts edges between S and its complement.  One size
+    at a time, one gather of cost(S ^ v) over all v; unreached supersets
+    hold a large cost.  Runs of 2^20 / n sets bound the gather at the cap.
     """
     n = g.n
     _require_small(n, "cutwidth_exact")
     if n == 1 or g.indices.size == 0:
         return 0
-    size = 1 << n
-    masks, sizes = _subset_tables(n)
-    boundary = _edge_boundary(g, masks)
-    cost = np.zeros(size, dtype=np.int32)
-    big = np.int32(2**30)
-    for layer in range(1, n + 1):
-        idx = np.nonzero(sizes == layer)[0]
-        cand = np.full(idx.size, big, dtype=np.int32)
-        for v in range(n):
-            sel = ((idx >> v) & 1).astype(bool)
-            if not sel.any():
-                continue
-            cand[sel] = np.minimum(cand[sel], cost[idx[sel] ^ (1 << v)])
-        cost[idx] = np.maximum(boundary[idx], cand)
-    return int(cost[size - 1])
+    order, ends = _subset_layers(n)
+    boundary = _edge_boundary(g)
+    cost = np.full(1 << n, 2**30, dtype=np.int32)
+    cost[0] = 0
+    bits = (1 << np.arange(n))[:, None]
+    step = (1 << EXACT_CAP) // n
+    for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        for a in range(lo, hi, step):
+            idx = order[a:min(a + step, hi)]
+            cost[idx] = np.maximum(boundary[idx], cost[bits ^ idx].min(axis=0))
+    return int(cost[-1])
 
 
 def cutwidth_identity(g: TangledGraph) -> tuple[int, tuple[int, ...]]:
@@ -318,13 +317,13 @@ def cutwidth_identity(g: TangledGraph) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_boundary(g: TangledGraph, masks: np.ndarray) -> np.ndarray:
-    """|N(S) \\ S| for each subset S in ``masks``."""
-    nb = np.zeros(masks.size, dtype=np.uint32)
+def _vertex_boundary(g: TangledGraph) -> np.ndarray:
+    """|N(S) \\ S|, indexed by the mask S; N(S) is built by top bit, as
+    N(S + v) = N(S) | N(v) for S over the masks below v's bit."""
+    nb = np.zeros(1 << g.n, dtype=np.uint32)
     for v, nbrs in _neighbor_sets(g).items():
-        sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
-        nb[sel] |= np.uint32(sum(1 << w for w in nbrs))
-    return np.bitwise_count(nb & ~masks).astype(np.int64)
+        np.bitwise_or(nb[:1 << v], sum(1 << w for w in nbrs), out=nb[1 << v:2 << v])
+    return np.bitwise_count(nb & ~np.arange(1 << g.n, dtype=np.uint32))
 
 
 def _isoperimetric(g: TangledGraph, what: str, boundary) -> Fraction:
@@ -332,10 +331,9 @@ def _isoperimetric(g: TangledGraph, what: str, boundary) -> Fraction:
     n = g.n
     _require_small(n, what)
     as_int(n, "vertex count", 2)
-    masks, sizes = _subset_tables(n)
-    per_size = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(per_size, sizes, boundary(g, masks))
-    return min(Fraction(int(per_size[s]), s) for s in range(1, n // 2 + 1))
+    order, ends = _subset_layers(n)
+    per_size = np.minimum.reduceat(boundary(g)[order[:ends[n // 2]]], ends[:n // 2])
+    return min(Fraction(int(b), s) for s, b in enumerate(per_size.tolist(), 1))
 
 
 def vertex_iso(g: TangledGraph) -> Fraction:
@@ -426,16 +424,10 @@ class WidthReport:
             out["treewidth"] = {"value": self.treewidth, "method": "exact-dp"}
         if self.cutwidth_exact is not None:
             out["cutwidth_exact"] = {"value": self.cutwidth_exact, "method": "exact-dp"}
-        if self.vertex_iso is not None:
-            out["vertex_iso"] = {
-                "value": f"{self.vertex_iso.numerator}/{self.vertex_iso.denominator}",
-                "method": "exact-dp",
-            }
-        if self.edge_iso is not None:
-            out["edge_iso"] = {
-                "value": f"{self.edge_iso.numerator}/{self.edge_iso.denominator}",
-                "method": "exact-dp",
-            }
+        for name in ("vertex_iso", "edge_iso"):
+            iso = getattr(self, name)
+            if iso is not None:
+                out[name] = {"value": f"{iso.numerator}/{iso.denominator}", "method": "exact-dp"}
         return out
 
 

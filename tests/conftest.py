@@ -8,6 +8,7 @@ that agreement with the fast library implementations is meaningful.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -336,3 +337,60 @@ def brute_vertex_iso(n, edges):
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+# ---------------------------------------------------------------------------
+# subset-DP references: masked passes over every subset mask S, bit v - 1
+# standing for vertex v
+# ---------------------------------------------------------------------------
+
+
+def reference_edge_boundary(n, edges):
+    """Edges between S and its complement, for every mask S: one pass per
+    edge, adding 1 where exactly one end lies in S."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    boundary = np.zeros(masks.size, dtype=np.int64)
+    for u, w in edges:
+        crossing = (masks >> np.uint32(u - 1)) ^ (masks >> np.uint32(w - 1))
+        boundary += (crossing & np.uint32(1)).astype(np.int64)
+    return boundary
+
+
+def reference_vertex_boundary(n, edges):
+    """|N(S) \\ S| for every mask S: one masked OR of N(v) per vertex v."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    nbrs = [0] * n
+    for u, w in edges:
+        nbrs[u - 1] |= 1 << (w - 1)
+        nbrs[w - 1] |= 1 << (u - 1)
+    nb = np.zeros(masks.size, dtype=np.uint32)
+    for v in range(n):
+        sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
+        nb[sel] |= np.uint32(nbrs[v])
+    return np.bitwise_count(nb & ~masks).astype(np.int64)
+
+
+def reference_cutwidth(n, edges):
+    """cost(S) = max(boundary(S), min over v in S of cost(S - v)), one
+    subset size at a time and, within it, one masked gather per vertex."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    sizes = np.bitwise_count(masks)
+    boundary = reference_edge_boundary(n, edges)
+    cost = np.zeros(masks.size, dtype=np.int64)
+    for layer in range(1, n + 1):
+        idx = np.nonzero(sizes == layer)[0]
+        cand = np.full(idx.size, np.iinfo(np.int64).max)
+        for v in range(n):
+            sel = ((idx >> v) & 1).astype(bool)
+            cand[sel] = np.minimum(cand[sel], cost[idx[sel] ^ (1 << v)])
+        cost[idx] = np.maximum(boundary[idx], cand)
+    return int(cost[-1])
+
+
+def reference_iso(n, boundary):
+    """min over 0 < |S| <= n/2 of boundary[S] / |S|, from per-size minima
+    gathered by np.minimum.at."""
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    per_size = np.full(n + 1, np.iinfo(np.int64).max)
+    np.minimum.at(per_size, sizes, boundary)
+    return min(Fraction(int(per_size[s]), s) for s in range(1, n // 2 + 1))

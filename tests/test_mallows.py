@@ -56,13 +56,16 @@ def reference_process(positions):
 
 
 def test_blocked_decode_matches_reference():
-    """Around and past the block size, at q = 0, 0.5, next to 1
-    (1 - q = 1/(n ln n)) and 1; traces and raw rows alike."""
-    B = _DECODE_BLOCK
-    for n in (1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 5 * B, 10**4):
-        qs = [0.0, 0.5, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
+    """Around the block size, and around the end of the plain list and one
+    block past it, at q = 0, 0.5, 0.9, next to 1 (1 - q = 1/(n ln n)) and 1;
+    traces and raw rows alike."""
+    B, P = _DECODE_BLOCK, 4 * _DECODE_BLOCK
+    assert mallows_process([]) == Permutation(())
+    for n in sorted({0, 1, 2, B - 1, B, B + 1, 2 * B + 1, P - 1, P, P + 1, P + B, 10**4}):
+        qs = [0.0, 0.5, 0.9, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
         for q in qs:
-            v = sample_trace_matrix(n, q, np.arange(3, dtype=np.uint64))
+            seeds = np.arange(3, dtype=np.uint64)
+            v = sample_trace_matrix(n, q, seeds) if n else np.zeros((3, 0), dtype=np.int64)
             for row in v:
                 want = reference_process(row.tolist())
                 assert mallows_process(row).image == want, (n, q)

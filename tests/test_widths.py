@@ -6,8 +6,10 @@ known values for standard graphs.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tangledpath import (
@@ -19,6 +21,7 @@ from tangledpath import (
     cut_vertices_from_trace,
     cutwidth_identity,
     edge_iso,
+    enumerate_traces,
     graph_from_trace,
     make_graph,
     mallows_process,
@@ -31,6 +34,7 @@ from tangledpath import (
     vertex_iso,
 )
 from tangledpath.rng import SplitMix64, derive
+from tangledpath.widths import _edge_boundary, _vertex_boundary
 from conftest import (
     _components,
     brute_articulation,
@@ -45,7 +49,11 @@ from conftest import (
     random_connected_graph,
     random_forest,
     random_graph,
+    reference_cutwidth,
+    reference_edge_boundary,
+    reference_iso,
     reference_treewidth,
+    reference_vertex_boundary,
     star_graph,
 )
 
@@ -156,6 +164,53 @@ def test_cutwidth_matches_brute():
     for seed in range(10):
         n, edges = random_connected_graph(6, 5, 5000 + seed)
         assert cutwidth_exact(make_graph(n, edges)) == brute_cutwidth(n, edges)
+
+
+def _assert_subset_dps_match_reference(g):
+    n, edges = g.n, g.edges
+    eb, vb = reference_edge_boundary(n, edges), reference_vertex_boundary(n, edges)
+    assert np.array_equal(_edge_boundary(g), eb), edges
+    assert np.array_equal(_vertex_boundary(g), vb), edges
+    assert cutwidth_exact(g) == reference_cutwidth(n, edges), edges
+    if n >= 2:
+        assert edge_iso(g) == reference_iso(n, eb), edges
+        assert vertex_iso(g) == reference_iso(n, vb), edges
+
+
+def test_subset_dps_match_masked_references():
+    """Boundaries built by top bit and the one-gather cutwidth layers against
+    the per-edge, per-vertex masked routes: every distinct tangled graph of
+    n <= 7, seeded tangled graphs at n = 8 and 9, and random graphs of
+    n <= 12, edgeless, disconnected and complete ones included."""
+    traces = (t for n in range(1, 8) for t, _ in enumerate_traces(n, 1.0))
+    graphs = list({g.edges: g for g in map(graph_from_trace, traces)}.values())
+    graphs += [_tangled(n, q, derive(15, n, s)) for n in (8, 9) for q in (0.5, 0.9, 1.0)
+               for s in range(8)]
+    graphs += [make_graph(*random_graph(n, d, 9100 + 13 * n + s))
+               for n in range(1, 13) for s, d in enumerate((0.0, 0.15, 0.4, 0.7, 1.0))]
+    assert any(not g.edges for g in graphs)
+    assert any(len(g.edges) == g.n * (g.n - 1) // 2 == 66 for g in graphs)
+    for g in graphs:
+        _assert_subset_dps_match_reference(g)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 1.0])
+def test_subset_dps_match_masked_references_at_cap(q):
+    _assert_subset_dps_match_reference(_tangled(20, q, derive(15, 20)))
+
+
+def test_subset_dps_memory_at_cap():
+    """tracemalloc peaks at n = 20 stay within those of the masked routes:
+    36 MB for cutwidth_exact and edge_iso, 26 MB for vertex_iso."""
+    g = _tangled(20, 0.9, derive(15, 20))
+    for f, bound in ((cutwidth_exact, 36), (edge_iso, 36), (vertex_iso, 26)):
+        tracemalloc.start()
+        try:
+            f(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20, (f.__name__, peak)
 
 
 def test_cutwidth_identity_profile():
