@@ -75,7 +75,7 @@ from .mallows import (
     trace_table,
     tv_distance_to_uniform,
 )
-from .rng import SplitMix64, derive, derive_array, mix64, stream_u64, uniform_matrix
+from .rng import derive, derive_array, mix64, stream_u64, uniform_matrix
 from .sweeps import (
     SweepConfig,
     SweepResult,

@@ -38,16 +38,10 @@ import numpy as np
 
 from ._util import alpha_cut_range, as_int, as_real, clamp01
 from .errors import CapabilityError
-from .mallows import InsertionTrace, _checked_positions, mallows_process
+from .mallows import InsertionTrace, _decoded, _positions_of
 
 _PI2_6 = math.pi * math.pi / 6.0
 _EULER_TOL = 1e-15
-
-
-def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...], float | None]:
-    if isinstance(trace, InsertionTrace):
-        return trace.positions, trace.q
-    return tuple(_checked_positions(trace)), None
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +153,7 @@ def b_value(n: int, q: float) -> int:
 
 
 def sparse_flush_holds(
-    positions: Sequence[int], k: int, b: int, ell: int
+    trace: InsertionTrace | Sequence[int], k: int, b: int, ell: int
 ) -> bool:
     """Does S(k, b, ell) hold: indices k <= t_1 < ... < t_b <= k + ell with
     v_{t_i} <= i?
@@ -167,8 +161,9 @@ def sparse_flush_holds(
     Greedy earliest match is exact here: the i-th threshold v_t <= i only
     loosens as i grows, so taking the first index satisfying the current
     threshold can never block a later match that some other selection would
-    have allowed.
+    have allowed.  A raw sequence is checked as a trace.
     """
+    positions, _ = _positions_of(trace)
     n = len(positions)
     b, ell, k = as_int(b, "b", 1), as_int(ell, "ell", 0), as_int(k, "k", 1, n)
     need = 1
@@ -245,7 +240,7 @@ def detect_events(
         cut_set=tuple((np.flatnonzero(flags["cut"]) + 1).tolist()),
         local_flush=local_flush,
         b=bval,
-        sparse={(k, b, ell): sparse_flush_holds(positions, k, b, ell) for k, b, ell in sparse},
+        sparse={(k, b, ell): sparse_flush_holds(trace, k, b, ell) for k, b, ell in sparse},
     )
 
 
@@ -336,7 +331,7 @@ def expected_cuts(n: int, q: float, alpha: float) -> float:
     """E[X_n(alpha)] = sum over k in [ceil((1-alpha)n), floor(alpha n)] of
     Pr[C_k^F] + Pr[C_k^R].  At small n the range can hold an end vertex
     (k = 1 for n = 2, 3 at alpha = 2/3), whose events are no cut vertex."""
-    k_lo, k_hi = alpha_cut_range(n, alpha)
+    k_lo, k_hi = alpha_cut_range(as_int(n, "n"), alpha)
     return expected_cuts_in_range(n, q, k_lo, k_hi)
 
 
@@ -536,14 +531,14 @@ def bad_edge_classification(
     above i partition into A_i = {i+1 .. i+L : v > ell} (late-insertion
     candidates), B_i = the rest of that window, and C_i = {i+L+1 .. n}.
     """
-    sigma = mallows_process(trace)  # checks a raw sequence
-    positions = trace.positions if isinstance(trace, InsertionTrace) else tuple(trace)
+    positions, _ = _positions_of(trace)
     n = len(positions)
     i, ell = as_int(i, "i", 1, n), as_int(ell, "ell")
     L = as_int(L, "L", ell)
+    image = _decoded(positions)
     bad = sorted(
         (min(a, b), max(a, b))
-        for a, b in zip(sigma.image, sigma.image[1:])
+        for a, b in zip(image, image[1:])
         if min(a, b) < i < max(a, b)
     )
     window = range(i + 1, min(i + L, n) + 1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import as_int, as_int64, as_real
 from .errors import CapabilityError
-from .rng import GOLDEN, MASK64, derive_array, uniform_matrix
+from .rng import derive_array, seed_array, uniform_matrix
 
 ENUMERATION_CAP = 9
 
@@ -88,7 +88,7 @@ class InsertionTrace:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(_checked_positions(self.positions)))
+        object.__setattr__(self, "positions", _positions_of(self.positions)[0])
         as_real(self.q, "q", 0, 1)
 
     @property
@@ -96,15 +96,19 @@ class InsertionTrace:
         return len(self.positions)
 
 
-def _checked_positions(positions: Sequence[int] | np.ndarray) -> list[int]:
-    """``positions`` as a list of ints, once 1 <= v_i <= i is checked for all
-    i in one numpy comparison; the ValueError names the first bad v_i."""
-    v = as_int64(positions, "trace positions")
+def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...], float | None]:
+    """The one reader of a trace argument: its (positions, q).  An
+    InsertionTrace is trusted; a raw sequence, whose q is None, is checked
+    for 1 <= v_i <= i in one numpy comparison, the ValueError naming the
+    first bad v_i."""
+    if isinstance(trace, InsertionTrace):
+        return trace.positions, trace.q
+    v = as_int64(trace, "trace positions")
     bad = (v < 1) | (v > np.arange(1, v.size + 1))
     if bad.any():
         i = int(bad.argmax()) + 1
         raise ValueError(f"position v_{i}={v[i - 1]} outside [1, {i}]")
-    return v.tolist()
+    return tuple(v.tolist()), None
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,7 @@ class TruncatedGeometric:
         as_real(self.q, "q", 0, 1)
 
     def pmf(self, j: int) -> float:
+        j = as_int(j, "j")
         if not 1 <= j <= self.n:
             return 0.0
         if self.q == 1.0:
@@ -133,6 +138,7 @@ class TruncatedGeometric:
 
     def tail(self, x: int) -> float:
         """P(v >= x)."""
+        x = as_int(x, "x")
         if x <= 1:
             return 1.0
         if x > self.n:
@@ -180,18 +186,6 @@ def _positions_from_uniforms(u: np.ndarray, q: float, first: int = 0) -> np.ndar
     return v
 
 
-def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Integer seeds as uint64, each taken mod 2**64; float, bool and other
-    non-integer seeds are refused rather than cast."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
-        return seeds.astype(np.uint64, copy=False)
-    seeds = list(seeds)
-    bad = [s for s in seeds if not isinstance(s, (int, np.integer)) or isinstance(s, bool)]
-    if bad:
-        raise ValueError(f"seeds must be integers, got {bad[0]!r}")
-    return np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
-
-
 def sample_trace_matrix(
     n: int, q: float, seeds: Sequence[int] | np.ndarray, first: int = 0
 ) -> np.ndarray:
@@ -205,10 +199,7 @@ def sample_trace_matrix(
     n = as_int(n, "n", 1)
     as_real(q, "q", 0, 1)
     first = as_int(first, "first", 0, n - 1)
-    s = _seed_array(seeds)
-    if first:  # word first + j of the stream is word j of seed + first * GOLDEN
-        s = s + np.uint64(first * GOLDEN & MASK64)
-    return _positions_from_uniforms(uniform_matrix(s, n - first), q, first)
+    return _positions_from_uniforms(uniform_matrix(seed_array(seeds, first), n - first), q, first)
 
 
 def sample_trace(n: int, q: float, seed: int) -> InsertionTrace:
@@ -238,10 +229,11 @@ def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permu
     q = 1 (0.8x); blocks of 1024 gained 1.5x at n = 10^5, q = 1 but lost 7%
     at n = 5000.
     """
-    if isinstance(trace, InsertionTrace):
-        positions = trace.positions
-    else:
-        positions = _checked_positions(trace)
+    return _unchecked(Permutation, image=_decoded(_positions_of(trace)[0]))
+
+
+def _decoded(positions: Sequence[int]) -> tuple[int, ...]:
+    """The image of :func:`mallows_process` for checked ``positions``."""
     rev: list[int] = []
     plain = 4 * _DECODE_BLOCK
     for i, v in enumerate(positions[:plain], 1):
@@ -269,7 +261,7 @@ def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permu
                 blocks[j:j + 1] = [block[:_DECODE_BLOCK], block[_DECODE_BLOCK:]]
         rev = list(chain.from_iterable(blocks))
     rev.reverse()
-    return _unchecked(Permutation, image=tuple(rev))
+    return tuple(rev)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +376,11 @@ def trace_table(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     product of truncated-geometric masses taken in index order, and the
     weights sum to 1 up to float roundoff.
     """
+    n = as_int(n, "n", 1)
     if n > ENUMERATION_CAP:
         raise CapabilityError(
             f"exact trace enumeration supports n <= {ENUMERATION_CAP}, got n={n}"
         )
-    n = as_int(n, "n", 1)
     V = np.indices(range(1, n + 1)).reshape(n, -1).T + 1
     w = np.ones(len(V))
     for i in range(n):
@@ -472,8 +464,7 @@ def format_permutation(p: Permutation | Sequence[int]) -> str:
 
 
 def format_trace(trace: InsertionTrace | Sequence[int]) -> str:
-    pos = trace.positions if isinstance(trace, InsertionTrace) else trace
-    return "v = " + " ".join(str(x) for x in pos)
+    return "v = " + " ".join(str(x) for x in _positions_of(trace)[0])
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

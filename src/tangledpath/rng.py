@@ -18,7 +18,8 @@ two mix64 rounds per path component:
     s_{j+1} = mix64( (s_j XOR mix64((p_j + 1) * GOLDEN)) + GOLDEN )
 
 so ``derive(master, cell, trial)`` gives a well-separated 64-bit seed for every
-(cell, trial) pair.
+(cell, trial) pair.  A seed is any integer, taken mod 2**64 (:func:`as_seed`,
+and :func:`seed_array` for a batch); a float, bool, None or string is refused.
 
 Reference outputs for seed 0 (first three 64-bit words, matching the published
 splitmix64.c test vector) are frozen in the test suite:
@@ -28,9 +29,11 @@ splitmix64.c test vector) are frozen in the test suite:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from ._util import as_int
+from ._util import as_int, as_int64
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -60,22 +63,38 @@ def mix64_array(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def as_seed(seed: int, what: str = "seed") -> int:
+    """The seed rule: an integer, taken mod 2**64; a float, bool, None or
+    string raises ValueError naming ``what``."""
+    return as_int(seed, what) & MASK64
+
+
+def seed_array(seeds: Sequence[int] | np.ndarray, first: int = 0, what: str = "seeds") -> np.ndarray:
+    """:func:`as_seed` over a sequence, as uint64 words moved ``first`` words
+    along their streams: word first + j of seed s is word j of
+    s + first * GOLDEN.  An integer ndarray takes one cast, unchecked."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        s = seeds.astype(np.uint64, copy=False)
+    else:
+        s = np.array([int(x) & MASK64 for x in as_int64(seeds, what).flat], dtype=np.uint64)
+    return s + np.uint64(first * GOLDEN & MASK64) if first else s
+
+
 def derive(seed: int, *path: int) -> int:
     """Derive a sub-stream seed from ``seed`` and a tuple of nonnegative indices."""
-    s = seed & MASK64
+    s = as_seed(seed)
     for part in path:
-        s = mix64(((s ^ mix64(((part & MASK64) + 1) * GOLDEN)) + GOLDEN) & MASK64)
+        s = mix64(((s ^ mix64((as_seed(part, "path part") + 1) * GOLDEN)) + GOLDEN) & MASK64)
     return s
 
 
-def derive_array(seed: int, parts: np.ndarray) -> np.ndarray:
+def derive_array(seed: int, parts: Sequence[int] | np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive` over the final path component.
 
     ``derive_array(s, np.arange(t))[i] == derive(s, i)`` for every i.
     """
-    p = parts.astype(np.uint64, copy=False)
-    inner = mix64_array((p + np.uint64(1)) * np.uint64(GOLDEN & MASK64))
-    s = np.uint64(seed & MASK64)
+    s = np.uint64(as_seed(seed))
+    inner = mix64_array((seed_array(parts, what="path parts") + np.uint64(1)) * np.uint64(GOLDEN))
     return mix64_array((s ^ inner) + np.uint64(GOLDEN))
 
 
@@ -83,47 +102,17 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start+1 .. start+count`` of the SplitMix64 stream for ``seed``."""
     start, count = as_int(start, "start", 0), as_int(count, "count", 0)
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    counters = np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN)
-    return mix64_array(counters)
+    return mix64_array(np.uint64(as_seed(seed)) + idx * np.uint64(GOLDEN))
 
 
-def uniform_matrix(seeds: np.ndarray, ncols: int) -> np.ndarray:
+def uniform_matrix(seeds: Sequence[int] | np.ndarray, ncols: int) -> np.ndarray:
     """Row r holds the first ``ncols`` uniforms in [0, 1) of stream ``seeds[r]``,
     mixed in one buffer whose scratch becomes the float64 result."""
     ncols = as_int(ncols, "ncols", 0)
     steps = np.arange(1, ncols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    words = np.add(seeds.astype(np.uint64, copy=False)[:, None], steps, dtype=np.uint64)
+    words = np.add(seed_array(seeds)[:, None], steps, dtype=np.uint64)
     out = np.empty(words.shape, dtype=np.float64)
     mix64_array(words, out.view(np.uint64))
     words >>= np.uint64(11)
     # below 2**53 the words read alike as int64, whose cast is vectorized
     return np.multiply(words.view(np.int64), _U53, out=out)
-
-
-class SplitMix64:
-    """A sequential view of the counter stream, for scalar sampling paths.
-
-    The i-th call to :meth:`next_u64` returns ``mix64(seed + i * GOLDEN)``, so a
-    stream can be reproduced either by replaying calls or by jumping straight to
-    a counter with :func:`stream_u64`.
-    """
-
-    __slots__ = ("seed", "counter")
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed & MASK64
-        self.counter = 0
-
-    def next_u64(self) -> int:
-        self.counter += 1
-        return mix64((self.seed + self.counter * GOLDEN) & MASK64)
-
-    def uniform(self) -> float:
-        """Next double in [0, 1), using the top 53 bits of the next word."""
-        return (self.next_u64() >> 11) * _U53
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Vectorized batch of the next ``count`` uniforms (advances the stream)."""
-        out = stream_u64(self.seed, self.counter, count)
-        self.counter += count
-        return (out >> np.uint64(11)).astype(np.float64) * _U53

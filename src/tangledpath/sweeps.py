@@ -54,7 +54,7 @@ from .mallows import (
     trace_displacements,
     trace_table,
 )
-from .rng import derive, derive_array, uniform_matrix
+from .rng import as_seed, derive, derive_array, uniform_matrix
 from .widths import EXACT_CAP, cutwidth_identity, treewidth_exact, vertex_iso
 
 RNG_NAME = "splitmix64"
@@ -111,6 +111,7 @@ class SweepConfig:
                 as_real(q, "q", 0, 1)
         as_int(self.trials, "trials", 1)
         as_int(self.thread_count, "thread_count", 1)
+        as_seed(self.master_seed, "master_seed")
         alpha_cut_range(1, self.alpha)  # refuses alpha outside (1/2, 1)
         as_int(self.bisections, "bisections", 1)
         for f in self.k_fracs:

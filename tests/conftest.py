@@ -1,4 +1,5 @@
-"""Shared graph builders and slow-but-obvious reference oracles.
+"""Shared graph builders, a scalar random stream, and slow-but-obvious
+reference oracles.
 
 The oracles here are deliberately written in the most literal style possible
 (double loops over definitions, exhaustive subset or ordering enumeration) so
@@ -12,7 +13,41 @@ from fractions import Fraction
 
 import numpy as np
 
-from tangledpath import SplitMix64
+from tangledpath.rng import GOLDEN, MASK64, mix64, stream_u64
+
+
+# ---------------------------------------------------------------------------
+# scalar random stream: the independent reference for rng.uniform_matrix
+# ---------------------------------------------------------------------------
+
+
+class SplitMix64:
+    """A sequential view of the counter stream, for scalar sampling paths.
+
+    The i-th call to :meth:`next_u64` returns ``mix64(seed + i * GOLDEN)``, so a
+    stream can be reproduced either by replaying calls or by jumping straight to
+    a counter with :func:`stream_u64`.
+    """
+
+    __slots__ = ("seed", "counter")
+
+    def __init__(self, seed):
+        self.seed = seed & MASK64
+        self.counter = 0
+
+    def next_u64(self):
+        self.counter += 1
+        return mix64((self.seed + self.counter * GOLDEN) & MASK64)
+
+    def uniform(self):
+        """Next double in [0, 1), using the top 53 bits of the next word."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniforms(self, count):
+        """Vectorized batch of the next ``count`` uniforms (advances the stream)."""
+        out = stream_u64(self.seed, self.counter, count)
+        self.counter += count
+        return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

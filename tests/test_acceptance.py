@@ -52,8 +52,9 @@ from tangledpath import (
     vertex_iso,
 )
 from tangledpath.events import alpha_cut_range
-from tangledpath.rng import SplitMix64, derive, derive_array
+from tangledpath.rng import derive, derive_array
 from tangledpath.sweeps import make_config, render_csv, run_sweep
+from conftest import SplitMix64
 
 MASTER = 20260823
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"

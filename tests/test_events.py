@@ -47,9 +47,10 @@ import tangledpath as tp
 import tangledpath.events as events
 from tangledpath._util import alpha_cut_range, as_real, clamp01
 from tangledpath.mallows import trace_displacements
-from tangledpath.rng import SplitMix64, derive, derive_array
+from tangledpath.rng import derive, derive_array
 from tangledpath.sweeps import _BLOCK_ENTRIES
 from conftest import (
+    SplitMix64,
     reference_event_flags,
     naive_cut_forward,
     naive_cut_reverse,
@@ -454,10 +455,13 @@ _SIZE_CALLS = [
     ("n", lambda x: expected_cuts_in_range(x, 0.5, 2, 7), 10),
     ("k_lo", lambda x: expected_cuts_in_range(10, 0.5, x, 7), 2),
     ("k_hi", lambda x: expected_cuts_in_range(10, 0.5, 2, x), 7),
+    ("n", lambda x: expected_cuts(x, 0.5, 2 / 3), 9),
     ("n", lambda x: sample_trace_matrix(x, 0.5, [1, 2]), 6),
     ("first", lambda x: sample_trace_matrix(9, 0.5, [1, 2], x), 3),
     ("n", lambda x: tp.sample_trace(x, 0.5, 7), 6),
     ("n", lambda x: tp.TruncatedGeometric(x, 0.5), 4),
+    ("j", lambda x: tp.TruncatedGeometric(6, 0.5).pmf(x), 2),
+    ("x", lambda x: tp.TruncatedGeometric(6, 0.5).tail(x), 2),
     ("n", lambda x: tp.log_partition_function(x, 0.5), 6),
     ("n", lambda x: tp.partition_function(x, 1.0), 6),
     ("n", lambda x: tp.trace_table(x, 0.5), 4),
@@ -465,6 +469,7 @@ _SIZE_CALLS = [
     ("n", lambda x: tp.displacement_samples(x, 0.5, 3, 10, 1), 8),
     ("i", lambda x: tp.displacement_samples(8, 0.5, x, 10, 1), 3),
     ("trials", lambda x: tp.displacement_samples(8, 0.5, 3, x, 1), 10),
+    ("seed", lambda x: tp.displacement_samples(8, 0.5, 3, 10, x), 1),
     ("i", lambda x: trace_displacements(np.ones((2, 8), dtype=np.int64), x), 3),
     ("n", lambda x: b_value(x, 0.5), 100),
     ("n", lambda x: flush_log_bounds(x, 3, 0.5), 10),
@@ -480,9 +485,13 @@ _SIZE_CALLS = [
     ("b", lambda x: sparse_flush_holds(_P, 2, x, 3), 2),
     ("ell", lambda x: sparse_flush_holds(_P, 2, 2, x), 3),
     ("k", lambda x: detect_events(InsertionTrace(_P, 0.5), sparse=[(x, 2, 3)]), 2),
+    ("seed", lambda x: tp.derive(x, 2), 1),
+    ("path part", lambda x: tp.derive(1, 2, x), 3),
+    ("seed", lambda x: tp.derive_array(x, np.arange(3)), 1),
+    ("seed", lambda x: tp.stream_u64(x, 0, 3), 1),
     ("start", lambda x: tp.stream_u64(1, x, 3), 2),
     ("count", lambda x: tp.stream_u64(1, 0, x), 3),
-    ("count", lambda x: tp.SplitMix64(1).uniforms(x), 3),
+    ("count", lambda x: SplitMix64(1).uniforms(x), 3),
     ("ncols", lambda x: tp.uniform_matrix(np.array([1, 2], dtype=np.uint64), x), 3),
     ("i", lambda x: bad_edge_classification(_P, x, 1, 2), 3),
     ("ell", lambda x: bad_edge_classification(_P, 3, x, 4), 1),
@@ -494,6 +503,7 @@ _SIZE_CALLS = [
     ("n_list entry", lambda x: tp.SweepConfig("separator", (x,), (0.5,)), 10),
     ("trials", lambda x: tp.SweepConfig("separator", (10,), (0.5,), trials=x), 10),
     ("thread_count", lambda x: tp.SweepConfig("separator", (10,), (0.5,), thread_count=x), 2),
+    ("master_seed", lambda x: tp.SweepConfig("separator", (10,), (0.5,), master_seed=x), 7),
     ("bisections", lambda x: tp.SweepConfig("expansion", (10,), (0.5,), bisections=x), 4),
     ("t_list entry", lambda x: tp.SweepConfig("displacement", (10,), (0.5,), t_list=(x,)), 2),
 ]
@@ -507,14 +517,45 @@ def _ids(table) -> list[str]:
 
 @pytest.mark.parametrize("name, call, good", _SIZE_CALLS, ids=_ids(_SIZE_CALLS))
 def test_probabilities_refuse_non_integer_sizes(name, call, good):
-    """A fractional or bool size or index belongs to no graph: every public
-    entry point refuses it with ValueError, not using it as a real number;
-    numpy integers pass and give what the int gives."""
+    """A fractional or bool size, index or seed belongs to no graph: every
+    public entry point refuses it with ValueError, not using it as a real
+    number; numpy integers pass and give what the int gives."""
     for bad in (5.5, 5.0, np.float64(5.0), True):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(bad)
     np.testing.assert_equal(call(np.int64(good)), call(good))
     np.testing.assert_equal(call(np.uint8(good)), call(good))
+
+
+def test_sizes_are_checked_before_they_are_used():
+    """A size is refused as a non-integer before any cap or range compares it."""
+    for call in (lambda: tp.trace_table(10.5, 0.5), lambda: tp.trace_table(None, 0.5),
+                 lambda: expected_cuts("9", 0.5, 2 / 3)):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            call()
+
+
+_TRACE_CALLS = [
+    # every entry point that reads a trace, sent the raw sequence t
+    lambda t: InsertionTrace(t, 0.5),
+    lambda t: mallows_process(t),
+    lambda t: tp.format_trace(t),
+    lambda t: tp.graph_from_trace(t),
+    lambda t: detect_events(t),
+    lambda t: cut_vertices_from_trace(t),
+    lambda t: bad_edge_classification(t, 1, 1, 1),
+    lambda t: sparse_flush_holds(t, 1, 1, 1),
+]
+
+
+@pytest.mark.parametrize("call", _TRACE_CALLS, ids=lambda call: call.__code__.co_names[-1])
+def test_trace_readers_refuse_bad_raw_traces(call):
+    """A raw sequence is a trace only with integer 1 <= v_i <= i: each reader
+    refuses an entry out of range, a float and a bool, and reads a good one."""
+    for bad in ([0, 1], [1, 3], [1.5, 1], [True]):
+        with pytest.raises(ValueError, match="(outside|must be integers)"):
+            call(bad)
+    call([1, 2, 1])
 
 
 _NAN = float("nan")

@@ -35,7 +35,8 @@ from tangledpath import (
 )
 from tangledpath.errors import CapabilityError
 from tangledpath.mallows import _DECODE_BLOCK, _positions_from_uniforms, trace_displacements
-from tangledpath.rng import GOLDEN, MASK64, SplitMix64
+from tangledpath.rng import GOLDEN, MASK64
+from conftest import SplitMix64
 
 
 def test_process_table_example():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from tangledpath.rng import (
     GOLDEN,
-    SplitMix64,
     derive,
     derive_array,
     mix64,
@@ -14,6 +13,7 @@ from tangledpath.rng import (
     stream_u64,
     uniform_matrix,
 )
+from conftest import SplitMix64
 
 # First three outputs of the reference SplitMix64 generator at seed 0.
 SEED0_VECTOR = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -101,3 +101,24 @@ def test_mix64_stays_in_range(z):
 )
 def test_derive_deterministic(seed, part):
     assert derive(seed, part) == derive(seed, part)
+
+
+def test_seed_rule_is_integers_mod_2_64():
+    """Every seed-taking entry point reads an integer seed mod 2**64 and
+    refuses a float, bool, None or string with ValueError."""
+    big = 2**70 + 3
+    assert derive(-1, 3) == derive(2**64 - 1, 3) and derive(5, big) == derive(5, big % 2**64)
+    assert np.array_equal(stream_u64(2**64 + 5, 0, 4), stream_u64(5, 0, 4))
+    assert np.array_equal(derive_array(-1, [1, big]),
+                          derive_array(2**64 - 1, np.array([1, big % 2**64], dtype=np.uint64)))
+    assert np.array_equal(uniform_matrix([3, -1, big], 4),
+                          uniform_matrix(np.array([3, 2**64 - 1, big % 2**64], dtype=np.uint64), 4))
+    for bad in (1.5, 2.0, True, None, "5"):
+        for call in (lambda: derive(bad, 2), lambda: derive(1, bad), lambda: stream_u64(bad, 0, 3),
+                     lambda: derive_array(bad, np.arange(3))):
+            with pytest.raises(ValueError, match="^(seed|path part) must be an integer"):
+                call()
+        with pytest.raises(ValueError, match="^path parts must be integers"):
+            derive_array(1, [0, bad])
+        with pytest.raises(ValueError, match="^seeds must be integers"):
+            uniform_matrix([1, bad], 3)

@@ -33,9 +33,10 @@ from tangledpath import (
     unit_separator,
     vertex_iso,
 )
-from tangledpath.rng import SplitMix64, derive
+from tangledpath.rng import derive
 from tangledpath.widths import _edge_boundary, _vertex_boundary
 from conftest import (
+    SplitMix64,
     _components,
     brute_articulation,
     brute_cutwidth,
