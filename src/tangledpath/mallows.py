@@ -186,6 +186,16 @@ def _positions_from_uniforms(u: np.ndarray, q: float, first: int = 0) -> np.ndar
     return v
 
 
+def _position_reach(q: float) -> int | None:
+    """R with v_i - 1 <= R for every v_i _positions_from_uniforms can return,
+    at any i, or None at q = 1.  The largest uniform is 1 - 2**-53 and every
+    rounding is monotone, so u * expm1(i ln q) >= -(1 - 2**-53), its log1p is
+    at least ln 2**-53 ~ -36.737 up to a few ulp, and v_i - 1 <= 37 / -ln q."""
+    if q == 1.0:
+        return None
+    return 0 if q == 0.0 else math.floor(37.0 / -math.log(q)) + 1
+
+
 def sample_trace_matrix(
     n: int, q: float, seeds: Sequence[int] | np.ndarray, first: int = 0
 ) -> np.ndarray:

@@ -49,6 +49,7 @@ from .events import (
 from ._util import alpha_cut_range, as_int, as_real, trace_order_sum
 from .graph import _edge_ends, build_tangled, diameter
 from .mallows import (
+    _position_reach,
     mallows_process,
     sample_trace_matrix,
     trace_displacements,
@@ -373,8 +374,10 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # through _flag_blocks: right to left in column blocks of about _BLOCK_ENTRIES
 # trace entries, each sampled and flagged (or, right of the last index read,
 # folded) while in cache, with the tail pair of minima carried across block
-# edges and nothing sampled left of the first index read.  Their outputs equal
-# the whole-matrix route's; the blocking keeps memory flat in n.
+# edges and nothing sampled left of the first index read.  For q < 1 the walk
+# mostly starts R = _position_reach(q) columns right of the last index read,
+# not at n: no column beyond can move a flag read.  Their outputs equal the
+# whole-matrix route's; the blocking keeps memory flat in n.
 # The other cells build graphs or scan whole traces and take the whole matrix.
 
 _Run = Callable[[Callable[[np.ndarray], np.ndarray]], np.ndarray]
@@ -390,10 +393,19 @@ def _flag_blocks(n: int, q: float, seeds: np.ndarray, first: int, last: int):
     """Yield (lo, flags) for column blocks of the traces of ``seeds``, from
     the right end down to column ``first``: flags is event_flag_matrix of
     columns lo .. of the block, so its column j is index k = lo + j + 1.  A
-    block holding no index up to ``last`` is only folded into the tail pair."""
+    block holding no index up to ``last`` is only folded into the tail pair.
+    Only the flags of indices k <= ``last`` are exact: with R =
+    _position_reach(q), first > R and last + R < n, the walk starts at index
+    last + R with the tail pair (last, R + 1).  Each i > last + R has
+    v_i <= R + 1, so i - v_i >= last breaks no F_k with k <= last; and R_k
+    for k > first fails either way, as v_{k+1} <= R + 1 <= k."""
     width = max(1, _BLOCK_ENTRIES // len(seeds))
-    tail = None
-    for hi in range(n, first, -width):
+    reach = _position_reach(q)
+    end, tail = n, None
+    if reach is not None and first > reach and last + reach < n:
+        end = last + reach
+        tail = tuple(np.full(len(seeds), x, dtype=np.int64) for x in (last, reach + 1))
+    for hi in range(end, first, -width):
         lo = max(first, hi - width)
         v = sample_trace_matrix(hi, q, seeds, lo)
         if lo >= last:

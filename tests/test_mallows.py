@@ -34,7 +34,12 @@ from tangledpath import (
     tv_distance_to_uniform,
 )
 from tangledpath.errors import CapabilityError
-from tangledpath.mallows import _DECODE_BLOCK, _positions_from_uniforms, trace_displacements
+from tangledpath.mallows import (
+    _DECODE_BLOCK,
+    _position_reach,
+    _positions_from_uniforms,
+    trace_displacements,
+)
 from tangledpath.rng import GOLDEN, MASK64
 from conftest import SplitMix64
 
@@ -426,6 +431,23 @@ def test_positions_need_no_lower_clamp():
             i = np.arange(first + 1, first + 4)
             assert (v[0] == 1).all() and (v >= 1).all() and (v <= i).all(), (first, q)
             assert (np.diff(v, axis=0) >= 0).all(), (first, q)
+
+
+def test_position_reach_bounds_the_largest_uniforms():
+    """v_i - 1 <= _position_reach(q) for the largest uniforms the RNG gives,
+    at indices from 1 to past 10^9 and about 2000 q from 5e-324 to the float
+    below 1; the bound is within 1% of the worst position seen."""
+    assert (_position_reach(0.0), _position_reach(0.2), _position_reach(1.0)) == (0, 23, None)
+    us = 1.0 - np.arange(1, 9)[:, None] * 2.0**-53
+    qs = np.concatenate([np.geomspace(1e-300, 0.5, 1000), 1 - np.geomspace(0.5, 1e-15, 1000)])
+    worst = 0.0
+    for q in [*qs.tolist(), 5e-324, 1e-300, 0.0, math.nextafter(1.0, 0.0)]:
+        reach = _position_reach(q)
+        for first in (0, 5, 10**6, 10**9):
+            v = _positions_from_uniforms(np.repeat(us, 64, axis=1), q, first)
+            assert int(v.max()) - 1 <= reach, (q, first)
+            worst = max(worst, (int(v.max()) - 1) / max(reach, 1))
+    assert worst > 0.99
 
 
 def test_sample_matrix_seed_handling():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -34,6 +35,7 @@ from tangledpath.sweeps import (
     write_plot_data,
     _chunk_bounds,
 )
+from tangledpath.mallows import _position_reach
 from tangledpath.rng import derive, derive_array
 
 
@@ -521,11 +523,9 @@ def test_streamed_cells_carry_the_tail_at_q_one(monkeypatch):
 def test_separator_flags_only_blocks_holding_a_counted_index(monkeypatch):
     """Every column range event_flag_matrix gets in a separator cell holds an
     index in k_lo .. k_hi; the blocks right of k_hi, here one starting right
-    after it, are sampled, not flagged."""
+    after it, are sampled, not flagged.  The walk starts at k_hi + R(q)
+    (R = _position_reach(q)), or at n when there is no R (q = 1)."""
     n, rows = 1000, 64
-    cfg = make_config(experiment="separator", n_list=[n], q_grid=[0.5], trials=rows)
-    k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
-    monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(n - k_hi, 0))
     sampled, flagged = [], []
 
     def sample(n, q, seeds, first=0):
@@ -538,10 +538,68 @@ def test_separator_flags_only_blocks_holding_a_counted_index(monkeypatch):
 
     monkeypatch.setattr(sweeps, "sample_trace_matrix", sample)
     monkeypatch.setattr(sweeps, "event_flag_matrix", flag)
-    _cell_trials(cfg, n, 0.5)
-    assert flagged and all(lo < k_hi and hi >= k_lo for lo, hi in flagged)
-    assert flagged == [r for r in sampled if r[0] < k_hi] and len(flagged) < len(sampled)
-    assert sampled[0][1] == n and sampled[-1][0] == k_lo - 1
+    for q in (0.5, 1.0):
+        cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], trials=rows)
+        k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
+        reach = _position_reach(q)
+        end = n if reach is None else min(n, k_hi + reach)
+        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * _edge_width(end - k_hi, 0))
+        sampled.clear()
+        flagged.clear()
+        _cell_trials(cfg, n, q)
+        assert flagged and all(lo < k_hi and hi >= k_lo for lo, hi in flagged)
+        assert flagged == [r for r in sampled if r[0] < k_hi] and len(flagged) < len(sampled)
+        assert sampled[0][1] == end and sampled[-1][0] == k_lo - 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_cells_stop_at_the_reach(monkeypatch, threads):
+    """Both streamed cells equal the whole-matrix route when the walk stops
+    at index last + R, R = _position_reach(q), where last is the last index
+    read: with the first column read at R (no stop) and R + 1, and last + R
+    at n - 1, n and n + 1 (no stop), in one block and in 37-column blocks.
+    The walk starts at last + R exactly when first >= R + 1 and
+    last + R < n."""
+    n, rows = 1000, 64
+    qs = [0.0, 5e-324, 0.5, *resolve_q_token("critical+-3margin", n),
+          1 - 1 / (n * math.log(n)), 1.0]
+    ends = []
+
+    def sample(hi, q, seeds, first=0):
+        ends.append(hi)
+        return sample_trace_matrix(hi, q, seeds, first)
+
+    monkeypatch.setattr(sweeps, "sample_trace_matrix", sample)
+    for q in qs:
+        cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], trials=2 * rows,
+                          master_seed=3, thread_count=threads)
+        whole = _whole_flags(cfg, n, q)
+        reach = _position_reach(q)
+
+        def start(first, last):
+            stop = reach is not None and first > reach and last + reach < n
+            return last + reach if stop else n
+
+        if reach is None or 2 * reach + 2 >= n:
+            firsts, lasts = [n // 4], [n // 2, n - 1]
+        else:
+            firsts, lasts = [reach, reach + 1], [n // 2] + [n - reach + d for d in (-1, 0, 1)]
+        for first, last, width in itertools.product(firsts, lasts, (n, 37)):
+            monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * width)
+            k_lo, k_hi = max(first + 1, 2), min(last, n - 1)
+            monkeypatch.setattr(sweeps, "alpha_cut_range", lambda n, alpha: (k_lo, k_hi))
+            ends.clear()
+            want = whole["cut"][:, k_lo - 1 : k_hi].sum(axis=1)
+            assert np.array_equal(_cell_trials(cfg, n, q), want), (q, first, last, width)
+            assert max(ends) == start(k_lo - 1, k_hi), (q, first, last, width)
+            if last > n:
+                continue
+            flush_cfg = dataclasses.replace(cfg, experiment="flush-validate",
+                                            k_fracs=((first + 1) / n, last / n))
+            ends.clear()
+            got = _cell_trials(flush_cfg, n, q)
+            assert np.array_equal(got, whole["flush"][:, [first, last - 1]]), (q, first, last)
+            assert max(ends) == start(first, last), (q, first, last, width)
 
 
 def test_streamed_separator_trial_memory_is_flat():
