@@ -69,14 +69,19 @@ def as_seed(seed: int, what: str = "seed") -> int:
     return as_int(seed, what) & MASK64
 
 
-def seed_array(seeds: Sequence[int] | np.ndarray, first: int = 0, what: str = "seeds") -> np.ndarray:
+def seed_array(
+    seeds: Sequence[int] | np.ndarray, first: int | np.ndarray = 0, what: str = "seeds"
+) -> np.ndarray:
     """:func:`as_seed` over a sequence, as uint64 words moved ``first`` words
     along their streams: word first + j of seed s is word j of
-    s + first * GOLDEN.  An integer ndarray takes one cast, unchecked."""
+    s + first * GOLDEN.  ``first`` is a nonnegative int or an integer array,
+    one shift per seed.  An integer ndarray takes one cast, unchecked."""
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         s = seeds.astype(np.uint64, copy=False)
     else:
         s = np.array([int(x) & MASK64 for x in as_int64(seeds, what).flat], dtype=np.uint64)
+    if isinstance(first, np.ndarray):
+        return s + first.astype(np.uint64) * np.uint64(GOLDEN)
     return s + np.uint64(first * GOLDEN & MASK64) if first else s
 
 

@@ -47,6 +47,7 @@ from .events import (
     threshold_window,
 )
 from ._util import alpha_cut_range, as_int, as_real, trace_order_sum
+from . import mallows
 from .graph import _edge_ends, build_tangled, diameter
 from .mallows import (
     _position_reach,
@@ -55,7 +56,7 @@ from .mallows import (
     trace_displacements,
     trace_table,
 )
-from .rng import as_seed, derive, derive_array, uniform_matrix
+from .rng import as_seed, derive, derive_array, seed_array, uniform_matrix
 from .widths import EXACT_CAP, cutwidth_identity, treewidth_exact, vertex_iso
 
 RNG_NAME = "splitmix64"
@@ -366,8 +367,8 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # indicator, come from the merged array.  run_sweep turns the stats into
 # rows; a stat with an exact reference is checked against its band there.
 # The trials call sample_trace_matrix, event_flag_matrix, mallows_process,
-# build_tangled and diameter through this module's globals, so a caller can
-# wrap them here.
+# build_tangled and diameter through this module's globals, and the window
+# route's uniform_matrix through mallows', so a caller can wrap them there.
 #
 # The separator and sampled flush-validate cells read only the event flags of
 # indices k_lo .. k_hi (or min(ks) .. max(ks)).  Their trials walk each chunk
@@ -378,6 +379,13 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # mostly starts R = _position_reach(q) columns right of the last index read,
 # not at n: no column beyond can move a flag read.  Their outputs equal the
 # whole-matrix route's; the blocking keeps memory flat in n.
+# Where 0 < q < 1, k_lo - 1 > R, k_hi + R < n and expm1(k_lo ln q) = -1,
+# v_i is the same function of u_i at every i >= k_lo, at most R + 1 < k_lo,
+# so a cut at k is exactly v_k = 1 and v_{k+j} <= j for 1 <= j <= R.  If
+# cuts are rare too, separator trials take _window_cuts: they draw only the
+# window's uniforms, keep the k that pass a threshold test every cut passes,
+# and flag R + 1 columns for each.  Dense cells, q = 1 and flush-validate
+# keep _flag_blocks.
 # The other cells build graphs or scan whole traces and take the whole matrix.
 
 _Run = Callable[[Callable[[np.ndarray], np.ndarray]], np.ndarray]
@@ -416,6 +424,50 @@ def _flag_blocks(n: int, q: float, seeds: np.ndarray, first: int, last: int):
         tail = flags["tail"]
 
 
+# Window route: look-ahead cap J, gate on P * (R + 1) with P the pass rate.  A 10-trace
+# chunk at n = 10^5 took 8.0 ms in blocks, 7.1 in windows at 0.24; 10.2, 12.1 at 0.42.
+_LOOKAHEAD = 15
+_WINDOW_GATE = 0.25
+
+
+def _window_thresholds(n: int, q: float, k_lo: int, k_hi: int) -> np.ndarray | None:
+    """T_j = (1 - q^j)(1 + 2**-30), j = 1 .. J = min(_LOOKAHEAD, R), if the
+    separator cell over k_lo .. k_hi takes :func:`_window_cuts`, else None."""
+    reach = _position_reach(q)
+    if not 0.0 < q < 1.0 or k_lo - 1 <= reach or k_hi + reach >= n:
+        return None
+    logq = math.log(q)
+    t = -np.expm1(np.arange(1, min(_LOOKAHEAD, reach) + 1) * logq)
+    if np.expm1(k_lo * logq) != -1.0 or (1.0 - q) * t.prod() * (reach + 1) > _WINDOW_GATE:
+        return None
+    return t * (1.0 + 2.0**-30)
+
+
+def _window_cuts(q: float, seeds: np.ndarray, k_lo: int, k_hi: int, t: np.ndarray) -> np.ndarray:
+    """Per-trial counts of the cut vertices k_lo .. k_hi of the traces of
+    ``seeds``, given ``t`` from :func:`_window_thresholds`: a block's
+    candidates k (u_k < T_1 and u_{k+j} < T_j for j <= J) are sampled as
+    columns k_lo - 1 .. k_lo + R - 1 of their streams moved k - k_lo words
+    along, and flagged, in one call each; so is the last block's, if none."""
+    m, look, reach = len(seeds), len(t), _position_reach(q)
+    width, counts = max(1, _BLOCK_ENTRIES // m), np.zeros(m, dtype=np.int64)
+    for lo in range(k_lo, k_hi + 1, width):
+        w = min(width, k_hi + 1 - lo)
+        u = mallows.uniform_matrix(seed_array(seeds, lo - 1), w + look)
+        below = u < t[0]
+        hit = np.flatnonzero(below[:, :w] & below[:, 1 : w + 1])
+        hit += hit // w * look  # flat indices into u
+        u = u.ravel()
+        for j in range(2, look + 1):
+            hit = hit[u[hit + j] < t[j - 1]]
+        if hit.size or lo + w > k_hi:  # the last block calls anyway: each chunk is traced
+            r, k = hit // (w + look), lo + hit % (w + look)
+            v = sample_trace_matrix(k_lo + reach, q, seed_array(seeds[r], k - k_lo), k_lo - 1)
+            tail = tuple(np.full(len(r), x, dtype=np.int64) for x in (k_lo, reach + 1))
+            counts += np.bincount(r[event_flag_matrix(v, k_lo - 1, tail)["cut"][:, 0]], minlength=m)
+    return counts
+
+
 def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
     """Cut-vertex counts in the alpha range, from traces alone (no graphs).
 
@@ -427,8 +479,11 @@ def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
     """
     k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
     k_lo, k_hi = max(k_lo, 2), min(k_hi, n - 1)
+    thresholds = _window_thresholds(n, q, k_lo, k_hi)
 
     def trial_fn(seeds: np.ndarray) -> np.ndarray:
+        if thresholds is not None:
+            return _window_cuts(q, seeds, k_lo, k_hi, thresholds)
         counts = np.zeros(len(seeds), dtype=np.int64)
         for lo, flags in _flag_blocks(n, q, seeds, k_lo - 1, k_hi):
             counts += flags["cut"][:, : k_hi - lo].sum(axis=1)

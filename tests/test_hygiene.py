@@ -99,6 +99,30 @@ def test_traced_separator_sweep_records_required_spans():
     assert not missing, "spans recorded no calls:\n" + "\n".join(missing)
 
 
+
+def test_traced_window_route_sweep_records_required_spans():
+    # A separator sweep whose cells all count on candidate windows still
+    # records every required span, and its uniform draws, which go through
+    # mallows.uniform_matrix, count at least one word per trace and window
+    # index; else a bench run with both cells on that route would record
+    # no calls.
+    tracing, workloads = _bench_module("tracing"), _bench_module("workloads")
+    sweeps = importlib.import_module("tangledpath.sweeps")
+    alpha_cut_range = importlib.import_module("tangledpath._util").alpha_cut_range
+    n, qs, trials = 10**4, (0.9, 0.95), 6
+    k_lo, k_hi = alpha_cut_range(n, 2 / 3)
+    assert all(sweeps._window_thresholds(n, q, k_lo, k_hi) is not None for q in qs)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sweeps.run_sweep(sweeps.make_config(
+            experiment="separator", n_list=[n], q_grid=list(qs), trials=trials, thread_count=2,
+        ))
+    calls = tracer.calls()
+    missing = [span for span in workloads.Separator.required if not calls[span]]
+    assert not missing, "spans recorded no calls:\n" + "\n".join(missing)
+    words = sum(s[6] for s in tracer.spans if s[1] == "rng.uniform_matrix")
+    assert words >= len(qs) * trials * (k_hi - k_lo + 1)
+
 def test_readme_src_line_count_is_current():
     # ROADMAP tracks the size of src/ through this number, so it must not
     # go stale when src/ changes.

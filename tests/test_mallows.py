@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tangledpath.sweeps as sweeps
 from tangledpath import (
     InsertionTrace,
     Permutation,
@@ -40,7 +41,8 @@ from tangledpath.mallows import (
     _positions_from_uniforms,
     trace_displacements,
 )
-from tangledpath.rng import GOLDEN, MASK64
+from tangledpath._util import alpha_cut_range
+from tangledpath.rng import GOLDEN, MASK64, seed_array
 from conftest import SplitMix64
 
 
@@ -449,6 +451,51 @@ def test_position_reach_bounds_the_largest_uniforms():
             worst = max(worst, (int(v.max()) - 1) / max(reach, 1))
     assert worst > 0.99
 
+
+def _window_cell(q, monkeypatch):
+    """(k_lo, R, T) for the first index k_lo at which a separator window
+    can start at q, with the window route's thresholds T (gate open)."""
+    monkeypatch.setattr(sweeps, "_WINDOW_GATE", math.inf)
+    reach, logq = _position_reach(q), math.log(q)
+    k_lo = max(reach + 2, math.ceil(54 * math.log(2) / -logq) - 2)
+    while np.expm1(k_lo * logq) != -1.0:
+        k_lo += 1
+    return k_lo, reach, sweeps._window_thresholds(k_lo + reach + 1, q, k_lo, k_lo)
+
+
+def test_window_thresholds_bound_the_positions_they_admit(monkeypatch):
+    """Where the separator's window route applies, v_k <= j needs u_k < T_j:
+    the uniform T_j rounds up to, and the 2**10 above it, all give v > j at
+    index k_lo, for j up to 15 and q from 0.02 to 1 - 1e-7."""
+    qs = [*np.linspace(0.02, 0.98, 49).tolist(), *(1 - np.geomspace(0.02, 1e-7, 40)).tolist()]
+    for q in qs:
+        k_lo, reach, t = _window_cell(q, monkeypatch)
+        assert len(t) == min(15, reach)
+        for j, tj in enumerate(t.tolist(), 1):
+            grid = math.ceil(tj * 2**53) + np.arange(2**10)
+            u = (grid[grid < 2**53] * 2.0**-53)[:, None]
+            v = _positions_from_uniforms(u, q, k_lo - 1)
+            assert (v > j).all(), (q, j)
+
+
+def test_shifted_seed_windows_are_whole_matrix_columns(monkeypatch):
+    """sample_trace_matrix(k_lo + R, q, seeds moved k - k_lo words along,
+    k_lo - 1), the window route's call, gives columns k - 1 .. k + R - 1
+    of the whole matrix, at k_lo, k_hi and random k, for seeds whose moved
+    counters wrap past 2**64 too."""
+    rng = np.random.default_rng(5)
+    seeds = np.array([0, 1, 2**63, MASK64, MASK64 - GOLDEN + 3,
+                      *rng.integers(0, 2**63, 11)], dtype=np.uint64)
+    for n, q in ((3000, 0.8), (10**4, 0.9), (10**4, 0.95)):
+        k_lo, k_hi = alpha_cut_range(n, 2 / 3)
+        reach = _position_reach(q)
+        monkeypatch.setattr(sweeps, "_WINDOW_GATE", math.inf)
+        assert sweeps._window_thresholds(n, q, k_lo, k_hi) is not None
+        whole = sample_trace_matrix(n, q, seeds)
+        r = np.concatenate([np.arange(len(seeds)), np.arange(len(seeds)), rng.integers(0, 16, 200)])
+        k = np.concatenate([np.full(16, k_lo), np.full(16, k_hi), rng.integers(k_lo, k_hi + 1, 200)])
+        got = sample_trace_matrix(k_lo + reach, q, seed_array(seeds[r], k - k_lo), k_lo - 1)
+        assert np.array_equal(got, whole[r[:, None], (k - 1)[:, None] + np.arange(reach + 1)])
 
 def test_sample_matrix_seed_handling():
     """Integer seeds of any size are taken mod 2**64, in one mixed list too;

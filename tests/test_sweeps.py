@@ -36,7 +36,7 @@ from tangledpath.sweeps import (
     _chunk_bounds,
 )
 from tangledpath.mallows import _position_reach
-from tangledpath.rng import derive, derive_array
+from tangledpath.rng import derive, derive_array, seed_array, uniform_matrix
 
 
 def small_cfg(**over):
@@ -630,3 +630,199 @@ def test_streamed_separator_trial_memory_is_flat():
     assert np.array_equal(found["count"], cut[:, k_lo - 1 : k_hi].sum(axis=1))
     assert found["peak"] < 8 * 2**20
     assert whole_peak > 50 * 2**20
+
+
+# --- separator cells counted on candidate windows ---
+
+
+def _separator_trial_fn(monkeypatch, cfg, n, q):
+    """The per-chunk trial function of cfg's separator cell at (n, q),
+    without its exact reference."""
+    fns = []
+    with monkeypatch.context() as m:
+        m.setattr(sweeps, "expected_cuts_in_range", lambda *a: 0.0)
+        sweeps._separator_cell(cfg, lambda fn: fns.append(fn) or np.zeros(1, np.int64), n, q)
+    return fns[0]
+
+
+def _both_routes(monkeypatch, cfg, n, q):
+    """The cell's trial functions through _flag_blocks and through
+    _window_cuts, each forced by the gate (left open); None for the second
+    where the cell is not eligible."""
+    fns = []
+    for gate in (0.0, math.inf):
+        monkeypatch.setattr(sweeps, "_WINDOW_GATE", gate)
+        fns.append(_separator_trial_fn(monkeypatch, cfg, n, q))
+    k_lo, k_hi = alpha_cut_range(n, cfg.alpha)
+    eligible = sweeps._window_thresholds(n, q, max(k_lo, 2), min(k_hi, n - 1)) is not None
+    return fns[0], fns[1] if eligible else None
+
+
+WINDOW_QS = ("critical-3margin", "critical", "critical+3margin", 0.75, 0.8, 0.9, 0.95)
+
+
+@pytest.mark.parametrize("n, rows, cells", [
+    (1000, (1, 3, 10, 64), 9), (3000, (1, 3, 10), 18), (10**4, (1, 3, 10), 21),
+    (65537, (1, 3), 21), (10**5, (1, 3), 21),
+])
+def test_window_route_matches_flag_blocks(monkeypatch, n, rows, cells):
+    """Per-trial separator counts through _window_cuts equal those through
+    _flag_blocks on each of the ``cells`` eligible cells of the q and alpha
+    grid, on chunks of ``rows`` traces."""
+    seeds = derive_array(n, np.arange(sum(rows), dtype=np.uint64))
+    chunks = np.split(seeds, np.cumsum(rows)[:-1])
+    eligible = 0
+    for token, alpha in itertools.product(WINDOW_QS, (0.55, 2 / 3, 0.9)):
+        q = resolve_q_token(token, n)[0]
+        cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], alpha=alpha)
+        blocks, windows = _both_routes(monkeypatch, cfg, n, q)
+        if windows is None:
+            continue
+        eligible += 1
+        for chunk in chunks:
+            assert np.array_equal(windows(chunk), blocks(chunk)), (token, alpha, len(chunk))
+    assert eligible == cells
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_route_matches_across_block_edges(monkeypatch, threads):
+    """The window route's counts equal _flag_blocks' on a cell's chunks of
+    64, 64 and 2 traces, run on one or two threads, when its blocks are
+    narrower than the 15 look-ahead columns or have edges inside them."""
+    for n, q, alpha, widths in ((2000, 0.75, 0.55, (1, 2, 7, 16, 17, 61)),
+                                (3000, "critical", 2 / 3, (7, 17))):
+        q = resolve_q_token(q, n)[0]
+        cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], alpha=alpha,
+                          trials=130, master_seed=4, thread_count=threads)
+        monkeypatch.setattr(sweeps, "_WINDOW_GATE", 0.0)
+        want = _cell_trials(cfg, n, q)
+        assert want.any()
+        monkeypatch.setattr(sweeps, "_WINDOW_GATE", math.inf)
+        for width in widths:
+            monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", 64 * width)
+            assert np.array_equal(_cell_trials(cfg, n, q), want), (n, q, alpha, width)
+
+
+def test_window_route_matches_on_random_cells(monkeypatch):
+    """The two routes agree on random eligible cells: n, q, alpha, chunk
+    size and block width drawn at random."""
+    rng = np.random.default_rng(18)
+    checked = 0
+    while checked < 24:
+        n = int(rng.integers(1000, 20000))
+        q = float(rng.uniform(0.72, 0.97))
+        alpha = float(rng.uniform(0.52, 0.95))
+        cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], alpha=alpha)
+        rows, width = int(rng.integers(1, 65)), int(rng.integers(1, 3000))
+        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", rows * width)
+        blocks, windows = _both_routes(monkeypatch, cfg, n, q)
+        if windows is None:
+            continue
+        seeds = derive_array(checked, np.arange(rows, dtype=np.uint64))
+        assert np.array_equal(windows(seeds), blocks(seeds)), (n, q, alpha, rows, width)
+        checked += 1
+
+
+def _route(monkeypatch, cfg, n, q):
+    """The routes a run of cfg's separator cell at (n, q) took."""
+    taken = set()
+    with monkeypatch.context() as m:
+        for name in ("_window_cuts", "_flag_blocks"):
+            real = getattr(sweeps, name)
+            m.setattr(sweeps, name, lambda *a, real=real, name=name: taken.add(name) or real(*a))
+        _cell_trials(cfg, n, q)
+    return taken
+
+
+def test_window_route_is_taken_where_it_applies(monkeypatch):
+    """The bench's q_nonexist cell counts on windows, its q_exist cell in
+    blocks; so do q in {0, 1}, windows starting at index R + 1 or ending at
+    n - R, and q^k_lo above expm1's resolution, each against a neighbour
+    that takes the window route.  The cells of the tests that pin
+    _flag_blocks all take it."""
+    n = 10**5
+    cfg = make_config(experiment="separator", n_list=[n], q_grid=[0.5], trials=1)
+    q_exist, q_nonexist = resolve_q_token("critical+-3margin", n)
+    assert _route(monkeypatch, cfg, n, q_nonexist) == {"_window_cuts"}
+    assert _route(monkeypatch, cfg, n, q_exist) == {"_flag_blocks"}
+
+    n = 10**4
+    cfg = make_config(experiment="separator", n_list=[n], q_grid=[0.5], trials=1)
+    for q in (0.0, 1.0):
+        assert _route(monkeypatch, cfg, n, q) == {"_flag_blocks"}
+    # (k_lo, k_hi) pairs: blocks, then windows; 724 ln 0.95 > -37.43 > 730 ln 0.95
+    r8, r95 = _position_reach(0.8), _position_reach(0.95)
+    for q, blocks, windows in (
+        (0.8, (r8 + 1, 5000), (r8 + 2, 5000)),
+        (0.8, (5000, n - r8), (5000, n - r8 - 1)),
+        (0.95, (r95 + 2, 5000), (r95 + 8, 5000)),
+    ):
+        for pair, route in ((blocks, "_flag_blocks"), (windows, "_window_cuts")):
+            with monkeypatch.context() as m:
+                m.setattr(sweeps, "alpha_cut_range", lambda n, alpha: pair)
+                assert _route(monkeypatch, cfg, n, q) == {route}, (q, pair)
+
+    # the cells of test_separator_flags_only_blocks_holding_a_counted_index
+    n = 1000
+    for q in (0.5, 1.0):
+        k_lo, k_hi = alpha_cut_range(n, 2 / 3)
+        assert sweeps._window_thresholds(n, q, k_lo, k_hi) is None
+    # and of test_streamed_cells_stop_at_the_reach
+    for q in [0.0, 5e-324, 0.5, *resolve_q_token("critical+-3margin", n),
+              1 - 1 / (n * math.log(n)), 1.0]:
+        reach = _position_reach(q)
+        if reach is None or 2 * reach + 2 >= n:
+            firsts, lasts = [n // 4], [n // 2, n - 1]
+        else:
+            firsts, lasts = [reach, reach + 1], [n // 2] + [n - reach + d for d in (-1, 0, 1)]
+        for first, last in itertools.product(firsts, lasts):
+            k_lo, k_hi = max(first + 1, 2), min(last, n - 1)
+            assert sweeps._window_thresholds(n, q, k_lo, k_hi) is None, (q, first, last)
+
+
+def test_window_route_samples_and_flags_only_the_candidates(monkeypatch):
+    """A window-route chunk makes one sample_trace_matrix and one
+    event_flag_matrix call for each block holding a candidate, and for its
+    last block in any case: R + 1 columns from k_lo - 1, the tail pair
+    (k_lo, R + 1) and one row per candidate.  The candidates are exactly the
+    (trace, k) with k_lo <= k <= k_hi, u_k < T_1 and u_{k+j} < T_j for
+    j <= J, read off the whole uniform matrix, at every block width."""
+    sampled, flagged = [], []
+
+    def sample(n, q, seeds, first=0):
+        sampled.append((n, first, seeds))
+        return sample_trace_matrix(n, q, seeds, first)
+
+    def flag(v, first=0, tail=None):
+        flagged.append((first, v.shape, tail))
+        return event_flag_matrix(v, first, tail)
+
+    monkeypatch.setattr(sweeps, "sample_trace_matrix", sample)
+    monkeypatch.setattr(sweeps, "event_flag_matrix", flag)
+    for n, q, alpha in ((2000, 0.75, 0.55), (3000, "critical", 2 / 3), (10**4, 0.95, 2 / 3)):
+        q = resolve_q_token(q, n)[0]
+        cfg = make_config(experiment="separator", n_list=[n], q_grid=[q], alpha=alpha)
+        k_lo, k_hi = alpha_cut_range(n, alpha)
+        monkeypatch.setattr(sweeps, "_WINDOW_GATE", math.inf)
+        reach, seeds = _position_reach(q), derive_array(5, np.arange(64, dtype=np.uint64))
+        t = sweeps._window_thresholds(n, q, k_lo, k_hi)
+        u = uniform_matrix(seeds, n)
+        hit = np.ones((64, k_hi - k_lo + 1), dtype=bool)
+        for j in range(len(t) + 1):
+            hit &= u[:, k_lo - 1 + j : k_hi + j] < t[max(j, 1) - 1]
+        r, c = np.nonzero(hit)
+        want = np.sort(seed_array(seeds[r], c))
+        assert want.size or q == 0.95
+        for width in (7, 16, 17, 1000, 2**16):
+            monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", 64 * width)
+            sampled.clear()
+            flagged.clear()
+            _separator_trial_fn(monkeypatch, cfg, n, q)(seeds)
+            busy = {*(c // width).tolist(), (k_hi - k_lo) // width}
+            assert len(sampled) == len(flagged) == len(busy), (n, q, width)
+            assert {s[:2] for s in sampled} == {(k_lo + reach, k_lo - 1)}
+            got = np.sort(np.concatenate([s[2] for s in sampled]))
+            assert np.array_equal(got, want), (n, q, width)
+            for (first, shape, (tail_d, tail_v)), s in zip(flagged, sampled):
+                assert first == k_lo - 1 and shape == (len(s[2]), reach + 1)
+                assert set(tail_d.tolist()) <= {k_lo} and set(tail_v.tolist()) <= {reach + 1}
