@@ -140,8 +140,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    trace, sigma = _load_instance(args)
-    print(format_edge_list(build_tangled(sigma, trace=trace)), end="")
+    _, sigma = _load_instance(args)
+    print(format_edge_list(build_tangled(sigma)), end="")
     return 0
 
 
@@ -153,7 +153,7 @@ def cmd_analyze(args) -> int:
             f"unknown metrics {bad}; choose from {','.join(ANALYZE_METRICS)}"
         )
     trace, sigma = _load_instance(args)
-    g = build_tangled(sigma, trace=trace)
+    g = build_tangled(sigma)
     out: dict = {"n": g.n, "edges": g.indices.size // 2}
     for m in metrics:
         if m == "tw":

@@ -77,9 +77,9 @@ def event_flag_matrix(
     pair = (np.full(len(v), _NO_TAIL, dtype=np.int64),) * 2 if tail is None else tail
     flags["tail"] = _flag_block(v, first, pair, list(flags.values()))
     if first == 0:
-        flags["cut"][:, 0] = False
+        flags["cut"][:, :1] = False
     if tail is None:
-        flags["cut"][:, -1] = False
+        flags["cut"][:, -1:] = False
     return flags
 
 

@@ -60,14 +60,12 @@ class TangledGraph:
     """An undirected graph on {1..n}: vertex v's neighbors are
     ``indices[indptr[v - 1]:indptr[v]] + 1``, in increasing order.
 
-    Graphs are equal when n, the edge set and the provenance are; the hash
-    leaves the provenance out, so equal graphs hash equal.
+    Graphs are equal, and hash equal, when n and the edge set are.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    provenance: dict | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TangledGraph):
@@ -76,7 +74,6 @@ class TangledGraph:
             self.n == other.n
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
-            and self.provenance == other.provenance
         )
 
     def __hash__(self) -> int:
@@ -102,9 +99,7 @@ def _edge_ends(g: TangledGraph) -> tuple[np.ndarray, np.ndarray]:
     return rows[up], g.indices[up]
 
 
-def _from_pairs(
-    n: int, a: np.ndarray, b: np.ndarray, provenance: dict | None = None
-) -> TangledGraph:
+def _from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> TangledGraph:
     """Graph on 1..n from int64 arrays of 0-based endpoints of valid edges
     (either orientation, repeats allowed)."""
     keys = np.concatenate([a * n + b, b * n + a])
@@ -116,7 +111,7 @@ def _from_pairs(
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     indices = (keys % n).astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False
-    return TangledGraph(n, indptr, indices, provenance)
+    return TangledGraph(n, indptr, indices)
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
@@ -140,34 +135,28 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
     return _from_pairs(n, u - 1, v - 1)
 
 
-def build_tangled(
-    sigma: Permutation | Sequence[int],
-    trace: InsertionTrace | None = None,
-) -> TangledGraph:
+def build_tangled(sigma: Permutation | Sequence[int]) -> TangledGraph:
     """Union of the path on 1..n with the sigma-permuted path.
 
     Duplicate edges collapse, so the edge count is at most 2(n-1); every vertex
     keeps degree at most 4 (two path neighbors, two permuted-path neighbors).
     A raw sequence is checked to be a permutation; a :class:`Permutation`
-    already is one.  An optional trace is recorded as provenance.
+    already is one.  An empty permutation, with no graph, is refused.
     """
     if not isinstance(sigma, Permutation):
         sigma = Permutation(sigma)
+    if not sigma.image:
+        raise ValueError("a tangled graph needs a permutation of n >= 1")
     img = np.array(sigma.image, dtype=np.int64) - 1
-    n = img.size
-    prov = None
-    if trace is not None:
-        prov = {"positions": trace.positions, "q": trace.q, "seed": trace.seed}
-    path = np.arange(n - 1)
+    path = np.arange(img.size - 1)
     a = np.concatenate([path, img[:-1]])
     b = np.concatenate([path + 1, img[1:]])
-    return _from_pairs(n, a, b, prov)
+    return _from_pairs(img.size, a, b)
 
 
 def graph_from_trace(trace: InsertionTrace | Sequence[int]) -> TangledGraph:
     """Tangled graph of the process output of ``trace`` (reversal-invariant)."""
-    sigma = mallows_process(trace)
-    return build_tangled(sigma, trace if isinstance(trace, InsertionTrace) else None)
+    return build_tangled(mallows_process(trace))
 
 
 # ---------------------------------------------------------------------------

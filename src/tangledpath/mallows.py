@@ -79,13 +79,11 @@ class InsertionTrace:
     """The insertion positions (v_1, ..., v_n) that drive the process.
 
     Position i is 1-based and must satisfy 1 <= v_i <= i; violating that is a
-    hard error, not a clamp.  ``seed`` records the integer seed the trace was
-    sampled from, when one was supplied.
+    hard error, not a clamp.
     """
 
     positions: tuple[int, ...]
     q: float
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", _positions_of(self.positions)[0])
@@ -99,11 +97,13 @@ class InsertionTrace:
 def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...], float | None]:
     """The one reader of a trace argument: its (positions, q).  An
     InsertionTrace is trusted; a raw sequence, whose q is None, is checked
-    for 1 <= v_i <= i in one numpy comparison, the ValueError naming the
-    first bad v_i."""
+    to be nonempty and for 1 <= v_i <= i in one numpy comparison, the
+    ValueError naming the first bad v_i."""
     if isinstance(trace, InsertionTrace):
         return trace.positions, trace.q
     v = as_int64(trace, "trace positions")
+    if v.size == 0:
+        raise ValueError("a trace needs at least one position")
     bad = (v < 1) | (v > np.arange(1, v.size + 1))
     if bad.any():
         i = int(bad.argmax()) + 1
@@ -215,11 +215,11 @@ def sample_trace_matrix(
 def sample_trace(n: int, q: float, seed: int) -> InsertionTrace:
     """Draw (v_1, ..., v_n) with independent truncated-geometric components:
     row 0 of :func:`sample_trace_matrix` for the stream of ``seed`` (checked
-    and taken mod 2**64 there), with the seed recorded on the trace.  The
-    same (n, q, seed) always yields the same trace.
+    and taken mod 2**64 there).  The same (n, q, seed) always yields the
+    same trace.
     """
     v = sample_trace_matrix(n, q, [seed])[0]
-    return _unchecked(InsertionTrace, positions=tuple(v.tolist()), q=q, seed=int(seed))
+    return _unchecked(InsertionTrace, positions=tuple(v.tolist()), q=q)
 
 
 def mallows_process(trace: InsertionTrace | Sequence[int] | np.ndarray) -> Permutation:
@@ -404,7 +404,7 @@ def enumerate_traces(
     """The rows of :func:`trace_table` one at a time, as (trace, weight)."""
     V, w = trace_table(n, q)
     for positions, weight in zip(V.tolist(), w):
-        yield _unchecked(InsertionTrace, positions=tuple(positions), q=q, seed=None), weight
+        yield _unchecked(InsertionTrace, positions=tuple(positions), q=q), weight
 
 
 def tv_distance_to_uniform(k: int, q: float) -> float:
@@ -490,6 +490,6 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(_parse_ints(text))
 
 
-def parse_trace(text: str, q: float, seed: int | None = None) -> InsertionTrace:
+def parse_trace(text: str, q: float) -> InsertionTrace:
     """Accepts 'v = 1 2 1 3 2 5' or bare integer lists, validating 1 <= v_i <= i."""
-    return InsertionTrace(_parse_ints(text), q, seed)
+    return InsertionTrace(_parse_ints(text), q)

@@ -99,6 +99,16 @@ class SweepConfig:
     exhaustive: bool = False
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):  # each field of its type; a list as a tuple
+            v = getattr(self, f.name)
+            if f.name in _LIST_FIELDS:
+                if not isinstance(v, (list, tuple)):
+                    raise ValueError(f"{f.name}: {v!r} is not a list")
+                kind = f.type[len("tuple[") : -len(", ...]")]
+                v = tuple(_typed(f"{f.name} entry", kind, x) for x in v)
+            else:
+                v = _typed(f.name, f.type, v)
+            object.__setattr__(self, f.name, v)
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(
                 f"experiment {self.experiment!r} not one of {tuple(_EXPERIMENTS)}"
@@ -155,16 +165,24 @@ def resolve_q_token(token: float | str, n: int) -> list[float]:
     return [w.q_exist, w.q_nonexist]
 
 
+def _parse_number(text: str) -> int | float:
+    """A number's text as an int when it is integral, whatever its
+    spelling (1e5 is 100000), else as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        x = float(text)
+        return int(x) if x.is_integer() else x
+
+
 def _parse_scalar(text: str):
     low = text.strip()
     if low.lower() in ("true", "false"):
         return low.lower() == "true"
-    for parse in (int, float):
-        try:
-            return parse(low)
-        except ValueError:
-            pass
-    return low
+    try:
+        return _parse_number(low)
+    except ValueError:
+        return low
 
 
 _LIST_FIELDS = {
@@ -176,7 +194,7 @@ def parse_config_text(text: str) -> SweepConfig:
     """Parse JSON or flat key=value lines ('#' comments allowed) into a config."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        raw = json.loads(stripped)
+        raw = json.loads(stripped, parse_float=_parse_number)
     else:
         raw = {}
         for line in stripped.splitlines():
@@ -194,45 +212,34 @@ def parse_config_text(text: str) -> SweepConfig:
     return make_config(**raw)
 
 
-def _typed(key: str, kind: str, v):
+def _typed(what: str, kind: str, v):
     """``v`` as a value of the SweepConfig type ``kind``, or a ValueError
-    naming ``key``: an integral float counts as an integer (1e5 is 100000),
-    but nothing is truncated, parsed or cast from another kind."""
+    naming ``what``: an int where a float belongs becomes that float, but
+    nothing is truncated, parsed or cast from another kind."""
     if v is None and kind.endswith("None") or isinstance(v, str) and "str" in kind:
         return v
+    if kind == "int":
+        return as_int(v, what)
     if isinstance(v, (bool, np.bool_)):
         if kind == "bool":
             return bool(v)
-    elif kind == "int" and (
-        isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
-    ):
-        return int(v)
     elif kind.startswith("float") and isinstance(v, (int, float, np.integer, np.floating)):
         return float(v)
-    raise ValueError(f"{key}: {v!r} is not of type {kind}")
+    raise ValueError(f"{what}: {v!r} is not of type {kind}")
 
 
 def make_config(**raw) -> SweepConfig:
-    """Build a SweepConfig from loosely typed values (CLI/config plumbing).
-
-    A scalar stands for a one-entry list.  Each value must be of its field's
-    type (see :func:`_typed`), so a fractional count or a word where a number
-    belongs fails here, before any cell runs.
-    """
-    kinds = {f.name: f.type for f in dataclasses.fields(SweepConfig)}
-    unknown = sorted(raw.keys() - kinds.keys())
+    """Build a SweepConfig from keyword values, a scalar standing for a
+    one-entry list; the config checks every value's type and range, so a
+    fractional count or a word where a number belongs fails before any cell
+    runs."""
+    unknown = sorted(raw.keys() - {f.name for f in dataclasses.fields(SweepConfig)})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    clean = {}
-    for key, value in raw.items():
-        kind = kinds[key]
-        if key in _LIST_FIELDS:
-            element = kind[len("tuple[") : -len(", ...]")]
-            values = value if isinstance(value, (list, tuple)) else [value]
-            clean[key] = tuple(_typed(key, element, v) for v in values)
-        else:
-            clean[key] = _typed(key, kind, value)
-    return SweepConfig(**clean)
+    return SweepConfig(**{
+        k: [v] if k in _LIST_FIELDS and not isinstance(v, (list, tuple)) else v
+        for k, v in raw.items()
+    })
 
 
 def config_from_file(path: str | Path) -> SweepConfig:

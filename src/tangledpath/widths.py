@@ -389,7 +389,7 @@ def boundary_subset_count(n: int, k: int) -> int:
 
 @dataclass
 class WidthReport:
-    """Widths of one graph; :meth:`to_json` names each entry's method.
+    """Widths of one graph.
 
     ``treewidth`` is an exact int when the solver ran, else a (lower, upper)
     pair from the bounds route; iso entries stay exact rationals so chain
@@ -400,35 +400,9 @@ class WidthReport:
     edge_count: int
     treewidth: int | tuple[int, int]
     cutwidth_identity: int
-    cutwidth_profile: tuple[int, ...]
     cutwidth_exact: int | None = None
     vertex_iso: Fraction | None = None
     edge_iso: Fraction | None = None
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "n": self.n,
-            "edges": self.edge_count,
-            "cutwidth_identity": {
-                "value": self.cutwidth_identity,
-                "method": "identity-layout",
-            },
-        }
-        if isinstance(self.treewidth, tuple):
-            out["treewidth"] = {
-                "lower": self.treewidth[0],
-                "upper": self.treewidth[1],
-                "method": "degeneracy-lower/minfill-upper",
-            }
-        else:
-            out["treewidth"] = {"value": self.treewidth, "method": "exact-dp"}
-        if self.cutwidth_exact is not None:
-            out["cutwidth_exact"] = {"value": self.cutwidth_exact, "method": "exact-dp"}
-        for name in ("vertex_iso", "edge_iso"):
-            iso = getattr(self, name)
-            if iso is not None:
-                out[name] = {"value": f"{iso.numerator}/{iso.denominator}", "method": "exact-dp"}
-        return out
 
 
 def build_width_report(g: TangledGraph, exact: bool | None = None) -> WidthReport:
@@ -439,13 +413,11 @@ def build_width_report(g: TangledGraph, exact: bool | None = None) -> WidthRepor
     """
     n = g.n
     use_exact = n <= EXACT_CAP if exact is None else exact
-    cw_val, cw_profile = cutwidth_identity(g)
     return WidthReport(
         n=n,
         edge_count=g.indices.size // 2,
         treewidth=treewidth_exact(g) if use_exact else treewidth_bounds(g),
-        cutwidth_identity=cw_val,
-        cutwidth_profile=cw_profile,
+        cutwidth_identity=cutwidth_identity(g)[0],
         cutwidth_exact=cutwidth_exact(g) if use_exact else None,
         vertex_iso=vertex_iso(g) if use_exact and n >= 2 else None,
         edge_iso=edge_iso(g) if use_exact and n >= 2 else None,

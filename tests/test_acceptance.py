@@ -334,7 +334,7 @@ def test_criterion_08_width_chain_and_monotonicity():
         n = 8 + trial % 7
         q = qs[trial % 4]
         trace = sample_trace(n, q, derive(MASTER, 8, trial))
-        g = build_tangled(mallows_process(trace), trace=trace)
+        g = build_tangled(mallows_process(trace))
         iso = vertex_iso(g)
         tw = treewidth_exact(g)
         cw = cutwidth_exact(g)
@@ -437,14 +437,14 @@ def test_criterion_11_structural_properties():
     for qi, q in enumerate((0.3, 0.6, 0.9)):
         for trial in range(30):
             trace = sample_trace(500, q, derive(MASTER, 11, qi, trial))
-            g = build_tangled(mallows_process(trace), trace=trace)
+            g = build_tangled(mallows_process(trace))
             if diameter(g) < len(cut_vertices_from_trace(trace)) + 1:
                 diam_bad += 1
     if diam_bad:
         problems.append(f"diameter bound failed on {diam_bad}/90 instances")
 
     trace0 = sample_trace(500, 0.0, derive(MASTER, 11, 99))
-    g0 = build_tangled(mallows_process(trace0), trace=trace0)
+    g0 = build_tangled(mallows_process(trace0))
     small0 = build_tangled(
         mallows_process(sample_trace(16, 0.0, derive(MASTER, 11, 98)))
     )

@@ -188,6 +188,32 @@ def test_flag_matrix_matches_reference_formula(monkeypatch, n, scan_entries):
                     _assert_flags_equal(event_flag_matrix(block, lo, tail), want, (lo, td, tv))
 
 
+def test_flag_window_passes_in_int64_past_2_31(monkeypatch):
+    """Past index 2**31 the window passes hold i - v_i in int64: on an
+    8 x 4096 block of q = 0.5 positions at first = 2**31 - 100, with a tail
+    pair, they give the scan route's five arrays and tail."""
+    first, ncols = 2**31 - 100, 4096
+    seeds = derive_array(5, np.arange(8, dtype=np.uint64))
+    v = sample_trace_matrix(first + ncols, 0.5, seeds, first)
+    assert 2 * v.max() < ncols and v.size >= events._SCAN_ENTRIES  # the window route
+    last = first + ncols
+    tail = (first + np.array([-50, 0, 7, 2000, 4090, 4096, 4100, 10**6]),
+            np.array([1, 3, 20, first, last - 1, last, last + 1, 1 << 60]))
+    windowed = event_flag_matrix(v, first, tail)
+    monkeypatch.setattr(events, "_SCAN_ENTRIES", v.size + 1)
+    _assert_flags_equal(windowed, event_flag_matrix(v, first, tail), first)
+    assert windowed["flush"].any() and windowed["reverse_flush"].any()
+
+
+def test_flag_matrix_of_no_columns_is_empty():
+    """A batch of 0 columns has empty flags and hands on the tail it got."""
+    for first, tail in ((0, None), (7, (np.arange(3), np.arange(3) + 1))):
+        flags = event_flag_matrix(np.empty((3, 0), dtype=np.int64), first, tail)
+        assert all(flags[key].shape == (3, 0) for key in _FLAG_KEYS)
+        want = tail or (np.full(3, events._NO_TAIL),) * 2
+        assert all(np.array_equal(a, b) for a, b in zip(flags["tail"], want))
+
+
 @given(traces_strategy)
 @settings(max_examples=150, deadline=None)
 def test_detect_events_matches_oracles(v):
@@ -556,6 +582,15 @@ def test_trace_readers_refuse_bad_raw_traces(call):
         with pytest.raises(ValueError, match="(outside|must be integers)"):
             call(bad)
     call([1, 2, 1])
+
+
+@pytest.mark.parametrize("call", _TRACE_CALLS, ids=lambda call: call.__code__.co_names[-1])
+def test_trace_readers_refuse_empty_traces(call):
+    """A trace has n >= 1 positions: each reader refuses an empty one on
+    entry, as every sampler refuses n < 1."""
+    for empty in ([], (), np.empty(0, dtype=np.int64)):
+        with pytest.raises(ValueError, match="at least one position"):
+            call(empty)
 
 
 _NAN = float("nan")

@@ -1,5 +1,6 @@
 """Tangled graph construction, BFS/diameter, articulation points."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -13,6 +14,7 @@ from tangledpath import (
     CapabilityError,
     InsertionTrace,
     Permutation,
+    TangledGraph,
     articulation_points,
     bfs_distances,
     build_tangled,
@@ -60,7 +62,7 @@ def test_union_with_permuted_path():
 def test_degree_bound_and_connectivity():
     for seed in range(30):
         trace = sample_trace(40, 0.6, seed)
-        g = build_tangled(mallows_process(trace), trace=trace)
+        g = build_tangled(mallows_process(trace))
         assert np.diff(g.indptr).max() <= 4
         assert is_connected(g)
 
@@ -134,23 +136,31 @@ def test_reversal_gives_same_graph(perm):
     assert build_tangled(perm).edges == build_tangled(reverse(perm)).edges
 
 
-def test_provenance_recorded():
-    trace = sample_trace(7, 0.3, 42)
-    g = build_tangled(mallows_process(trace), trace=trace)
-    assert g.provenance is not None
-    assert g.provenance["q"] == 0.3 and g.provenance["seed"] == 42
-    assert graph_from_trace(trace).edges == g.edges
+def test_graph_equality_follows_content():
+    """A graph is n and its CSR arrays: built from a trace, its raw
+    positions, its permutation or its edge list, it compares and hashes
+    equal; another graph does not."""
+    assert [f.name for f in dataclasses.fields(TangledGraph)] == ["n", "indptr", "indices"]
+    for n, q, seed in ((1, 0.5, 1), (7, 0.3, 42), (12, 0.4, 5)):
+        trace = sample_trace(n, q, seed)
+        g = graph_from_trace(trace)
+        same = (build_tangled(mallows_process(trace)), graph_from_trace(list(trace.positions)),
+                make_graph(n, g.edges))
+        for h in same:
+            assert h == g and hash(h) == hash(g)
+        assert len({g, *same}) == 1
+    assert graph_from_trace([1, 1, 1]) != graph_from_trace([1, 1, 2])
+    assert graph_from_trace([1, 1]) != graph_from_trace([1, 1, 1])
 
 
-def test_graph_with_provenance_hashes():
-    trace = sample_trace(12, 0.4, 5)
-    sigma = mallows_process(trace)
-    traced, bare = build_tangled(sigma, trace=trace), build_tangled(sigma)
-    again = graph_from_trace(trace)
-    assert hash(traced) == hash(bare)
-    assert again == traced and hash(again) == hash(traced)
-    # Equality still compares provenance.
-    assert traced != bare and len({traced, bare, again}) == 2
+def test_build_tangled_refuses_empty_permutation():
+    """There is no graph on 0 vertices: build_tangled refuses the empty
+    permutation, raw or checked, as make_graph refuses n = 0."""
+    for sigma in ((), [], Permutation(())):
+        with pytest.raises(ValueError, match="n >= 1"):
+            build_tangled(sigma)
+    with pytest.raises(ValueError, match="vertex count"):
+        make_graph(0, [])
 
 
 def test_make_graph_validation():
@@ -363,7 +373,7 @@ def test_trace_cut_set_equals_articulation_exhaustive():
     """Every length-6 trace: the event-derived cut set must equal the graph's
     articulation points (the full n=7 sweep lives in the acceptance suite)."""
     for trace, _ in enumerate_traces(6, 0.5):
-        g = build_tangled(mallows_process(trace), trace=trace)
+        g = build_tangled(mallows_process(trace))
         assert cut_vertices_from_trace(trace) == articulation_points(g)
 
 
@@ -373,7 +383,7 @@ def test_diameter_cut_bound_exhaustive_small():
         count = 0
         for positions in itertools.product(*[range(1, i + 1) for i in range(1, n + 1)]):
             trace = InsertionTrace(positions=positions, q=0.5)
-            g = build_tangled(mallows_process(trace), trace=trace)
+            g = build_tangled(mallows_process(trace))
             assert diameter(g) >= len(cut_vertices_from_trace(trace)) + 1
             count += 1
         assert count == math.factorial(n)
@@ -386,7 +396,7 @@ def test_diameter_cut_bound_exhaustive_small():
 
 def test_edge_list_round_trip():
     trace = sample_trace(10, 0.5, 3)
-    g = build_tangled(mallows_process(trace), trace=trace)
+    g = build_tangled(mallows_process(trace))
     text = format_edge_list(g)
     assert text.splitlines()[0] == "n=10"
     h = parse_edge_list(text)

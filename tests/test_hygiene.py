@@ -1,11 +1,13 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
 top-level private function or class in src/ is referenced, every library
-function the benchmark's tracer wraps still exists, and the src/ line count
-README quotes is the tree's."""
+function the benchmark's tracer wraps still exists, the src/ line count
+README quotes is the tree's, and README's quick start prints what it says."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import re
 from collections import Counter
 from pathlib import Path
@@ -129,3 +131,17 @@ def test_readme_src_line_count_is_current():
     quoted = re.findall(r"`src/` is (\d+) lines", (ROOT / "README.md").read_text())
     actual = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
     assert quoted == [str(actual)], f"README quotes {quoted}, src/ has {actual} lines"
+
+
+def test_readme_quick_start_prints_what_it_claims():
+    # The quick start is the first code a reader runs; its commented outputs
+    # have drifted from the library before.
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\s+```python\n(.*?)```", text, re.S).group(1)
+    claimed = [ln.split("#", 1)[1].rsplit(": ", 1)[-1].strip()
+               for ln in block.splitlines() if ln.startswith("print(") and "#" in ln][:3]
+    assert claimed == ["(190,)", "{190}", "True"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[:3] == claimed

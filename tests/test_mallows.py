@@ -1,5 +1,6 @@
 """Insertion process, Mallows measure, truncated geometrics, displacement."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -68,13 +69,11 @@ def test_blocked_decode_matches_reference():
     block past it, at q = 0, 0.5, 0.9, next to 1 (1 - q = 1/(n ln n)) and 1;
     traces and raw rows alike."""
     B, P = _DECODE_BLOCK, 4 * _DECODE_BLOCK
-    assert mallows_process([]) == Permutation(())
-    for n in sorted({0, 1, 2, B - 1, B, B + 1, 2 * B + 1, P - 1, P, P + 1, P + B, 10**4}):
+    for n in sorted({1, 2, B - 1, B, B + 1, 2 * B + 1, P - 1, P, P + 1, P + B, 10**4}):
         qs = [0.0, 0.5, 0.9, 1.0] + ([1 - 1 / (n * math.log(n))] if n > 1 else [])
         for q in qs:
             seeds = np.arange(3, dtype=np.uint64)
-            v = sample_trace_matrix(n, q, seeds) if n else np.zeros((3, 0), dtype=np.int64)
-            for row in v:
+            for row in sample_trace_matrix(n, q, seeds):
                 want = reference_process(row.tolist())
                 assert mallows_process(row).image == want, (n, q)
                 assert mallows_process(InsertionTrace(row, q)).image == want, (n, q)
@@ -187,7 +186,7 @@ def test_unchecked_values_equal_checked_ones():
 
     for n, q, seed in ((1, 0.5, 3), (12, 0.3, 2**64 + 5), (40, 1.0, np.uint64(9))):
         t = sample_trace(n, q, seed)
-        same(t, InsertionTrace(t.positions, q, int(seed)))
+        same(t, InsertionTrace(t.positions, q))
         sigma = mallows_process(t)
         same(sigma, Permutation(sigma.image))
         same(sigma.inverse(), Permutation(sigma.inverse().image))
@@ -392,6 +391,18 @@ def test_tv_bound_spot_check():
 
 
 # ---------------------------------------------------------------------------
+def test_trace_is_its_positions_and_q():
+    """A trace holds (positions, q) and nothing else: a sampled trace equals,
+    and hashes like, the trace built or parsed from its positions and q."""
+    assert [f.name for f in dataclasses.fields(InsertionTrace)] == ["positions", "q"]
+    for n, q, seed in ((5, 0.5, 1), (30, 0.9, 2**64 + 7)):
+        t = sample_trace(n, q, seed)
+        for same in (InsertionTrace(sample_trace(n, q, seed).positions, q),
+                     parse_trace(format_trace(t), q)):
+            assert same == t and hash(same) == hash(t)
+        assert InsertionTrace(t.positions, 0.25) != t
+
+
 # sampling
 # ---------------------------------------------------------------------------
 
@@ -400,7 +411,7 @@ def test_sample_trace_deterministic():
     a = sample_trace(20, 0.7, 123)
     b = sample_trace(20, 0.7, 123)
     assert a.positions == b.positions
-    assert a.seed == 123 and a.q == 0.7
+    assert a.q == 0.7
     assert sample_trace(20, 0.7, 124).positions != a.positions
 
 
@@ -409,14 +420,13 @@ def test_sample_matrix_matches_scalar_path():
     mat = sample_trace_matrix(12, 0.6, seeds)
     for row, s in zip(mat, seeds):
         assert tuple(int(x) for x in row) == sample_trace(12, 0.6, int(s)).positions
-    # Seeds outside [0, 2**64) select the stream of seed mod 2**64 and are
-    # recorded as given; the sequential SplitMix64 stream is the reference.
+    # Seeds outside [0, 2**64) select the stream of seed mod 2**64; the
+    # sequential SplitMix64 stream is the reference.
     n, q = 12, 0.6
     for s in (-1, 2**63, 2**64 + 5, 2**70 + 3):
         trace = sample_trace(n, q, s)
         ref = _positions_from_uniforms(SplitMix64(s).uniforms(n)[None], q)[0]
         assert trace.positions == tuple(ref.tolist())
-        assert trace.seed == s
 
 
 def test_positions_need_no_lower_clamp():
@@ -518,7 +528,7 @@ def test_sample_matrix_seed_handling():
         with pytest.raises(ValueError, match="seeds must be integers"):
             sample_trace(n, q, bad)
     trace = sample_trace(n, q, np.uint64(2**63))
-    assert trace.positions == tuple(mat[2].tolist()) and trace.seed == 2**63
+    assert trace.positions == tuple(mat[2].tolist())
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 3000])

@@ -163,6 +163,42 @@ def test_config_takes_integral_values_of_any_spelling():
     assert make_config(experiment="flush-validate", n_list=[6], q_grid=[0.5], exhaustive=True).exhaustive
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("q_grid", (True,)),
+        ("q_grid", (None,)),
+        ("q_grid", 0.5),
+        ("exhaustive", 1),
+        ("out", 5),
+        ("plot_out", 2.0),
+        ("alpha", "0.6"),
+        ("n_list", (30.0,)),
+        ("trials", np.float64(40.0)),
+    ],
+)
+def test_config_checks_every_field_however_built(field, value):
+    """A SweepConfig checks each field's type itself, so direct construction,
+    make_config and dataclasses.replace all refuse a bool for a number, a
+    number for a bool or a path, a string for a number, an integral float for
+    a count and a scalar for a list, with ValueError."""
+    base = dict(experiment="flush-validate", n_list=(30,), q_grid=(0.5,))
+    good = sweeps.SweepConfig(**base)
+    for build in (lambda: sweeps.SweepConfig(**{**base, field: value}),
+                  lambda: dataclasses.replace(good, **{field: value})):
+        with pytest.raises(ValueError, match=field):
+            build()
+    if isinstance(value, tuple) or field != "q_grid":  # make_config wraps a scalar entry
+        with pytest.raises(ValueError, match=field):
+            make_config(**{**base, field: value})
+
+
+def test_config_stores_lists_as_tuples():
+    cfg = sweeps.SweepConfig("flush-validate", [30, np.int64(40)], [0, "critical"], k_fracs=[1])
+    assert (cfg.n_list, cfg.q_grid, cfg.k_fracs) == ((30, 40), (0.0, "critical"), (1.0,))
+    assert type(cfg.n_list[1]) is int and hash(cfg) == hash(dataclasses.replace(cfg))
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("experiment = diameter\nn_list = 40\nq_grid = 0.0\ntrials = 3\n")

@@ -61,7 +61,7 @@ from conftest import (
 
 def _tangled(n, q, seed):
     trace = sample_trace(n, q, seed)
-    return build_tangled(mallows_process(trace), trace=trace)
+    return build_tangled(mallows_process(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_unit_separator_goldens():
     assert unit_separator(make_graph(*path_graph(9)), 2 / 3) == (3, (2, 6))
     assert unit_separator(make_graph(*complete_graph(5)), 2 / 3) is None
     fig = parse_trace("1 1 3 2 1 1 1 3 2", 0.5)
-    g = build_tangled(mallows_process(fig), trace=fig)
+    g = build_tangled(mallows_process(fig))
     k, (a, b) = unit_separator(g, 2 / 3)
     assert k == 5 and a + b == 8 and max(a, b) <= 6
 
@@ -390,22 +390,17 @@ def test_boundary_subset_count_matches_enumeration(n):
 def test_width_report_round_trip():
     g = _tangled(10, 0.5, 4)
     report = build_width_report(g, exact=True)
-    doc = report.to_json()
-    assert doc["n"] == 10
-    assert doc["edges"] == len(g.edges)
-    assert doc["treewidth"] == {"value": treewidth_exact(g), "method": "exact-dp"}
-    assert doc["cutwidth_identity"]["value"] == cutwidth_identity(g)[0]
-    assert "/" in doc["vertex_iso"]["value"]
+    assert report.n == 10
+    assert report.edge_count == len(g.edges)
+    assert report.treewidth == treewidth_exact(g)
+    assert report.cutwidth_identity == cutwidth_identity(g)[0]
+    assert report.cutwidth_exact == cutwidth_exact(g)
+    assert (report.vertex_iso, report.edge_iso) == (vertex_iso(g), edge_iso(g))
+    assert not hasattr(report, "to_json") and not hasattr(report, "cutwidth_profile")
 
 
 def test_width_report_large_uses_bounds():
     g = _tangled(64, 0.5, 4)
     report = build_width_report(g)
-    doc = report.to_json()
-    lo, hi = treewidth_bounds(g)
-    assert doc["treewidth"] == {
-        "lower": lo,
-        "upper": hi,
-        "method": "degeneracy-lower/minfill-upper",
-    }
-    assert "cutwidth_exact" not in doc
+    assert report.treewidth == treewidth_bounds(g)
+    assert report.cutwidth_exact is None and report.vertex_iso is None
