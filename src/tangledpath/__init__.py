@@ -46,8 +46,6 @@ from .graph import (
     build_tangled,
     diameter,
     format_edge_list,
-    graph_from_trace,
-    is_connected,
     make_graph,
     parse_edge_list,
 )

@@ -9,9 +9,10 @@ Carlo harness).
 Conventions: stdout carries machine-parseable output only (JSON, or the
 documented text formats for traces, permutations, and edge lists); anything
 diagnostic goes to stderr.  Exit codes: 0 success, 2 usage or input error,
-3 capability refusal (exact computation beyond its cap), 4 statistical check
-failure.  When ``--seed`` is omitted the TANGLED_SEED environment variable is
-consulted before giving up.
+3 refusal (exact computation beyond its cap, or an allocation the memory
+cannot hold, printed as ``refused: out of memory: <msg>``), 4 statistical
+check failure.  When ``--seed`` is omitted the TANGLED_SEED environment
+variable is consulted before giving up.
 """
 
 from __future__ import annotations
@@ -201,10 +202,7 @@ def cmd_prob(args) -> int:
         pf, pr = cut_event_probs(n, args.k, q)
         out = {"n": n, "k": args.k, "q": q, "cut_F": pf, "cut_R": pr}
         if args.bounds:
-            try:
-                w = cut_prob_window(n, args.k, q, args.alpha)
-            except CapabilityError:
-                w = cut_prob_window(n, args.k, q, args.alpha, relaxed=True)
+            w = cut_prob_window(n, args.k, q, args.alpha, relaxed=True)
             out["bounds"] = {"lower": w.lower, "upper": w.upper, "relaxed": w.relaxed}
     else:  # expected
         k_lo, k_hi = alpha_cut_range(n, args.alpha)
@@ -401,6 +399,9 @@ def main(argv=None) -> int:
         return 2
     except CapabilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"refused: out of memory: {exc}", file=sys.stderr)
         return 3
     except StatisticalCheckError as exc:
         print(f"statistical check failed: {exc}", file=sys.stderr)

@@ -331,7 +331,7 @@ def expected_cuts(n: int, q: float, alpha: float) -> float:
     """E[X_n(alpha)] = sum over k in [ceil((1-alpha)n), floor(alpha n)] of
     Pr[C_k^F] + Pr[C_k^R].  At small n the range can hold an end vertex
     (k = 1 for n = 2, 3 at alpha = 2/3), whose events are no cut vertex."""
-    k_lo, k_hi = alpha_cut_range(as_int(n, "n"), alpha)
+    k_lo, k_hi = alpha_cut_range(as_int(n, "n", 1), alpha)
     return expected_cuts_in_range(n, q, k_lo, k_hi)
 
 
@@ -341,7 +341,7 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
     Vectorized via prefix sums of log(1 - q^i): log Pr[F_k] = A(k) + A(n-k)
     - A(n) with A(m) = sum_{i<=m} log(1-q^i).
     """
-    n, k_lo, k_hi = as_int(n, "n"), as_int(k_lo, "k_lo"), as_int(k_hi, "k_hi")
+    n, k_lo, k_hi = as_int(n, "n", 1), as_int(k_lo, "k_lo"), as_int(k_hi, "k_hi")
     as_real(q, "q", 0, 1)
     k_lo, k_hi = max(1, k_lo), min(n, k_hi)
     if k_lo > k_hi:
@@ -461,7 +461,7 @@ def cut_prob_window(
     for interesting alpha; ``relaxed=True`` skips it explicitly and then only
     the upper end is claimed (lower is returned as None).
     """
-    n, k = as_int(n, "n"), as_int(k, "k")
+    n, k = as_int(n, "n", 1), as_int(k, "k")
     k_lo, k_hi = alpha_cut_range(n, alpha)
     if not k_lo <= k <= k_hi:
         raise CapabilityError(
@@ -494,8 +494,6 @@ class ThresholdWindow:
     whenever margin > 0 (equality at margin 0).
     """
 
-    n: int
-    margin: float
     q_exist: float
     q_critical: float
     q_nonexist: float
@@ -514,7 +512,7 @@ def threshold_window(n: int, margin: float) -> ThresholdWindow:
     q_exist = max(0.0, 1.0 - _PI2_6 / denom_exist)
     q_critical = 1.0 - _PI2_6 / logn
     q_nonexist = 1.0 - _PI2_6 / (logn + margin * llog)
-    return ThresholdWindow(n, margin, q_exist, q_critical, q_nonexist)
+    return ThresholdWindow(q_exist, q_critical, q_nonexist)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ scipy.sparse.csgraph on it.  The one derived tuple view is ``edges`` (1-based,
 each edge once), read by :func:`format_edge_list`.
 
 Every routine here and in :mod:`tangledpath.widths` takes a
-:class:`TangledGraph` from :func:`build_tangled`, :func:`graph_from_trace`,
-:func:`make_graph` (which also builds the reference graphs, such as cycles and
-cliques, used to test the width machinery) or :func:`parse_edge_list`.  Those
-constructors validate their input; the routines trust it.
+:class:`TangledGraph` from :func:`build_tangled`, :func:`make_graph` (which
+also builds the reference graphs, such as cycles and cliques, used to test
+the width machinery) or :func:`parse_edge_list`.  Those constructors validate
+their input; the routines trust it.
 
 :func:`diameter` has one exact route, iFUB: a double sweep and the BFS runs
 of a few fringe levels, all in C through scipy.sparse.csgraph, in O(n)
@@ -43,7 +43,7 @@ from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from ._util import as_int, as_int64
 from .errors import CapabilityError
-from .mallows import InsertionTrace, Permutation, mallows_process
+from .mallows import Permutation, _unchecked
 
 # Distances one BFS call into C may return: diameter() sends a fringe level's
 # sources in blocks of at most this many // n, so its memory stays O(n)
@@ -60,12 +60,26 @@ class TangledGraph:
     """An undirected graph on {1..n}: vertex v's neighbors are
     ``indices[indptr[v - 1]:indptr[v]] + 1``, in increasing order.
 
-    Graphs are equal, and hash equal, when n and the edge set are.
+    Graphs are equal, and hash equal, when n and the edge set are.  Built
+    directly, it refuses (ValueError) arrays that are not such an adjacency.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = as_int(self.n, "vertex count", 1)
+        ptr, idx = (as_int64(a, "CSR arrays") for a in (self.indptr, self.indices))
+        if (ptr.shape == (n + 1,) and idx.ndim == 1 and ptr[0] == 0 and ptr[-1] == idx.size
+                and (np.diff(ptr) >= 0).all() and (idx >= 0).all() and (idx < n).all()):
+            rows = np.repeat(np.arange(n), np.diff(ptr))
+            g = _from_pairs(n, rows, idx)  # the same arrays exactly when they are valid
+            if (rows != idx).all() and np.array_equal(g.indptr, ptr) and np.array_equal(g.indices, idx):
+                self.__dict__.update(indptr=g.indptr, indices=g.indices)
+                return
+        raise ValueError(f"not a CSR adjacency on {n} vertices; build graphs with the "
+                         "checked constructors build_tangled, make_graph or parse_edge_list")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TangledGraph):
@@ -111,7 +125,7 @@ def _from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> TangledGraph:
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     indices = (keys % n).astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False
-    return TangledGraph(n, indptr, indices)
+    return _unchecked(TangledGraph, n=n, indptr=indptr, indices=indices)
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> TangledGraph:
@@ -154,11 +168,6 @@ def build_tangled(sigma: Permutation | Sequence[int]) -> TangledGraph:
     return _from_pairs(img.size, a, b)
 
 
-def graph_from_trace(trace: InsertionTrace | Sequence[int]) -> TangledGraph:
-    """Tangled graph of the process output of ``trace`` (reversal-invariant)."""
-    return build_tangled(mallows_process(trace))
-
-
 # ---------------------------------------------------------------------------
 # traversal
 # ---------------------------------------------------------------------------
@@ -179,10 +188,6 @@ def bfs_distances(g: TangledGraph, source: int) -> list[int]:
     d = _bfs(g._csr, source - 1)
     d[np.isinf(d)] = -1
     return d.astype(np.int64).tolist()
-
-
-def is_connected(g: TangledGraph) -> bool:
-    return -1 not in bfs_distances(g, 1)
 
 
 def diameter(g: TangledGraph, method: str = "auto") -> int:

@@ -60,13 +60,6 @@ class Permutation:
         if not np.array_equal(np.sort(img), np.arange(1, img.size + 1)):
             raise ValueError(f"not a permutation of 1..{img.size}: {self.image}")
 
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def __len__(self) -> int:
-        return len(self.image)
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.image)
         for pos, val in enumerate(self.image, 1):
@@ -88,10 +81,6 @@ class InsertionTrace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", _positions_of(self.positions)[0])
         as_real(self.q, "q", 0, 1)
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
 
 
 def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...], float | None]:

@@ -56,11 +56,8 @@ from .mallows import (
     trace_displacements,
     trace_table,
 )
-from .rng import as_seed, derive, derive_array, seed_array, uniform_matrix
+from .rng import as_seed, derive, derive_array, seed_array
 from .widths import EXACT_CAP, cutwidth_identity, treewidth_exact, vertex_iso
-
-RNG_NAME = "splitmix64"
-CODE_VERSION = __version__
 
 # Band slack absorbs float round-trip drift on zero-variance rows and matches
 # the tolerance used for exact-oracle comparisons elsewhere.
@@ -273,7 +270,6 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    config: SweepConfig
     rows: list[SweepRow]
     metadata: dict
 
@@ -374,8 +370,8 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # indicator, come from the merged array.  run_sweep turns the stats into
 # rows; a stat with an exact reference is checked against its band there.
 # The trials call sample_trace_matrix, event_flag_matrix, mallows_process,
-# build_tangled and diameter through this module's globals, and the window
-# route's uniform_matrix through mallows', so a caller can wrap them there.
+# build_tangled and diameter through this module's globals, and uniform_matrix
+# through mallows', so a caller can wrap them there.
 #
 # The separator and sampled flush-validate cells read only the event flags of
 # indices k_lo .. k_hi (or min(ks) .. max(ks)).  Their trials walk each chunk
@@ -497,7 +493,7 @@ def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
         return counts
 
     counts = run(trial_fn)
-    exact = expected_cuts_in_range(n, q, k_lo, k_hi) if k_lo <= k_hi else 0.0
+    exact = expected_cuts_in_range(n, q, k_lo, k_hi)
     p_exact = 1.0 if q == 0.0 and k_lo <= k_hi else None
     return cfg.trials, [
         ("cut_count", *_mean_stderr(counts), exact),
@@ -638,7 +634,7 @@ def _expansion_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
                 bis_seeds = derive_array(
                     int(seeds[r]), np.arange(cfg.bisections, dtype=np.uint64)
                 )
-                keys = uniform_matrix(bis_seeds, n)
+                keys = mallows.uniform_matrix(bis_seeds, n)
                 ranks = np.argsort(keys, axis=1, kind="stable")
                 side = np.zeros((cfg.bisections, n), dtype=bool)
                 half = n // 2
@@ -705,8 +701,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     meta = {
         k: getattr(cfg, k) for k in ("experiment", "master_seed", "alpha", "trials", "thread_count")
     }
-    meta.update(code_version=CODE_VERSION, rng=RNG_NAME, cwid_label="upper-bound layout")
-    return SweepResult(cfg, rows, meta)
+    meta.update(code_version=__version__, rng="splitmix64", cwid_label="upper-bound layout")
+    return SweepResult(rows, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,21 @@
 
 Exact solvers (treewidth_exact, cutwidth_exact, vertex_iso, edge_iso) cap at
 n = 20 and refuse larger inputs with :class:`CapabilityError` so callers always
-know which numbers are exact.  treewidth_bounds and cutwidth_identity work at
-any size and feed the trend sweeps.
+know which numbers are exact.  Past the cap build_width_report takes
+treewidth_bounds (n <= 1024); the width sweep reads cutwidth_identity at any n.
 
-The chain these quantities satisfy on every instance (max degree <= 4 graphs):
-
-    floor(vertex_iso * n) - 1  <=  treewidth  <=  cutwidth  <=  |E|
-
-with cutwidth_exact <= cutwidth_identity, since the identity layout is just one
-candidate vertex ordering.
+On every graph treewidth <= cutwidth_exact <= cutwidth_identity <= |E|, the
+identity layout being one candidate ordering.  floor(vertex_iso * n) - 1 <=
+treewidth is false in general: the 8-cycle has iso 1/2, so the left side is
+3, and treewidth 2 (README, "Known failing check").
 
 Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
-``build_tangled``, ``graph_from_trace``, ``make_graph`` or ``parse_edge_list``
-and reads its CSR arrays: neighbor sets off the rows for the treewidth
-heuristics and the subset boundaries, the edge-end arrays for the
-identity-layout profile, and scipy's connected components on the cached
-matrix for the forest test.  :func:`unit_separator` takes the sides of every
-cut vertex from the one lowpoint DFS in :mod:`tangledpath.graph`.
+``build_tangled``, ``make_graph`` or ``parse_edge_list`` and reads its CSR
+arrays: neighbor sets off the rows for the treewidth heuristics and the
+subset boundaries, the edge-end arrays for the identity-layout profile, and
+scipy's connected components on the cached matrix for the forest test.
+:func:`unit_separator` takes the sides of every cut vertex from the one
+lowpoint DFS in :mod:`tangledpath.graph`.
 """
 
 from __future__ import annotations
@@ -221,8 +219,6 @@ def treewidth_exact(g: TangledGraph) -> int:
         return 1
     best = 2
     for core in _series_reduce(g):
-        if not core:
-            continue
         labels = sorted(core)
         index = {v: i for i, v in enumerate(labels)}
         adj = [0] * len(labels)
@@ -396,7 +392,6 @@ class WidthReport:
     arithmetic like floor(iso * n) never sees float rounding.
     """
 
-    n: int
     edge_count: int
     treewidth: int | tuple[int, int]
     cutwidth_identity: int
@@ -414,7 +409,6 @@ def build_width_report(g: TangledGraph, exact: bool | None = None) -> WidthRepor
     n = g.n
     use_exact = n <= EXACT_CAP if exact is None else exact
     return WidthReport(
-        n=n,
         edge_count=g.indices.size // 2,
         treewidth=treewidth_exact(g) if use_exact else treewidth_bounds(g),
         cutwidth_identity=cutwidth_identity(g)[0],

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tangledpath import (
+    cut_prob_window,
     cut_vertices_from_trace,
     detect_events,
     enumerate_traces,
@@ -329,3 +330,107 @@ def test_sweep_band_failure_is_exit_four(capsys, tmp_path, monkeypatch):
     # each failed row is listed once
     assert err.count("cut_count") == 2
     assert err.count("q=0.5 cut_count") == err.count("q=0.7 cut_count") == 1
+
+
+def test_sampled_instance_matches_its_trace(capsys):
+    """graph, analyze and events with --n --q --seed read the trace that
+    sample prints for the same flags."""
+    sampled = ["--n", "12", "--q", "0.6", "--seed", "5"]
+    code, out, _ = run(capsys, "sample", *sampled)
+    assert code == 0
+    explicit = ["--trace", out.removeprefix("v = ").strip(), "--q", "0.6"]
+    for command, *extra in (["graph"], ["analyze", "--metrics", "tw,diam,cuts"], ["events"]):
+        code, from_seed, err = run(capsys, command, *sampled, *extra)
+        assert code == 0, err
+        assert from_seed == run(capsys, command, *explicit, *extra)[1]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--perm", "2 1 3", "--q", "0.5"], "--perm conflicts with --q/--seed"),
+    (["--perm", "2 1 3", "--seed", "1"], "--perm conflicts with --q/--seed"),
+    (["--trace", "1 1 2", "--q", "0.5", "--seed", "1"], "--trace conflicts with --seed"),
+    (["--trace", "1 1 2"], "--trace requires --q"),
+    (["--n", "5", "--seed", "1"], "--n requires --q"),
+])
+def test_instance_flag_conflicts_are_usage_errors(capsys, flags, message):
+    for command in ("graph", "analyze", "events"):
+        extra = ["--metrics", "diam"] if command == "analyze" else []
+        code, out, err = run(capsys, command, *flags, *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_non_integer_seed_variable_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TANGLED_SEED", "abc")
+    code, out, err = run(capsys, "sample", "--n", "5", "--q", "0.5")
+    assert (code, out, err) == (2, "", "error: TANGLED_SEED='abc' is not an integer\n")
+    monkeypatch.setenv("TANGLED_SEED", "0x10")
+    assert run(capsys, "sample", "--n", "5", "--q", "0.5")[1] == run(
+        capsys, "sample", "--n", "5", "--q", "0.5", "--seed", "16")[1]
+
+
+@pytest.mark.parametrize("flags, code, stdout, stderr", [
+    # below the size hypothesis n >= (100/(1-alpha))^5: the upper end only
+    (["--n", "1000", "--k", "500", "--q", "0.9"], 0,
+     '{"bounds": {"lower": null, "relaxed": true, "upper": 3.369880699463516e-06}, '
+     '"cut_F": 1.2860674342766125e-07, "cut_R": 0.0, "k": 500, "n": 1000, "q": 0.9}\n', ""),
+    (["--n", "9", "--k", "4", "--q", "0.6"], 0,
+     '{"bounds": {"lower": null, "relaxed": true, "upper": 1.536518997947299}, '
+     '"cut_F": 0.0890128244332982, "cut_R": 7.029611769433975e-07, "k": 4, "n": 9, "q": 0.6}\n',
+     ""),
+    (["--n", "1000", "--k", "2", "--q", "0.9"], 3, "",
+     "refused: k=2 outside the cut range [334, 666] for alpha=0.6666666666666666\n"),
+    (["--n", "1000", "--k", "500", "--q", "0.999"], 3, "",
+     "refused: window needs 1 <= 1/(1-q) <= n^(4/5); got 1000 vs 251.2\n"),
+    (["--n", "1000", "--k", "500", "--q", "0.0"], 3, "",
+     "refused: window needs 0 < q < 1; got q=0.0\n"),
+])
+def test_prob_cut_bounds(capsys, flags, code, stdout, stderr):
+    assert run(capsys, "prob", "cut", *flags, "--bounds") == (code, stdout, stderr)
+
+
+def test_prob_cut_bounds_past_the_size_hypothesis(capsys, monkeypatch):
+    """At n >= (100/(1-alpha))^5 the window claims both ends; the exact
+    probabilities there would take 1.5 * 10^12 floats, so they are stubbed."""
+    import tangledpath.cli as cli
+
+    monkeypatch.setattr(cli, "cut_event_probs", lambda n, k, q: (0.25, 0.0))
+    n, k = 3 * 10**12, 15 * 10**11
+    strict = cut_prob_window(n, k, 0.9, 2 / 3)
+    doc = run_json(capsys, "prob", "cut", "--n", str(n), "--k", str(k), "--q", "0.9", "--bounds")
+    assert doc["bounds"] == {"lower": strict.lower, "relaxed": False, "upper": strict.upper}
+    assert 0 < strict.lower < strict.upper
+
+
+def test_prob_expected_refuses_sizes_below_one(capsys):
+    for n in ("0", "-5"):
+        code, out, err = run(capsys, "prob", "expected", "--n", n, "--q", "0.5")
+        assert (code, out, err) == (2, "", f"error: n={n} outside [1, inf]\n")
+
+
+def test_out_of_memory_is_a_refusal(capsys, monkeypatch):
+    import tangledpath.cli as cli
+
+    def no_room(*args):
+        raise MemoryError("Unable to allocate 36.4 TiB")
+
+    monkeypatch.setattr(cli, "flush_prob", no_room)
+    code, out, err = run(capsys, "prob", "flush", "--n", "10", "--k", "5", "--q", "0.5")
+    assert (code, out, err) == (3, "", "refused: out of memory: Unable to allocate 36.4 TiB\n")
+
+
+def test_sweep_threads_flag_and_plot_out(capsys, tmp_path):
+    """--threads overrides thread_count without moving a byte of the CSV,
+    and a config's plot_out writes one gnuplot block per statistic."""
+    plot = tmp_path / "sep.dat"
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"experiment = separator\nn_list = 30\nq_grid = 0.4, 0.8\ntrials = 40\n"
+                   f"plot_out = {plot}\n")
+    code, serial, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0 and f"wrote {plot}\n" in err
+    assert plot.read_text().split("\n", 2)[:2] == ["# stat cut_count", "# n q mean stderr"]
+    assert plot.read_text().count("# stat ") == 2
+    out = tmp_path / "rows.csv"
+    code, _, err = run(capsys, "sweep", "--config", str(cfg), "--threads", "2", "--out", str(out))
+    assert code == 0, err
+    assert out.read_text() == serial
+    assert json.loads(out.with_suffix(".json").read_text())["metadata"]["thread_count"] == 2

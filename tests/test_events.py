@@ -566,7 +566,6 @@ _TRACE_CALLS = [
     lambda t: InsertionTrace(t, 0.5),
     lambda t: mallows_process(t),
     lambda t: tp.format_trace(t),
-    lambda t: tp.graph_from_trace(t),
     lambda t: detect_events(t),
     lambda t: cut_vertices_from_trace(t),
     lambda t: bad_edge_classification(t, 1, 1, 1),
@@ -616,6 +615,9 @@ _REAL_CALLS = [
     ("alpha", lambda x: tp.unit_separator(tp.make_graph(3, [(1, 2)]), x), (_NAN, 0.5, 1.0)),
     ("alpha", lambda x: tp.SweepConfig("separator", (10,), (0.5,), alpha=x), (_NAN, 0.5, 1.0)),
     ("margin", lambda x: threshold_window(100, x), (_NAN, -1.0)),
+    ("n", lambda x: expected_cuts(x, 0.5, 2 / 3), (0, -5)),
+    ("n", lambda x: expected_cuts_in_range(x, 0.5, 1, 1), (0, -5)),
+    ("n", lambda x: cut_prob_window(x, 1, 0.5, 2 / 3, relaxed=True), (0, -5)),
     ("lambda", lambda x: sparse_flush_bound(10, 2, 0.5, x), (_NAN, 0.5)),
     ("lambda", lambda x: janson_tail_bound(x, 1.0, 0.5), (_NAN, 0.5)),
     ("mu", lambda x: janson_tail_bound(2.0, x, 0.5), (_NAN, -1.0)),
@@ -738,6 +740,8 @@ def test_flush_log_bounds_bracket_exact():
                 exact = math.log(flush_prob(n, k, q))
                 assert lo - 1e-9 <= exact <= hi + 1e-9
                 assert flush_cheap_bound(n, k, q) >= flush_prob(n, k, q) - 1e-12
+            lo, hi = flush_log_bounds(n, n, q)  # F_n is certain; no finite upper bound
+            assert lo <= math.log(flush_prob(n, n, q)) == 0.0 and hi == math.inf
 
 
 def test_flush_log_bounds_require_interior_q():
@@ -757,6 +761,11 @@ def test_cut_prob_window_strict_and_relaxed():
     assert pf <= win.upper
     w = math.sqrt(1 - 0.5) * math.exp(-math.pi**2 / (6 * (1 - 0.5)))
     assert win.upper == pytest.approx(math.e**5 * w, rel=1e-12)
+    for q in (0.0, 1.0):
+        with pytest.raises(CapabilityError, match="window needs 0 < q < 1"):
+            cut_prob_window(n, n // 2, q, alpha, relaxed=True)
+    with pytest.raises(CapabilityError, match=r"window needs 1 <= 1/\(1-q\) <= n\^\(4/5\)"):
+        cut_prob_window(n, n // 2, 1 - 1e-4, alpha, relaxed=True)  # 10^4 > n^(4/5) = 1585
 
 
 def test_cut_prob_window_is_k_free():
@@ -785,6 +794,8 @@ def test_threshold_window_monotone_in_n():
     assert vals == sorted(vals)
     with pytest.raises(ValueError):
         threshold_window(8, 1.0)
+    with pytest.raises(ValueError, match="margin 3.0 too large at n=16"):
+        threshold_window(16, 3.0)  # log 16 - 3 log log 16 < 0
 
 
 def test_janson_and_chernoff_edges():

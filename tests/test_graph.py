@@ -22,8 +22,6 @@ from tangledpath import (
     diameter,
     enumerate_traces,
     format_edge_list,
-    graph_from_trace,
-    is_connected,
     make_graph,
     mallows_process,
     parse_edge_list,
@@ -64,7 +62,7 @@ def test_degree_bound_and_connectivity():
         trace = sample_trace(40, 0.6, seed)
         g = build_tangled(mallows_process(trace))
         assert np.diff(g.indptr).max() <= 4
-        assert is_connected(g)
+        assert -1 not in bfs_distances(g, 1)
 
 
 @given(st.integers(1, 30).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
@@ -143,14 +141,46 @@ def test_graph_equality_follows_content():
     assert [f.name for f in dataclasses.fields(TangledGraph)] == ["n", "indptr", "indices"]
     for n, q, seed in ((1, 0.5, 1), (7, 0.3, 42), (12, 0.4, 5)):
         trace = sample_trace(n, q, seed)
-        g = graph_from_trace(trace)
-        same = (build_tangled(mallows_process(trace)), graph_from_trace(list(trace.positions)),
-                make_graph(n, g.edges))
+        g = build_tangled(mallows_process(trace))
+        same = (build_tangled(mallows_process(list(trace.positions))), make_graph(n, g.edges))
         for h in same:
             assert h == g and hash(h) == hash(g)
         assert len({g, *same}) == 1
-    assert graph_from_trace([1, 1, 1]) != graph_from_trace([1, 1, 2])
-    assert graph_from_trace([1, 1]) != graph_from_trace([1, 1, 1])
+    assert build_tangled(mallows_process([1, 1, 1])) != build_tangled(mallows_process([1, 1, 2]))
+    assert build_tangled(mallows_process([1, 1])) != build_tangled(mallows_process([1, 1, 1]))
+
+
+def test_graph_built_directly_is_checked():
+    """TangledGraph(n, indptr, indices) takes only a CSR adjacency on n >= 1
+    vertices: a valid one, as lists or int64 arrays, equals and hashes like
+    the checked constructors' graph and is stored as read-only int32; a
+    short or decreasing indptr, an edge stored one way, an unsorted or
+    repeated row, a self-loop, an index out of range, a 2-D array or a float
+    is refused with ValueError."""
+    ref = make_graph(3, [(1, 2), (2, 3)])
+    for ptr, idx in (([0, 1, 3, 4], [1, 0, 2, 1]), (np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]))):
+        g = TangledGraph(3, ptr, idx)
+        assert g == ref and hash(g) == hash(ref) and diameter(g) == 2
+        assert g.indptr.dtype == g.indices.dtype == np.int32 and not g.indices.flags.writeable
+    assert hash(TangledGraph(2, [0, 1, 2], [1, 0])) == hash(make_graph(2, [(1, 2)]))
+    bad = [
+        (3, [0, 1, 2], [1, 0]),  # indptr one entry short
+        (3, [0, 2, 1, 2], [1, 2]),  # indptr decreasing
+        (2, [1, 1, 2], [1, 0]),  # indptr not starting at 0
+        (2, [0, 1, 1], [1]),  # edge 1-2 stored one way only
+        (3, [0, 2, 3, 4], [2, 1, 0, 0]),  # row 1 unsorted
+        (2, [0, 2, 3], [1, 1, 0]),  # row 1 repeats vertex 2
+        (2, [0, 1, 2], [0, 1]),  # self-loops
+        (2, [0, 1, 2], [1, 2]),  # index out of range
+        (2, [[0, 1, 2]], [1, 0]),  # 2-D indptr
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="not a CSR adjacency on .* checked constructors"):
+            TangledGraph(*args)
+    with pytest.raises(ValueError, match="must be integers"):
+        TangledGraph(2, [0, 1, 2], [1.0, 0])
+    with pytest.raises(ValueError, match="vertex count"):
+        TangledGraph(0, [0], [])
 
 
 def test_build_tangled_refuses_empty_permutation():
@@ -229,7 +259,7 @@ def test_bfs_distances_match_brute_on_random_graphs():
             d = bfs_distances(g, s)
             assert d == [ref[s].get(v, -1) for v in range(1, n + 1)], (n, edges, s)
             assert all(type(x) is int for x in d)
-        assert is_connected(g) == (len(ref[1]) == n)
+        assert (-1 not in bfs_distances(g, 1)) == (len(ref[1]) == n)
         disconnected += len(ref[1]) < n
     assert disconnected >= 20
     with pytest.raises(ValueError):

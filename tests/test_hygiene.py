@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
 top-level private function or class in src/ is referenced, every library
 function the benchmark's tracer wraps still exists, the src/ line count
-README quotes is the tree's, and README's quick start prints what it says."""
+README quotes is the tree's, and README's quick start and `tangled`
+examples print what they say."""
 
 import ast
 import contextlib
@@ -9,8 +10,11 @@ import importlib
 import importlib.util
 import io
 import re
+import shlex
 from collections import Counter
 from pathlib import Path
+
+from tangledpath.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,3 +149,30 @@ def test_readme_quick_start_prints_what_it_claims():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines()[:3] == claimed
+
+
+def _readme_cli_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown output lines) of every `$ tangled` line in README's sh
+    blocks; a shown line that starts with a space continues the one before."""
+    text = (ROOT / "README.md").read_text()
+    return [(shlex.split(cmd), shown.replace("\n ", " ").splitlines())
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for cmd, shown in re.findall(r"^\$ tangled (.*)\n((?:(?!\$ ).*\n)*)", block, re.M)]
+
+
+def test_readme_cli_examples_print_what_they_show(capsys):
+    # The examples are the CLI's documentation, and a value they show has
+    # gone stale before.  A value shown in full must be printed exactly,
+    # one shown as `0.476...` must start the printed one, and a `...` line
+    # stands for the rest of the output.  The sweep example needs a file.
+    examples = [(argv, shown) for argv, shown in _readme_cli_examples() if argv[0] != "sweep"]
+    assert len(examples) == 7
+    for argv, shown in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        if shown[-1] == "...":
+            shown, out = shown[:-1], out[:len(shown) - 1]
+        pattern = [re.escape(line).replace(r"\.\.\.", r"[0-9]*(e[-+][0-9]+)?") for line in shown]
+        assert len(out) == len(shown), (argv, out)
+        for want, got in zip(pattern, out):
+            assert re.fullmatch(want, got), (argv, got)

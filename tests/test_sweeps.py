@@ -129,6 +129,7 @@ def test_config_rejects_bad_values():
         ("q_grid = true", "q_grid"),
         ("exhaustive = true", "exhaustive"),
         ("exhaustive = 1", "exhaustive"),
+        ("trials 5", "config line without '='"),
         ('{"experiment": "expansion", "n_list": [24], "q_grid": [0.5], "master_seed": 1.5}',
          "master_seed"),
     ],
@@ -220,6 +221,7 @@ def test_q_tokens_resolve_via_threshold_window():
     assert both == [win.q_exist, win.q_nonexist]
     assert resolve_q_token("critical-+3margin", n) == both
     assert resolve_q_token("critical+-3*margin", n) == both
+    assert resolve_q_token("critical±3margin", n) == both
     assert resolve_q_token(0.25, n) == [0.25]
 
 

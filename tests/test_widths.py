@@ -22,7 +22,6 @@ from tangledpath import (
     cutwidth_identity,
     edge_iso,
     enumerate_traces,
-    graph_from_trace,
     make_graph,
     mallows_process,
     parse_trace,
@@ -113,11 +112,14 @@ def test_treewidth_on_forests_and_disjoint_cycles():
 def test_treewidth_cap():
     with pytest.raises(CapabilityError):
         treewidth_exact(make_graph(*path_graph(21)))
+    with pytest.raises(CapabilityError, match="n <= 1024"):
+        treewidth_bounds(make_graph(*path_graph(1025)))
 
 
 def test_treewidth_bounds_sandwich():
     assert treewidth_bounds(make_graph(*complete_graph(6))) == (5, 5)
     assert treewidth_bounds(make_graph(*path_graph(100))) == (1, 1)
+    assert treewidth_bounds(make_graph(5, [])) == (0, 0)
     for seed in range(30):
         g = _tangled(18, 0.7, 100 + seed)
         lo, hi = treewidth_bounds(g)
@@ -184,7 +186,7 @@ def test_subset_dps_match_masked_references():
     n <= 7, seeded tangled graphs at n = 8 and 9, and random graphs of
     n <= 12, edgeless, disconnected and complete ones included."""
     traces = (t for n in range(1, 8) for t, _ in enumerate_traces(n, 1.0))
-    graphs = list({g.edges: g for g in map(graph_from_trace, traces)}.values())
+    graphs = list({g.edges: g for g in (build_tangled(mallows_process(t)) for t in traces)}.values())
     graphs += [_tangled(n, q, derive(15, n, s)) for n in (8, 9) for q in (0.5, 0.9, 1.0)
                for s in range(8)]
     graphs += [make_graph(*random_graph(n, d, 9100 + 13 * n + s))
@@ -313,7 +315,7 @@ def test_unit_separator_at_large_n_is_first_balanced_trace_cut():
     cuts = sorted(cut_vertices_from_trace(trace))
     k = next(k for k in cuts if k - 1 <= alpha * n and n - k <= alpha * n)
     assert k > cuts[0]  # the alpha cap rules out the first cut vertices
-    assert unit_separator(graph_from_trace(trace), alpha) == (k, (min(k - 1, n - k), max(k - 1, n - k)))
+    assert unit_separator(build_tangled(mallows_process(trace)), alpha) == (k, (min(k - 1, n - k), max(k - 1, n - k)))
 
 
 def _separator_oracle(n, edges, alpha):
@@ -390,7 +392,6 @@ def test_boundary_subset_count_matches_enumeration(n):
 def test_width_report_round_trip():
     g = _tangled(10, 0.5, 4)
     report = build_width_report(g, exact=True)
-    assert report.n == 10
     assert report.edge_count == len(g.edges)
     assert report.treewidth == treewidth_exact(g)
     assert report.cutwidth_identity == cutwidth_identity(g)[0]
