@@ -1,5 +1,5 @@
 """Small shared helpers: alpha-range snapping, probability clamping,
-weighted sums over a trace table, and the input checks.
+weighted sums over a trace table, the input checks and scratch buffers.
 
 The input policy lives here: a size or index goes through :func:`as_int`,
 a q, alpha or bound parameter through :func:`as_real`.  Public entry points
@@ -8,6 +8,8 @@ call them once; internal calls on values valid by construction do not."""
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -103,3 +105,30 @@ def as_int64(values, what: str) -> np.ndarray:
         return a.astype(np.int64)
     except OverflowError:
         return a
+
+
+# The calling thread's active workspace, a dict of flat byte buffers by name.
+_active = threading.local()
+
+
+def scratch(name: str, shape: tuple, dtype) -> np.ndarray:
+    """``np.empty(shape, dtype)``, unless the calling thread has an active
+    workspace (see :func:`reusing`): then a view of its byte buffer ``name``,
+    grown on demand, so the next call under that name overwrites it."""
+    ws = getattr(_active, "ws", None)
+    if ws is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if name not in ws or ws[name].size < size:
+        ws[name] = np.empty(size, dtype=np.uint8)
+    return ws[name][:size].view(dtype).reshape(shape)
+
+
+@contextmanager
+def reusing(ws: dict):
+    """Make ``ws`` the calling thread's active workspace inside the block."""
+    _active.ws = ws
+    try:
+        yield
+    finally:
+        _active.ws = None

@@ -142,7 +142,7 @@ def cmd_sample(args) -> int:
 
 def cmd_graph(args) -> int:
     _, sigma = _load_instance(args)
-    print(format_edge_list(build_tangled(sigma)), end="")
+    print(format_edge_list(build_tangled(sigma)))
     return 0
 
 

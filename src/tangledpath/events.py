@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import alpha_cut_range, as_int, as_real, clamp01
+from ._util import alpha_cut_range, as_int, as_real, clamp01, scratch
 from .errors import CapabilityError
 from .mallows import InsertionTrace, _decoded, _positions_of
 
@@ -73,7 +73,7 @@ def event_flag_matrix(
     """
     v = np.asarray(v, dtype=np.int64)
     keys = ("flush", "reverse_flush", "cut_forward", "cut_reverse", "cut")
-    flags = dict(zip(keys, np.empty((5, *v.shape), dtype=bool)))
+    flags = dict(zip(keys, scratch("flags", (5, *v.shape), bool)))
     pair = (np.full(len(v), _NO_TAIL, dtype=np.int64),) * 2 if tail is None else tail
     flags["tail"] = _flag_block(v, first, pair, list(flags.values()))
     if first == 0:
@@ -112,14 +112,15 @@ def _flag_block(v: np.ndarray, first: int, tail: tuple, out: list) -> tuple:
         return _flag_block(v[:, :p], first, right, [f[:, :p] for f in out])
     else:
         # d in int32 below 2**31, each row padded with `span` copies of its tail
-        # clipped to the last i: the passes run flat, no window reaching a next row
+        # clipped to the last i: the passes run flat, no window reaching a next row;
+        # the pair takes uniform_matrix's "words" buffer, free once it returned
         dtype = np.int32 if first + ncols < 2**31 else np.int64
         i_small = i_grid.astype(dtype)
-        a = np.empty((m, ncols + span), dtype=dtype)
+        a, b = scratch("words", (2, m, ncols + span), dtype)
         np.subtract(i_small, v, out=a[:, :ncols], dtype=dtype)
         np.minimum(a[:, :ncols], tail_d[:, None], out=a[:, :ncols])
         a[:, ncols:] = np.minimum(tail_d, i_grid[-1])[:, None]
-        a, b, w = a.ravel(), np.empty(a.size, dtype=dtype), 1
+        a, b, w = a.ravel(), b.ravel(), 1
         while w < span:  # then a[x] = min of d[x : x + 2w]
             np.minimum(a[:-w], a[w:], out=b[:-w])
             b[-w:] = a[-w:]
@@ -288,7 +289,7 @@ def flush_prob(n: int, k: int, q: float) -> float:
     q = 0 gives 1 (all v_i = 1 satisfy every flush); q = 1 is the telescoped
     limit k! (n-k)! / n!, evaluated through lgamma.
     """
-    n = as_int(n, "n")
+    n = as_int(n, "n", 1)
     k = as_int(k, "k", 1, n)
     as_real(q, "q", 0, 1)
     return clamp01(math.exp(_log_flush(n, k, q)))
@@ -296,7 +297,7 @@ def flush_prob(n: int, k: int, q: float) -> float:
 
 def reverse_flush_prob(n: int, k: int, q: float) -> float:
     """Pr[R_k] = q^{k(n-k)} * Pr[F_k], evaluated in log space."""
-    n = as_int(n, "n")
+    n = as_int(n, "n", 1)
     k = as_int(k, "k", 1, n)
     as_real(q, "q", 0, 1)
     if q == 0.0:
@@ -317,7 +318,7 @@ def cut_event_probs(n: int, k: int, q: float) -> tuple[float, float]:
     Pr[C_k^F] = Pr[F_k] * (1-q)/(1-q^k) by independence of v_k from later
     positions; Pr[C_k^R] = q^{k(n-k+1)-1} * Pr[C_k^F].
     """
-    n = as_int(n, "n")
+    n = as_int(n, "n", 1)
     k = as_int(k, "k", 2, n - 1)
     as_real(q, "q", 0, 1)
     if q == 0.0:
@@ -420,7 +421,7 @@ def flush_log_bounds(n: int, k: int, q: float) -> tuple[float, float]:
     degenerate; the upper bound is +inf there.
     """
     as_real(q, "q", 0, 1, "()")
-    n = as_int(n, "n")
+    n = as_int(n, "n", 1)
     k = as_int(k, "k", 1, n)
     logq = math.log(q)
     center = _PI2_6 / logq - 0.5 * math.log1p(-q)
@@ -436,7 +437,7 @@ def flush_log_bounds(n: int, k: int, q: float) -> tuple[float, float]:
 def flush_cheap_bound(n: int, k: int, q: float) -> float:
     """Upper bound exp(-q (1 - q^m) / (2(1-q))), m = min(k, n-k), on Pr[F_k]."""
     as_real(q, "q", 0, 1, "()")
-    n = as_int(n, "n")
+    n = as_int(n, "n", 1)
     k = as_int(k, "k", 1, n)
     m = min(k, n - k)
     return clamp01(math.exp(-q * (1.0 - q**m) / (2.0 * (1.0 - q))))

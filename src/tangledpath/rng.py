@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import as_int, as_int64
+from ._util import as_int, as_int64, scratch
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -115,8 +115,9 @@ def uniform_matrix(seeds: Sequence[int] | np.ndarray, ncols: int) -> np.ndarray:
     mixed in one buffer whose scratch becomes the float64 result."""
     ncols = as_int(ncols, "ncols", 0)
     steps = np.arange(1, ncols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    words = np.add(seed_array(seeds)[:, None], steps, dtype=np.uint64)
-    out = np.empty(words.shape, dtype=np.float64)
+    s = seed_array(seeds)
+    words = np.add(s[:, None], steps, out=scratch("words", (len(s), ncols), np.uint64))
+    out = scratch("uniforms", words.shape, np.float64)
     mix64_array(words, out.view(np.uint64))
     words >>= np.uint64(11)
     # below 2**53 the words read alike as int64, whose cast is vectorized

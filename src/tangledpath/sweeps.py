@@ -28,6 +28,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
@@ -46,7 +47,7 @@ from .events import (
     flush_prob,
     threshold_window,
 )
-from ._util import alpha_cut_range, as_int, as_real, trace_order_sum
+from ._util import alpha_cut_range, as_int, as_real, reusing, trace_order_sum
 from . import mallows
 from .graph import _edge_ends, build_tangled, diameter
 from .mallows import (
@@ -389,15 +390,39 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # window's uniforms, keep the k that pass a threshold test every cut passes,
 # and flag R + 1 columns for each.  Dense cells, q = 1 and flush-validate
 # keep _flag_blocks.
+# Both routes sample and flag each block under reusing(ws), a workspace the
+# chunk takes from _WORKSPACES, so its buffers (the flags a block yields too)
+# are rewritten block after block, not fresh memory the kernel maps again.
 # The other cells build graphs or scan whole traces and take the whole matrix.
 
 _Run = Callable[[Callable[[np.ndarray], np.ndarray]], np.ndarray]
 _CellStats = tuple[int, list[tuple[str, float, float | None, float | None]]]
 
-# Trace entries per streamed column block.  The bench separator job (n = 10^5,
-# 2 threads) ran 73-84 M entries/s at 2**16, 47-64 M at 2**15, 27-36 M at
-# 2**14, and no faster at 2**17.
-_BLOCK_ENTRIES = 2**16
+# Trace entries per streamed column block.  Bigger blocks pay only once the
+# buffers are reused: fewer, longer numpy calls, fewer GIL hand-offs between
+# threads.  On the bench separator job (n = 10^5, 2 threads), against fresh
+# arrays at 2**16: reuse at 2**16 gave 1.07x and left 590 faults per job, at
+# 2**17 1.24-1.37x; 2**18 was slower than 2**17 and took peak RSS to 81-86
+# MB, and without reuse it nearly doubled the faults.  A threading.local
+# workspace left about 2.5 k faults per job, as each cell's pool threads
+# die; a free list cleared at the end of run_sweep ran 8 % slower.
+_BLOCK_ENTRIES = 2**17
+
+# Workspaces free for a chunk to take, kept for the process's life: one per
+# chunk run at once.  list.pop and list.append are atomic under the GIL.
+_WORKSPACES: list[dict] = []
+
+
+@contextmanager
+def _pooled():
+    try:
+        ws = _WORKSPACES.pop()
+    except IndexError:
+        ws = {}
+    try:
+        yield ws
+    finally:
+        _WORKSPACES.append(ws)
 
 
 def _flag_blocks(n: int, q: float, seeds: np.ndarray, first: int, last: int):
@@ -416,15 +441,17 @@ def _flag_blocks(n: int, q: float, seeds: np.ndarray, first: int, last: int):
     if reach is not None and first > reach and last + reach < n:
         end = last + reach
         tail = tuple(np.full(len(seeds), x, dtype=np.int64) for x in (last, reach + 1))
-    for hi in range(end, first, -width):
-        lo = max(first, hi - width)
-        v = sample_trace_matrix(hi, q, seeds, lo)
-        if lo >= last:
-            tail = _fold_tail(v, lo, tail)
-            continue
-        flags = event_flag_matrix(v, lo, tail)
-        yield lo, flags
-        tail = flags["tail"]
+    with _pooled() as ws:
+        for hi in range(end, first, -width):
+            lo = max(first, hi - width)
+            with reusing(ws):
+                v = sample_trace_matrix(hi, q, seeds, lo)
+                if lo >= last:
+                    tail = _fold_tail(v, lo, tail)
+                    continue
+                flags = event_flag_matrix(v, lo, tail)
+            yield lo, flags
+            tail = flags["tail"]
 
 
 # Window route: look-ahead cap J, gate on P * (R + 1) with P the pass rate.  A 10-trace
@@ -454,20 +481,23 @@ def _window_cuts(q: float, seeds: np.ndarray, k_lo: int, k_hi: int, t: np.ndarra
     along, and flagged, in one call each; so is the last block's, if none."""
     m, look, reach = len(seeds), len(t), _position_reach(q)
     width, counts = max(1, _BLOCK_ENTRIES // m), np.zeros(m, dtype=np.int64)
-    for lo in range(k_lo, k_hi + 1, width):
-        w = min(width, k_hi + 1 - lo)
-        u = mallows.uniform_matrix(seed_array(seeds, lo - 1), w + look)
-        below = u < t[0]
-        hit = np.flatnonzero(below[:, :w] & below[:, 1 : w + 1])
-        hit += hit // w * look  # flat indices into u
-        u = u.ravel()
-        for j in range(2, look + 1):
-            hit = hit[u[hit + j] < t[j - 1]]
-        if hit.size or lo + w > k_hi:  # the last block calls anyway: each chunk is traced
-            r, k = hit // (w + look), lo + hit % (w + look)
-            v = sample_trace_matrix(k_lo + reach, q, seed_array(seeds[r], k - k_lo), k_lo - 1)
-            tail = tuple(np.full(len(r), x, dtype=np.int64) for x in (k_lo, reach + 1))
-            counts += np.bincount(r[event_flag_matrix(v, k_lo - 1, tail)["cut"][:, 0]], minlength=m)
+    with _pooled() as ws:
+        for lo in range(k_lo, k_hi + 1, width):
+            w = min(width, k_hi + 1 - lo)
+            with reusing(ws):
+                u = mallows.uniform_matrix(seed_array(seeds, lo - 1), w + look)
+            below = u < t[0]
+            hit = np.flatnonzero(below[:, :w] & below[:, 1 : w + 1])
+            hit += hit // w * look  # flat indices into u
+            u = u.ravel()
+            for j in range(2, look + 1):
+                hit = hit[u[hit + j] < t[j - 1]]
+            if hit.size or lo + w > k_hi:  # the last block calls anyway: each chunk is traced
+                r, k = hit // (w + look), lo + hit % (w + look)
+                v = sample_trace_matrix(k_lo + reach, q, seed_array(seeds[r], k - k_lo), k_lo - 1)
+                tail = tuple(np.full(len(r), x, dtype=np.int64) for x in (k_lo, reach + 1))
+                cut = event_flag_matrix(v, k_lo - 1, tail)["cut"][:, 0]
+                counts += np.bincount(r[cut], minlength=m)
     return counts
 
 

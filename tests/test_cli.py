@@ -88,6 +88,12 @@ def test_graph_identity_perm_is_path(capsys):
     assert lines[1:] == ["1 2", "2 3", "3 4", "4 5"]
 
 
+def test_graph_output_ends_in_a_newline(capsys):
+    for perm in ("1", "2 4 1 3"):
+        code, out, _ = run(capsys, "graph", "--perm", perm)
+        assert code == 0 and out.endswith("\n") and not out.endswith("\n\n")
+
+
 def test_graph_complete_on_four(capsys):
     code, out, _ = run(capsys, "graph", "--perm", "2 4 1 3")
     assert code == 0
@@ -404,6 +410,14 @@ def test_prob_cut_bounds_past_the_size_hypothesis(capsys, monkeypatch):
 def test_prob_expected_refuses_sizes_below_one(capsys):
     for n in ("0", "-5"):
         code, out, err = run(capsys, "prob", "expected", "--n", n, "--q", "0.5")
+        assert (code, out, err) == (2, "", f"error: n={n} outside [1, inf]\n")
+
+
+@pytest.mark.parametrize("kind", ["cut", "flush"])
+def test_prob_checks_n_before_k(capsys, kind):
+    """A size below 1 is named as n, not as a k outside an empty range."""
+    for n in ("0", "-5"):
+        code, out, err = run(capsys, "prob", kind, "--n", n, "--k", "1", "--q", "0.5")
         assert (code, out, err) == (2, "", f"error: n={n} outside [1, inf]\n")
 
 

@@ -1,10 +1,12 @@
 """Monte Carlo sweep harness: configs, determinism, bands, output formats."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -864,3 +866,93 @@ def test_window_route_samples_and_flags_only_the_candidates(monkeypatch):
             for (first, shape, (tail_d, tail_v)), s in zip(flagged, sampled):
                 assert first == k_lo - 1 and shape == (len(s[2]), reach + 1)
                 assert set(tail_d.tolist()) <= {k_lo} and set(tail_v.tolist()) <= {reach + 1}
+
+
+# --- pooled block workspaces ---
+
+
+def _workspace_cells(n, threads):
+    """A separator cell in blocks, one on windows and a sampled flush-validate
+    cell, each of three chunks (64, 64 and 2 traces)."""
+    q_exist, q_nonexist = resolve_q_token("critical+-3margin", n)
+    sep = make_config(experiment="separator", n_list=[n], q_grid=[q_exist], trials=130,
+                      master_seed=6, thread_count=threads)
+    flush = dataclasses.replace(sep, experiment="flush-validate", k_fracs=(0.35, 0.5, 0.7))
+    return [(sep, q_exist), (sep, q_nonexist), (flush, q_exist)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pooled_workspaces_keep_trial_outputs(monkeypatch, threads):
+    """Per-trial separator counts on both routes and sampled flush-validate
+    columns are the same whether each block reuses a pooled workspace or
+    gets fresh arrays (reusing made a null context), over block sizes that
+    shrink and grow in one process."""
+    n = 10**4
+    cells = _workspace_cells(n, threads)
+    routes = [_route(monkeypatch, cfg, n, q) for cfg, q in cells[:2]]
+    assert routes == [{"_flag_blocks"}, {"_window_cuts"}]
+    for entries in (2**17, 64 * 7, 64 * 1000, 2**16):
+        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", entries)
+        for cfg, q in cells:
+            pooled = _cell_trials(cfg, n, q)
+            with monkeypatch.context() as m:
+                m.setattr(sweeps, "reusing", lambda ws: contextlib.nullcontext())
+                fresh = _cell_trials(cfg, n, q)
+            assert np.array_equal(pooled, fresh), (entries, cfg.experiment, q)
+    assert sweeps._WORKSPACES and all(sweeps._WORKSPACES)
+
+
+def test_calls_outside_a_block_return_fresh_memory():
+    """uniform_matrix, sample_trace_matrix and event_flag_matrix called twice
+    return arrays that share no memory, unless a workspace is active."""
+    seeds = np.arange(3, dtype=np.uint64)
+    v = sample_trace_matrix(1000, 0.5, seeds)
+    calls = (lambda: uniform_matrix(seeds, 1000), lambda: sample_trace_matrix(1000, 0.5, seeds),
+             lambda: event_flag_matrix(v)["cut"])
+    for call in calls:
+        assert not np.shares_memory(call(), call())
+        with sweeps.reusing({}):
+            assert np.shares_memory(call(), call())
+        assert not np.shares_memory(call(), call())
+
+
+def test_a_failed_block_leaves_no_active_workspace(monkeypatch):
+    """After a trial raises inside a block, its thread has no active
+    workspace: the next uniform_matrix returns fresh memory."""
+    def refuse(v, first=0, tail=None):
+        event_flag_matrix(v, first, tail)
+        raise CapabilityError("refused")
+
+    monkeypatch.setattr(sweeps, "event_flag_matrix", refuse)
+    with pytest.raises(CapabilityError, match="refused"):
+        run_sweep(small_cfg(n_list=[1000], q_grid=[0.5], trials=10, thread_count=1))
+    seeds = np.arange(3, dtype=np.uint64)
+    assert not np.shares_memory(uniform_matrix(seeds, 1000), uniform_matrix(seeds, 1000))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_free_list_holds_a_workspace_per_running_chunk(monkeypatch, threads):
+    """After a sweep of several chunks per cell, on both routes and the
+    flush-validate cell, the free list holds one workspace per thread at most."""
+    monkeypatch.setattr(sweeps, "_WORKSPACES", [])
+    for cfg, q in _workspace_cells(10**4, threads):
+        run_sweep(dataclasses.replace(cfg, q_grid=(q,)))
+    assert 1 <= len(sweeps._WORKSPACES) <= threads
+
+
+def test_pooled_workspaces_hold_under_thread_switching(monkeypatch):
+    """Four threads switching every microsecond over ten chunks per cell get
+    the one-thread trials, so no workspace serves two chunks at once, and
+    give back distinct workspaces, one per thread at most."""
+    monkeypatch.setattr(sweeps, "_WORKSPACES", [])
+    switch = sys.getswitchinterval()
+    for cfg, q in _workspace_cells(10**4, 1):
+        cfg = dataclasses.replace(cfg, trials=640)
+        want = _cell_trials(cfg, 10**4, q)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _cell_trials(dataclasses.replace(cfg, thread_count=4), 10**4, q)
+        finally:
+            sys.setswitchinterval(switch)
+        assert np.array_equal(got, want), (cfg.experiment, q)
+    assert len({id(ws) for ws in sweeps._WORKSPACES}) == len(sweeps._WORKSPACES) <= 4
