@@ -366,7 +366,12 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
         prefix = prefix[: np.flatnonzero(-terms <= np.spacing(-prefix[:-1]) / 4)[0] + 1]
     log_flush = prefix.take(ks, mode="clip") + prefix.take(n - ks, mode="clip") - prefix[-1]
     log_pf = log_flush + math.log1p(-q) - _log1m_qpow(ks.astype(np.float64), logq)
-    log_pr = log_pf + (ks * (n - ks + 1) - 1) * logq
+    if k_hi * (n - k_lo + 1) < 2**63:
+        exponent = ks * (n - ks + 1) - 1
+    else:  # k(n-k+1) would wrap in int64: take it exactly from Python ints
+        big = ks.astype(object)
+        exponent = (big * (n - big + 1) - 1).astype(np.float64)
+    log_pr = log_pf + exponent * logq
     return float(np.exp(log_pf).sum() + np.exp(log_pr).sum())
 
 

@@ -14,7 +14,7 @@ Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
 ``build_tangled``, ``make_graph`` or ``parse_edge_list`` and reads its CSR
 arrays: neighbor sets off the rows for the treewidth heuristics and the
 subset boundaries, the edge-end arrays for the identity-layout profile, and
-scipy's connected components on the cached matrix for the forest test.
+the component count from :mod:`tangledpath.graph` for the forest test.
 :func:`unit_separator` takes the sides of every cut vertex from the one
 lowpoint DFS in :mod:`tangledpath.graph`.
 """
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from ._util import alpha_cut_range, as_int, balanced_at_most
 from .errors import CapabilityError
-from .graph import TangledGraph, _cut_sides, _edge_ends
+from .graph import TangledGraph, _component_count, _cut_sides, _edge_ends
 
 EXACT_CAP = 20
 
@@ -60,10 +59,8 @@ def _neighbor_sets(g: TangledGraph) -> dict[int, set[int]]:
 
 
 def _is_forest(g: TangledGraph) -> bool:
-    """A graph is a forest iff |E| + (number of components) = n.  The CSR
-    holds both directions of every edge, so its strong components are the
-    components, found without the transpose the weak route builds."""
-    return g.indices.size // 2 + connected_components(g._csr, connection="strong")[0] == g.n
+    """A graph is a forest iff |E| + (number of components) = n."""
+    return g.indices.size // 2 + _component_count(g) == g.n
 
 
 def _series_reduce(g: TangledGraph) -> list[dict[int, set[int]]]:

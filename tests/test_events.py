@@ -716,6 +716,18 @@ def test_expected_cuts_prefix_memory_stops_with_the_sum():
     assert peak < 20 * 2**20
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9])
+def test_expected_cuts_exponent_past_int64(q):
+    """k(n-k+1) passes 2^63 near k = n/2 once n is above about 6.07e9, where
+    the exponent of Pr[C_k^R] once wrapped to a positive log and an infinite
+    sum.  Past the stalled prefix each term is its n = 10^9 value."""
+    ref = expected_cuts_in_range(10**9, q, 10**9 // 2, 10**9 // 2 + 5)
+    for n in (6 * 10**9, 6_500_000_000, 7 * 10**9, 10**10, 10**13):
+        with np.errstate(over="raise", invalid="raise"):
+            got = expected_cuts_in_range(n, q, n // 2, n // 2 + 5)
+        assert math.isfinite(got) and repr(got) == repr(ref), n
+
+
 # --- analytic bounds ---
 
 
