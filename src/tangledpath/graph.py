@@ -11,10 +11,10 @@ A :class:`TangledGraph` is a 0-based CSR adjacency: int32 arrays ``indptr``
 (n + 1 row offsets) and ``indices`` (each edge in both directions, every row
 sorted, no duplicates), built in numpy by sorting the keys a*n + b of the
 vertex pairs and dropping repeats.  Every graph and width routine reads these
-arrays, or the scipy matrix built from them on first use and cached, which is
-the one BFS engine: :func:`bfs_distances` and :func:`diameter` both run
-scipy.sparse.csgraph on it.  The one derived tuple view is ``edges`` (1-based,
-each edge once), read by :func:`format_edge_list`.
+arrays, or the scipy matrix built from them on first use and cached, whose one
+traversal, ``csgraph.breadth_first_order``, gives :func:`bfs_distances` and
+:func:`diameter` every hop distance.  The one derived tuple view is ``edges``
+(1-based, each edge once), read by :func:`format_edge_list`.
 
 This is the only module that imports scipy, and it does so on the first call
 that traverses a graph: the cached matrix, a BFS, the all-pairs reference, or
@@ -32,10 +32,10 @@ the width machinery) or :func:`parse_edge_list`.  Those constructors validate
 their input; the routines trust it.
 
 :func:`diameter` has one exact route, iFUB: a double sweep and the BFS runs
-of a few fringe levels, all in C through scipy.sparse.csgraph, in O(n)
-memory.  ``diameter(g, method="sparse")`` is the all-pairs reference that the
-tests and the benchmark check it against; it holds an n x n matrix, so it
-refuses n above 8192 with :class:`CapabilityError`.  One lowpoint DFS,
+of a few fringe levels, each read off its order and tree, in O(n) memory.
+``diameter(g, method="sparse")`` is the all-pairs reference that the tests
+and the benchmark check it against; it holds an n x n matrix, so it refuses
+n above 8192 with :class:`CapabilityError`.  One lowpoint DFS,
 ``_cut_sides``, gives every cut vertex k and the component sizes of g - k.
 """
 
@@ -53,11 +53,6 @@ from .mallows import Permutation, _unchecked
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
-
-# Distances one BFS call into C may return: diameter() sends a fringe level's
-# sources in blocks of at most this many // n, so its memory stays O(n)
-# (32 MB of float64) whatever the size of the level.
-_BFS_BLOCK_ENTRIES = 1 << 22
 
 # The all-pairs reference route holds a dense n x n float64 matrix; above
 # this size (0.5 GB) it refuses instead of running the machine out of memory.
@@ -184,14 +179,34 @@ def build_tangled(sigma: Permutation | Sequence[int]) -> TangledGraph:
 # ---------------------------------------------------------------------------
 
 
-def _bfs(csr: csr_matrix, sources) -> np.ndarray:
-    """Hop distances in C from 0-based ``sources``: one row per source, or a
-    single row for an int; ``inf`` marks unreachable vertices.
-    ``directed=True`` because the CSR already holds both directions of every
-    edge."""
-    from scipy.sparse.csgraph import dijkstra
+def _bfs(g: TangledGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """One O(n + m) BFS in C from 0-based ``source``: the vertices it reaches
+    in BFS order, and each vertex's BFS-tree parent (negative at the source and
+    where unreached); ``directed=True``, as the CSR holds both arc directions."""
+    from scipy.sparse.csgraph import breadth_first_order
 
-    return dijkstra(csr, directed=True, unweighted=True, indices=sources)
+    return breadth_first_order(g._csr, source, directed=True, return_predecessors=True)
+
+
+def _tree_path(pred: np.ndarray, v: int) -> list[int]:
+    """v and its BFS-tree ancestors back to the source: a shortest path."""
+    up, path = memoryview(pred), [v]
+    while (v := up[v]) >= 0:
+        path.append(v)
+    return path
+
+
+def _levels(g: TangledGraph, source: int) -> tuple[np.ndarray, list[int]]:
+    """The BFS order from ``source``, and where each level starts in it, then
+    its size.  BFS lists level i + 1 as the children of level i, parent by
+    parent, so it ends after the children of every vertex before level i's end."""
+    order, pred = _bfs(g, source)
+    kids = np.bincount(pred[order[1:]], minlength=pred.size)[order]
+    ends = memoryview(np.concatenate(([1], np.cumsum(kids) + 1)))
+    s, starts = 0, [0]
+    while s < order.size:
+        starts.append(s := ends[s])
+    return order, starts
 
 
 def _component_count(g: TangledGraph) -> int:
@@ -206,10 +221,10 @@ def _component_count(g: TangledGraph) -> int:
 def bfs_distances(g: TangledGraph, source: int) -> list[int]:
     """Hop distances from ``source`` (1-based), at index v-1 for vertex v;
     -1 marks unreachable vertices."""
-    source = as_int(source, "source", 1, g.n)
-    d = _bfs(g._csr, source - 1)
-    d[np.isinf(d)] = -1
-    return d.astype(np.int64).tolist()
+    order, starts = _levels(g, as_int(source, "source", 1, g.n) - 1)
+    d = np.full(g.n, -1)
+    d[order] = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    return d.tolist()
 
 
 def diameter(g: TangledGraph, method: str = "auto") -> int:
@@ -217,14 +232,14 @@ def diameter(g: TangledGraph, method: str = "auto") -> int:
 
     The default route is iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, "On
     computing the diameter of real-world undirected graphs", TCS 2013).  A
-    double sweep from vertex 1 gives a lower bound lb = d(a, b) and a vertex u
-    halfway between a and b.  Then u's BFS levels are walked from the farthest
-    one in, each vertex's eccentricity raising lb, until lb >= 2i for the next
-    level i: two vertices both within i of u are at most 2i apart, and every
-    pair reaching farther out has had an endpoint's eccentricity counted.
-    Near-path graphs stop after about four BFS runs; every BFS runs in C on the
-    graph's one CSR matrix, fringe levels in blocks of at most
-    ``_BFS_BLOCK_ENTRIES // n`` sources, so memory stays O(n).
+    double sweep from vertex 1 gives a lower bound lb = d(a, b), a and b each
+    the last vertex of a BFS order, and u halfway along b's BFS-tree path back
+    to a.  Then u's BFS levels are walked from the farthest one in, each
+    vertex's eccentricity (the tree path of its BFS order's last vertex)
+    raising lb, until lb >= 2i for the next level i: two vertices both within
+    i of u are at most 2i apart, and every pair reaching farther out has had
+    an endpoint's eccentricity counted.  Every BFS is one plain pass in C, in
+    O(n) memory; near-path graphs stop after about four of them.
 
     ``method="sparse"`` is the independent reference the tests compare
     against: scipy's all-pairs pass over a dense n x n matrix.  It raises
@@ -243,22 +258,19 @@ def diameter(g: TangledGraph, method: str = "auto") -> int:
         return int(dm.max())
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    csr = g._csr
-    first = _bfs(csr, 0)
-    if np.isinf(first).any():
+    order, _ = _bfs(g, 0)
+    if order.size < g.n:
         raise ValueError("diameter of a disconnected graph is undefined")
-    da = _bfs(csr, int(first.argmax()))
-    lb = int(da.max())
-    db = _bfs(csr, int(da.argmax()))
-    half = lb // 2
-    du = _bfs(csr, int(np.flatnonzero((da == half) & (db == lb - half))[0]))
-    i = int(du.max())
-    lb = max(lb, int(db.max()), i)
-    block = max(1, _BFS_BLOCK_ENTRIES // g.n)
+    order, pred = _bfs(g, int(order[-1]))
+    path = _tree_path(pred, int(order[-1]))  # from b back to a
+    lb = len(path) - 1
+    order, starts = _levels(g, path[lb - lb // 2])
+    i = len(starts) - 2
+    lb = max(lb, i)
     while lb < 2 * i:
-        level = np.flatnonzero(du == i)
-        for k in range(0, level.size, block):
-            lb = max(lb, int(_bfs(csr, level[k:k + block]).max()))
+        for v in order[starts[i]:starts[i + 1]].tolist():
+            far, pred = _bfs(g, v)
+            lb = max(lb, len(_tree_path(pred, int(far[-1]))) - 1)
         i -= 1
     return lb
 
@@ -343,12 +355,15 @@ def format_edge_list(g: TangledGraph) -> str:
 
 
 def parse_edge_list(text: str) -> TangledGraph:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+    """Read :func:`format_edge_list`'s text; a bad edge line is named."""
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("n="):
         raise ValueError("edge list must start with an 'n=<count>' line")
-    n = int(lines[0][2:])
     edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return make_graph(n, edges)
+    for k, ln in lines[1:]:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"edge list line {k} is not 'u v': {ln!r}") from None
+        edges.append((u, v))
+    return make_graph(int(lines[0][1][2:]), edges)

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import random
+import re
 import time
 import tracemalloc
 
@@ -12,6 +14,7 @@ from hypothesis import example, given, strategies as st
 
 from tangledpath import (
     CapabilityError,
+    build_width_report,
     InsertionTrace,
     Permutation,
     TangledGraph,
@@ -28,7 +31,9 @@ from tangledpath import (
     reverse,
     sample_trace,
 )
+from tangledpath import graph as graph_layer
 from tangledpath.graph import _cut_sides
+from tangledpath.sweeps import make_config, render_csv, run_sweep
 from conftest import (
     _components,
     brute_articulation,
@@ -315,7 +320,7 @@ def test_diameter_large_n_in_linear_memory():
     """n = 10^5, where the all-pairs matrix would take 80 GB: the result lies
     between the double-sweep lower bound and 2 ecc(1), and above |cuts| + 1."""
     n = 100_000
-    for q in (0.5, 0.99):
+    for q in (0.5, 0.9, 0.99):
         trace = sample_trace(n, q, 11)
         g = build_tangled(mallows_process(trace))
         first = bfs_distances(g, 1)
@@ -349,6 +354,117 @@ def test_diameter_matches_brute_matrix():
         dist = brute_distance_matrix(n, edges)
         want = max(max(d.values()) for d in dist.values())
         assert diameter(g) == want
+
+
+def _attach(n, edges, at, length):
+    """The graph with a path of ``length`` new vertices hung off vertex ``at``."""
+    chain = [at, *range(n + 1, n + length + 1)]
+    return n + length, edges + list(zip(chain, chain[1:]))
+
+
+def _adversarial_graphs():
+    """Graphs with long unequal branches, up to n = 60, where a wrong
+    far-vertex, midpoint or level rule gives a wrong distance or diameter:
+    spiders, lollipops, barbells joined by a path, cycles with pendant paths
+    and caterpillars."""
+    graphs = []
+    for legs in ((1, 2, 9), (3, 3, 8), (2, 5, 5, 6), (1, 1, 1, 20), (7, 13, 19, 20)):
+        g = (1, [])
+        for length in legs:
+            g = _attach(*g, 1, length)
+        graphs.append(g)
+    graphs += [_attach(*complete_graph(k), 1, m) for k, m in ((3, 1), (5, 7), (8, 30))]
+    for k1, m, k2 in ((3, 0, 3), (4, 5, 6), (6, 25, 3)):
+        n, edges = _attach(*complete_graph(k1), 1, m + 1)
+        clique = [n, *range(n + 1, n + k2)]
+        graphs.append((n + k2 - 1, edges + list(itertools.combinations(clique, 2))))
+    for c, tails in ((5, ((1, 4),)), (9, ((1, 3), (4, 3), (7, 6))), (20, ((1, 10), (3, 2), (11, 15)))):
+        g = cycle_graph(c)
+        for at, length in tails:
+            g = _attach(*g, at, length)
+        graphs.append(g)
+    for spine in (4, 12, 20):
+        g = path_graph(spine)
+        for at in range(1, spine + 1):
+            for _ in range(at % 3):
+                g = _attach(*g, at, 1 + (at % 4 == 0))
+        graphs.append(g)
+    return graphs
+
+
+def test_bfs_rules_match_brute_on_exhaustive_and_adversarial_graphs(monkeypatch):
+    """Distances and diameters read off BFS orders and tree paths, against
+    the literal per-source BFS: on every labelled graph with n <= 5 (n = 1
+    and the disconnected ones included, where diameter refuses) and on the
+    adversarial families, each under three vertex relabellings.  The BFS
+    runs that diameter makes are recorded and checked rule by rule: the first
+    far vertex a is the last of vertex 1's BFS order and farthest from it,
+    the last b of a's order is farthest from a, u is a midpoint of a and b,
+    and the fringe sources are whole levels of u, farthest first, up to the
+    first level i with lb >= 2i, which is not run."""
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        graphs += [(n, list(itertools.compress(pairs, (mask >> k & 1 for k in range(len(pairs))))))
+                   for mask in range(1 << len(pairs))]
+    for seed, (n, edges) in enumerate(_adversarial_graphs() * 3):
+        label = random.Random(seed).sample(range(1, n + 1), n)
+        graphs.append((n, [(label[u - 1], label[v - 1]) for u, v in edges]))
+    assert max(n for n, _ in graphs) == 60
+    calls, bfs = [], graph_layer._bfs
+
+    def recorded(g, source):
+        order, pred = bfs(g, source)
+        calls.append((source + 1, order + 1))
+        return order, pred
+
+    monkeypatch.setattr(graph_layer, "_bfs", recorded)
+    for n, edges in graphs:
+        g = make_graph(n, edges)
+        ref = brute_distance_matrix(n, edges)
+        for s in range(1, n + 1):
+            assert bfs_distances(g, s) == [ref[s].get(v, -1) for v in range(1, n + 1)], (n, edges, s)
+        if len(ref[1]) < n:
+            with pytest.raises(ValueError, match="disconnected"):
+                diameter(g)
+            continue
+        calls.clear()
+        ecc = {v: max(d.values()) for v, d in ref.items()}
+        assert diameter(g) == max(ecc.values()), (n, edges)
+        (_, first), (a, by_a), (u, _), *fringe = calls
+        b, lb = by_a[-1], ecc[a]
+        assert a == first[-1] and ref[1][a] == ecc[1] and ref[a][b] == lb, (n, edges)
+        assert (ref[a][u], ref[b][u]) == (lb // 2, lb - lb // 2), (n, edges)
+        levels = [ref[u][v] for v, _ in fringe]
+        assert levels == sorted(levels, reverse=True), (n, edges)
+        top = min(levels, default=ecc[u] + 1)
+        assert sorted(v for v, _ in fringe) == sorted(v for v, d in ref[u].items() if d >= top)
+        seen = max(lb, ecc[u])
+        for level in sorted(set(levels), reverse=True):  # each level was needed, and no more
+            assert seen < 2 * level, (n, edges)
+            seen = max(seen, *(ecc[v] for v, _ in fringe if ref[u][v] == level))
+        assert seen >= 2 * (top - 1), (n, edges)
+
+
+def test_graph_layer_never_calls_dijkstra(monkeypatch):
+    """One plain BFS is the graph layer's only traversal: with scipy's
+    dijkstra made to raise, diameter, bfs_distances, the exact width report
+    and a two-thread diameter sweep still run, the sweep's CSV equal to the
+    serial one's.  The all-pairs reference, method="sparse", is the one
+    exemption."""
+    import scipy.sparse.csgraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dijkstra called")
+
+    g = build_tangled(mallows_process(sample_trace(300, 0.9, 4)))
+    want = diameter(g, method="sparse")
+    sweep = dict(experiment="diameter", n_list=[25, 300], q_grid=[0.0, 0.7], trials=130)  # 3 chunks
+    serial = render_csv(run_sweep(make_config(master_seed=11, thread_count=1, **sweep)))
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", refuse)
+    assert diameter(g) == want and max(bfs_distances(g, 1)) <= want
+    build_width_report(build_tangled(mallows_process(sample_trace(12, 0.5, 4))), exact=True)
+    assert render_csv(run_sweep(make_config(master_seed=11, thread_count=2, **sweep))) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +552,17 @@ def test_edge_list_round_trip():
 def test_parse_edge_list_rejects_bad_header():
     with pytest.raises(ValueError):
         parse_edge_list("vertices=3\n1 2\n")
+
+
+@pytest.mark.parametrize("text, line, shown", [
+    ("n=3\n1 2 3\n", 2, "1 2 3"),
+    ("n=3\n1 2\n\n2\n", 4, "2"),
+    ("n=3\n# a comment\n1 2\n", 2, "# a comment"),
+    ("\nn=3\n1 2\n 1.5 2 \n", 4, "1.5 2"),
+])
+def test_parse_edge_list_names_the_bad_line(text, line, shown):
+    """A malformed edge line is refused with its 1-based number in the text
+    (blank lines counted) and its content, not Python's unpacking or int()
+    message."""
+    with pytest.raises(ValueError, match=re.escape(f"edge list line {line} is not 'u v': {shown!r}")):
+        parse_edge_list(text)
