@@ -14,13 +14,13 @@ from hypothesis import example, given, strategies as st
 
 from tangledpath import (
     CapabilityError,
-    build_width_report,
     InsertionTrace,
     Permutation,
     TangledGraph,
     articulation_points,
     bfs_distances,
     build_tangled,
+    build_width_report,
     cut_vertices_from_trace,
     diameter,
     enumerate_traces,
