@@ -9,10 +9,14 @@ Carlo harness).
 Conventions: stdout carries machine-parseable output only (JSON, or the
 documented text formats for traces, permutations, and edge lists); anything
 diagnostic goes to stderr.  Exit codes: 0 success, 2 usage or input error,
-3 refusal (exact computation beyond its cap, or an allocation the memory
-cannot hold, printed as ``refused: out of memory: <msg>``), 4 statistical
-check failure.  When ``--seed`` is omitted the TANGLED_SEED environment
-variable is consulted before giving up.
+3 refusal (exact computation beyond its cap, such as a ``prob`` answer that
+needs more than 2^28 nonzero terms of log(1 - q^i), which takes n above
+about 2*10^8 and 1 - q below about 1.5e-7; or an allocation the memory cannot
+hold, printed as ``refused: out of memory: <msg>``), 4 statistical check
+failure, 5 internal error (an exception of any other class, a bug: the first
+stderr line is ``internal error: <Class>: <msg>``, the traceback follows).
+When ``--seed`` is omitted the TANGLED_SEED environment variable is consulted
+before giving up.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -406,6 +411,10 @@ def main(argv=None) -> int:
     except StatisticalCheckError as exc:
         print(f"statistical check failed: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 5
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ Probabilities are computed in log space and clamped to [0, 1] within 1e-12.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -261,9 +262,93 @@ def cut_vertices_from_trace(trace: InsertionTrace | Sequence[int]) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def _log1m_qpow(exponents: np.ndarray, logq: float) -> np.ndarray:
-    """log(1 - q^e) for positive exponents, via expm1 for accuracy."""
-    return np.log(-np.expm1(exponents * logq))
+# np.sum adds a contiguous float64 array pairwise (Higham, "The accuracy of
+# floating point summation", SIAM J. Sci. Comput. 14, 1993): a range of more
+# than 128 terms is split at n//2 - (n//2) % 8 and each side summed alike.  The
+# exact sums below replay that order over terms built on demand, at most
+# _BLOCK at a time, so they keep np.sum's bits in O(_BLOCK) memory;
+# tests/test_events.py pins the rule against np.sum.
+_BLOCK = 2**14
+# e^-40 is below a quarter ulp of 1, so log(1 - q^i) is 0.0 once i ln q <= -40.
+_ZERO_EXPONENT = -40.0
+# The most nonzero terms of log(1 - q^i) one exact probability builds (about
+# 6 s of work on 2 vCPUs); more are needed only at n > ~2e8, 1 - q < ~1.5e-7.
+_EXACT_TERMS = 2**28
+
+
+def _pairwise(lo: int, hi: int, leaf, skip):
+    """np.sum of the terms at lo .. hi-1, in numpy's order of additions.
+
+    ``leaf(lo, hi)`` is np.sum of at most _BLOCK terms; ``skip(lo, hi)`` is
+    the sum of a range found without its terms, or None."""
+    found = skip(lo, hi)
+    if found is not None:
+        return found
+    if hi - lo <= _BLOCK:
+        return leaf(lo, hi)
+    mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+    return _pairwise(lo, mid, leaf, skip) + _pairwise(mid, hi, leaf, skip)
+
+
+@functools.lru_cache(maxsize=1024)
+def _repeat_sum(value: float, count: int) -> float:
+    """np.sum of ``count`` copies of ``value``: numpy's split depends on the
+    length alone, so this takes O(log count) lengths."""
+    if count <= _BLOCK:
+        return np.full(count, value).sum()
+    half = count // 2 - count // 2 % 8
+    return _repeat_sum(value, half) + _repeat_sum(value, count - half)
+
+
+def _check_terms(count: int, what: str) -> None:
+    if count > _EXACT_TERMS:
+        raise CapabilityError(
+            f"{what} needs {count:.3g} nonzero terms of log(1 - q^i), above the "
+            f"exact cap of 2^28 = {_EXACT_TERMS}"
+        )
+
+
+def _log1m_qpow(lo: int, hi: int, logq: float) -> np.ndarray:
+    """log(1 - q^i) for lo <= i < hi, via expm1 for accuracy."""
+    return np.log(-np.expm1(np.arange(lo, hi, dtype=np.float64) * logq))
+
+
+def _log1m_qpow_prefix(logq: float, m: int, n: int):
+    """A(i) = sum_{j <= i} log(1 - q^j) as np.cumsum adds it, as a function
+    (lo, hi) -> A(i) for lo <= i < hi, and the index s where A stops moving.
+
+    np.cumsum adds the shrinking terms |log(1 - q^i)| <= 2 q^i in order, so
+    past the first within a quarter ulp of the sum the sum stays put: where
+    m < n, A(i) = A(s) for i >= s, and s <= m.  A is held as its value at
+    every _BLOCK-th index; a block is rebuilt by carrying that value into its
+    terms, and the last few rebuilt blocks are kept."""
+    marks, carry, s = [], 0.0, m
+    for lo in range(0, m, _BLOCK):
+        terms = _log1m_qpow(lo + 1, min(m, lo + _BLOCK) + 1, logq)
+        sums = np.cumsum(np.concatenate(([carry], terms)))
+        marks.append(carry)
+        stall = np.flatnonzero(-terms <= np.spacing(-sums[:-1]) / 4) if m < n else ()
+        if len(stall):
+            s = lo + int(stall[0])
+            break
+        carry = sums[-1]
+    else:
+        marks.append(carry)
+
+    @functools.lru_cache(maxsize=4)
+    def block(j: int) -> np.ndarray:
+        """A(i) for j * _BLOCK <= i <= min((j + 1) * _BLOCK, s)."""
+        terms = _log1m_qpow(j * _BLOCK + 1, min(j * _BLOCK + _BLOCK, s) + 1, logq)
+        return np.cumsum(np.concatenate(([marks[j]], terms)))
+
+    def prefix(lo: int, hi: int) -> np.ndarray:  # hi - lo <= _BLOCK
+        j = min(lo, s) // _BLOCK
+        sums = block(j)
+        if min(hi - 1, s) // _BLOCK > j:
+            sums = np.concatenate((sums[:-1], block(j + 1)))
+        return sums.take(np.arange(lo - j * _BLOCK, hi - j * _BLOCK), mode="clip")
+
+    return prefix, s
 
 
 def _log_flush(n: int, k: int, q: float) -> float:
@@ -277,10 +362,16 @@ def _log_flush(n: int, k: int, q: float) -> float:
     if q == 1.0:
         return math.lgamma(k + 1) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
     logq = math.log(q)
-    i = np.arange(1, m + 1, dtype=np.float64)
-    return float(
-        np.sum(_log1m_qpow(i, logq)) - np.sum(_log1m_qpow(i + (n - m), logq))
-    )
+    zero = math.ceil(_ZERO_EXPONENT / logq) + 1  # i ln q <= -40 from here on
+    _check_terms(min(m, zero) + max(0, min(n, zero) - (n - m)), f"Pr[F_{k}] at n={n}, q={q}")
+
+    def leaf(lo: int, hi: int):
+        return _log1m_qpow(lo, hi, logq).sum()
+
+    def zeros(lo: int, hi: int):
+        return 0.0 if lo * logq <= _ZERO_EXPONENT else None
+
+    return float(_pairwise(1, m + 1, leaf, zeros) - _pairwise(n - m + 1, n + 1, leaf, zeros))
 
 
 def flush_prob(n: int, k: int, q: float) -> float:
@@ -339,40 +430,74 @@ def expected_cuts(n: int, q: float, alpha: float) -> float:
 def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
     """Sum of Pr[C_k^F] + Pr[C_k^R] over k_lo <= k <= k_hi (clamped to [1, n]).
 
-    Vectorized via prefix sums of log(1 - q^i): log Pr[F_k] = A(k) + A(n-k)
-    - A(n) with A(m) = sum_{i<=m} log(1-q^i).
+    Through prefix sums of log(1 - q^i): log Pr[F_k] = A(k) + A(n-k) - A(n)
+    with A(m) = sum_{i<=m} log(1-q^i).  Summed in blocks, in np.sum's order,
+    so the memory is O(block) and a stretch of equal or zero terms costs
+    O(log n); refuses with CapabilityError above 2^28 nonzero terms.
     """
     n, k_lo, k_hi = as_int(n, "n", 1), as_int(k_lo, "k_lo"), as_int(k_hi, "k_hi")
     as_real(q, "q", 0, 1)
     k_lo, k_hi = max(1, k_lo), min(n, k_hi)
     if k_lo > k_hi:
         return 0.0
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
     if q == 0.0:
-        return float(len(ks))  # every C_k^F certain, every C_k^R impossible
+        return float(k_hi - k_lo + 1)  # every C_k^F certain, every C_k^R impossible
     if q == 1.0:
-        lg = np.vectorize(math.lgamma)
-        log_flush = lg(ks + 1) + lg(n - ks + 1) - math.lgamma(n + 1)
-        log_pf = log_flush - np.log(ks)
-        return float(2.0 * np.exp(log_pf).sum())
-    logq = math.log(q)
-    # np.cumsum adds the shrinking terms |log(1 - q^i)| <= 2 q^i in order, so
-    # past the first within a quarter ulp of the sum (i <= m) the sum stays put.
-    m = min(n, math.ceil((math.log(-math.log1p(-q)) - 56 * math.log(2.0)) / logq) + 2)
-    prefix = np.arange(m + 1, dtype=np.float64)
-    np.cumsum(_log1m_qpow(prefix[1:], logq), out=prefix[1:])
-    if m < n:
-        terms = _log1m_qpow(np.arange(1, m + 1, dtype=np.float64), logq)
-        prefix = prefix[: np.flatnonzero(-terms <= np.spacing(-prefix[:-1]) / 4)[0] + 1]
-    log_flush = prefix.take(ks, mode="clip") + prefix.take(n - ks, mode="clip") - prefix[-1]
-    log_pf = log_flush + math.log1p(-q) - _log1m_qpow(ks.astype(np.float64), logq)
-    if k_hi * (n - k_lo + 1) < 2**63:
-        exponent = ks * (n - ks + 1) - 1
-    else:  # k(n-k+1) would wrap in int64: take it exactly from Python ints
-        big = ks.astype(object)
-        exponent = (big * (n - big + 1) - 1).astype(np.float64)
-    log_pr = log_pf + exponent * logq
-    return float(np.exp(log_pf).sum() + np.exp(log_pr).sum())
+        lg, top = np.vectorize(math.lgamma), math.lgamma(n + 1)
+
+        def leaf(lo: int, hi: int):
+            ks = np.arange(lo, hi, dtype=np.int64)
+            return np.exp(lg(ks + 1) + lg(n - ks + 1) - top - np.log(ks)).sum()
+
+        def zeros(lo: int, hi: int):
+            # log Pr[C_k^F] = -log(k C(n, k)) is convex in k: a range whose ends
+            # lie below -750, by more than its rounding, holds only exp() = 0.0
+            ends = (math.lgamma(k + 1) + math.lgamma(n - k + 1) - top - math.log(k)
+                    for k in (lo, hi - 1))
+            return 0.0 if max(ends) < -750.0 - 16 * math.ulp(top) else None
+
+        return float(2.0 * _pairwise(k_lo, k_hi + 1, leaf, zeros))
+    logq, c = math.log(q), math.log1p(-q)
+    m = min(n, math.ceil((math.log(-c) - 56 * math.log(2.0)) / logq) + 2)
+    zero = math.ceil(_ZERO_EXPONENT / logq) + 1
+    run = max(0, min(k_hi, n - m) - max(k_lo, m, zero) + 1)
+    _check_terms(m + k_hi - k_lo + 1 - run, f"E[cuts] over k={k_lo}..{k_hi} at n={n}, q={q}")
+    prefix, s = _log1m_qpow_prefix(logq, m, n)
+    end = prefix(s, s + 1)[0]
+
+    def log_probs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """log Pr[C_k^F] and log Pr[C_k^R] for lo <= k < hi."""
+        ks = np.arange(lo, hi, dtype=np.int64)
+        log_flush = prefix(lo, hi) + prefix(n - hi + 1, n - lo + 1)[::-1] - end
+        log_pf = log_flush + c - _log1m_qpow(lo, hi, logq)
+        if (hi - 1) * (n - lo + 1) < 2**63:
+            exponent = ks * (n - ks + 1) - 1
+        else:  # k(n-k+1) would wrap in int64: take it exactly from Python ints
+            big = ks.astype(object)
+            exponent = (big * (n - big + 1) - 1).astype(np.float64)
+        return log_pf, log_pf + exponent * logq
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        return np.array([np.exp(x).sum() for x in log_probs(lo, hi)])
+
+    stalled_pf = None
+
+    def repeats(lo: int, hi: int):
+        # Where A has stalled at k and at n - k and k ln q <= -40, every
+        # log Pr[C_k^F] is one float; log Pr[C_k^R] is largest at the ends,
+        # and where they lie below -750 each of its exp() is 0.0.
+        nonlocal stalled_pf
+        if lo < s or n - hi + 1 < s or lo * logq > _ZERO_EXPONENT:
+            return None
+        if stalled_pf is None:
+            stalled_pf = log_probs(lo, lo + 1)[0]
+        exponent = min(lo * (n - lo + 1), (hi - 1) * (n - hi + 2)) - 1
+        if stalled_pf[0] + exponent * logq > -750.0:
+            return None
+        return np.array([_repeat_sum(np.exp(stalled_pf)[0], hi - lo), 0.0])
+
+    sums = _pairwise(k_lo, k_hi + 1, leaf, repeats)
+    return float(sums[0] + sums[1])
 
 
 # ---------------------------------------------------------------------------

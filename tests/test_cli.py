@@ -1,6 +1,7 @@
 """End-to-end CLI checks through main(argv), asserting JSON output and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -394,17 +395,43 @@ def test_prob_cut_bounds(capsys, flags, code, stdout, stderr):
     assert run(capsys, "prob", "cut", *flags, "--bounds") == (code, stdout, stderr)
 
 
-def test_prob_cut_bounds_past_the_size_hypothesis(capsys, monkeypatch):
-    """At n >= (100/(1-alpha))^5 the window claims both ends; the exact
-    probabilities there would take 1.5 * 10^12 floats, so they are stubbed."""
-    import tangledpath.cli as cli
-
-    monkeypatch.setattr(cli, "cut_event_probs", lambda n, k, q: (0.25, 0.0))
+def test_prob_cut_bounds_past_the_size_hypothesis(capsys):
+    """At n >= (100/(1-alpha))^5 the window claims both ends, and the exact
+    Pr[C_k^F] lies inside it."""
     n, k = 3 * 10**12, 15 * 10**11
     strict = cut_prob_window(n, k, 0.9, 2 / 3)
     doc = run_json(capsys, "prob", "cut", "--n", str(n), "--k", str(k), "--q", "0.9", "--bounds")
     assert doc["bounds"] == {"lower": strict.lower, "relaxed": False, "upper": strict.upper}
-    assert 0 < strict.lower < strict.upper
+    assert 0 < strict.lower < doc["cut_F"] < strict.upper
+
+
+@pytest.mark.parametrize("q", [0.5, 1 - math.pi**2 / (6 * math.log(10**13))])
+def test_prob_answers_at_n_1e13(capsys, q):
+    """At n = 10^13 each exact sum is a short head of nonzero terms and long
+    runs of zero or equal ones, which cost O(log n); Pr[C_k^F] at the middle
+    vertex lies in the strict window."""
+    n, k = 10**13, 5 * 10**12
+    size = ["--n", str(n), "--q", repr(q), "--bounds"]
+    flush = run_json(capsys, "prob", "flush", "--k", str(k), *size)
+    assert 0 < flush["flush"] < 1 and flush["reverse_flush"] == 0.0
+    expected = run_json(capsys, "prob", "expected", *size)
+    assert 0 < expected["expected_cuts"] < n
+    cut = run_json(capsys, "prob", "cut", "--k", str(k), *size)
+    assert cut["bounds"]["relaxed"] is False
+    assert cut["bounds"]["lower"] < cut["cut_F"] < cut["bounds"]["upper"]
+
+
+def test_prob_refuses_past_the_term_cap(capsys):
+    """q = 1 - 10^-10 at n = 10^13 needs more nonzero terms than the exact
+    cap; the refusal names the cap, as the exit-3 text of the docstring does."""
+    import tangledpath.cli as cli
+
+    n = 10**13
+    for what in (["flush", "--k", str(n // 2)], ["expected"], ["cut", "--k", str(n // 2)]):
+        code, out, err = run(capsys, "prob", *what, "--n", str(n), "--q", "0.9999999999")
+        assert (code, out) == (3, "") and err.startswith("refused: "), err
+        assert "exact cap of 2^28 = 268435456" in err
+    assert "more than 2^28 nonzero terms" in " ".join(cli.__doc__.split())
 
 
 def test_prob_expected_refuses_sizes_below_one(capsys):
@@ -430,6 +457,24 @@ def test_out_of_memory_is_a_refusal(capsys, monkeypatch):
     monkeypatch.setattr(cli, "flush_prob", no_room)
     code, out, err = run(capsys, "prob", "flush", "--n", "10", "--k", "5", "--q", "0.5")
     assert (code, out, err) == (3, "", "refused: out of memory: Unable to allocate 36.4 TiB\n")
+
+
+def test_unexpected_error_exits_5_with_its_class(capsys, monkeypatch):
+    """An exception of a class main() does not map is a bug: exit 5, one
+    line naming its class and message, then the traceback."""
+    import tangledpath.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("flush table out of step")
+
+    monkeypatch.setattr(cli, "flush_prob", broken)
+    code, out, err = run(capsys, "prob", "flush", "--n", "10", "--k", "5", "--q", "0.5")
+    lines = err.splitlines()
+    assert (code, out) == (5, "")
+    assert lines[0] == "internal error: RuntimeError: flush table out of step"
+    assert lines[1] == "Traceback (most recent call last):"
+    assert lines[-1] == "RuntimeError: flush table out of step"
+    assert "5 internal error" in " ".join(cli.__doc__.split())
 
 
 def test_sweep_threads_flag_and_plot_out(capsys, tmp_path):

@@ -672,33 +672,153 @@ def test_expected_cuts_q1_route():
     assert expected_cuts_in_range(n, 1.0, k_lo, k_hi) == pytest.approx(direct, rel=1e-10)
 
 
-def _full_prefix_cuts(n, q, k_lo, k_hi):
-    """expected_cuts_in_range at 0 < q < 1 through the whole n-length prefix
-    sum of log(1 - q^i), with no stop where the sum stalls."""
-    ks, logq = np.arange(k_lo, k_hi + 1, dtype=np.int64), math.log(q)
-    terms = events._log1m_qpow(np.arange(1, n + 1, dtype=np.float64), logq)
-    prefix = np.concatenate([[0.0], np.cumsum(terms)])
+def _log1m_qpow_array(exponents, logq):
+    """log(1 - q^e) over a whole array of exponents."""
+    return np.log(-np.expm1(exponents * logq))
+
+
+def _full_prefix(n, q):
+    """The whole n-length prefix sum of log(1 - q^i), with no stop where the
+    sum stalls."""
+    prefix = np.arange(n + 1, dtype=np.float64)
+    np.cumsum(_log1m_qpow_array(prefix[1:], math.log(q)), out=prefix[1:])
+    return prefix
+
+
+def _full_prefix_cuts(n, q, k_lo, k_hi, prefix=None):
+    """expected_cuts_in_range through whole k-range arrays: at 0 < q < 1 from
+    the whole prefix of :func:`_full_prefix`, at q = 1 from lgamma."""
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    if q == 1.0:
+        lg = np.vectorize(math.lgamma)
+        log_pf = lg(ks + 1) + lg(n - ks + 1) - math.lgamma(n + 1) - np.log(ks)
+        return float(2.0 * np.exp(log_pf).sum())
+    prefix, logq = _full_prefix(n, q) if prefix is None else prefix, math.log(q)
     log_pf = (prefix[ks] + prefix[n - ks] - prefix[n] + math.log1p(-q)
-              - events._log1m_qpow(ks.astype(np.float64), logq))
+              - _log1m_qpow_array(ks.astype(np.float64), logq))
     log_pr = log_pf + (ks * (n - ks + 1) - 1) * logq
     return float(np.exp(log_pf).sum() + np.exp(log_pr).sum())
 
 
-@pytest.mark.parametrize("n", [2, 10, 1000, 65_537, 10**6])
+def _full_log_flush(n, k, q):
+    """events._log_flush through two whole arrays of m = min(k, n - k) terms."""
+    m = min(k, n - k)
+    if m == 0 or q == 0.0:
+        return 0.0
+    if q == 1.0:
+        return math.lgamma(k + 1) + math.lgamma(n - k + 1) - math.lgamma(n + 1)
+    logq = math.log(q)
+    i = np.arange(1, m + 1, dtype=np.float64)
+    return float(
+        np.sum(_log1m_qpow_array(i, logq)) - np.sum(_log1m_qpow_array(i + (n - m), logq))
+    )
+
+
+def _traced_peak(call, *args):
+    """(call(*args), its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairwise_replica_matches_np_sum():
+    """events._pairwise splits a range as np.sum does (at n//2 - (n//2) % 8,
+    above 128 terms) and hands ranges of at most _BLOCK terms to np.sum, so
+    on random floats of every magnitude it gives np.sum's bits, at lengths
+    around numpy's split points and the block; _repeat_sum does the same for
+    one value repeated.  A numpy that sums in another order fails here
+    instead of moving the exact column."""
+    rng = np.random.default_rng(25)
+    top = 10**7 + 11
+    a = np.ldexp(rng.random(top) - 0.5, rng.integers(-40, 40, top, dtype=np.int32))
+    block = events._BLOCK
+    sizes = {top, block - 1, block, block + 1, 2 * block + 7, 3 * block + 1}
+    sizes |= {8 * 2**j + d for j in range(21) for d in (-1, 0, 1) if 8 * 2**j + 1 < top}
+    for size in sorted(sizes):
+        x = a[:size]
+        got = events._pairwise(0, size, lambda lo, hi: x[lo:hi].sum(), lambda lo, hi: None)
+        assert got == x.sum(), size
+    for size in sorted({s for s in sizes if s <= 2**20 + 1} | set(range(1, 300))):
+        assert events._repeat_sum(a[1], size) == np.full(size, a[1]).sum(), size
+
+
+def test_log1m_qpow_is_zero_past_the_zero_exponent():
+    """The blocked sums skip every range whose first i has i ln q <= -40:
+    expm1 rounds there to -1, so each log(1 - q^i) is 0.0."""
+    for q in (1e-300, 0.3, 0.5, 0.9, 1 - 1e-6):
+        logq = math.log(q)
+        first = math.ceil(events._ZERO_EXPONENT / logq)
+        while first * logq > events._ZERO_EXPONENT:
+            first += 1
+        for lo, hi in ((first, first + 1), (first, first + 5000), (first + 7, first + 40)):
+            assert not events._log1m_qpow(lo, hi, logq).any(), (q, lo, hi)
+
+
+@pytest.mark.parametrize("n", [1000, 65_537, 10**6, 10**7])
+def test_flush_probs_blocked_match_whole_arrays(n, monkeypatch):
+    """flush_prob, reverse_flush_prob and cut_event_probs through the blocked
+    _log_flush give, bit for bit, what its whole-array form gives, at k = 1,
+    2, n/2 and n - 1 and q on both sides of the threshold, at q_critical,
+    q = 1 - 1/(n ln n) and 1; each call peaks under 8 MB, where the whole
+    arrays took 153 MB at n = 10^7."""
+    qs = [0.3, 0.9, threshold_window(n, 0.0).q_critical, 1 - 1 / (n * math.log(n)), 1.0]
+
+    def probs(k, q):
+        return (flush_prob(n, k, q), reverse_flush_prob(n, k, q),
+                cut_event_probs(n, k, q) if k > 1 else None)
+
+    for q in qs:
+        for k in (1, 2, n // 2, n - 1):
+            got, peak = _traced_peak(probs, k, q)
+            assert peak < 8 * 2**20, (q, k, peak)
+            with monkeypatch.context() as patched:
+                patched.setattr(events, "_log_flush", functools.lru_cache(_full_log_flush))
+                assert repr(got) == repr(probs(k, q)), (q, k)
+
+
+def test_flush_prob_at_n_1e13_sums_the_same_head():
+    """At q = 0.5, log(1 - q^i) is 0.0 from i = 54 on, so Pr[F_k] at
+    n = 10^13 adds the same nonzero head as at n = 10^4, in the same order,
+    and gives its bits."""
+    big, small = 10**13, 10**4
+    for k_big, k_small in ((1, 1), (2, 2), (big // 3, small // 3), (big // 2, small // 2)):
+        for kb, ks in ((k_big, k_small), (big - k_big, small - k_small)):
+            assert repr(flush_prob(big, kb, 0.5)) == repr(flush_prob(small, ks, 0.5)), kb
+
+
+def test_exact_probabilities_refuse_past_the_term_cap():
+    """Where n and 1/(1 - q) are both large, the nonzero terms outnumber the
+    cap, and the refusal comes before any of them is built."""
+    n, q = 10**13, 1 - 1e-10
+    for call in (lambda: flush_prob(n, n // 2, q), lambda: expected_cuts(n, q, 2 / 3),
+                 lambda: cut_event_probs(n, n // 2, q)):
+        with pytest.raises(CapabilityError, match=r"exact cap of 2\^28 = 268435456"):
+            call()
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000, 65_537, 10**6, 10**7])
 def test_expected_cuts_prefix_stop_changes_no_bit(n):
-    """Stopping the prefix sum where its terms no longer move it gives the
-    whole prefix's value bit for bit, on both sides of the threshold and at
-    q where it never stalls."""
-    qs = [0.3, 0.9, 1 - 1 / (n * math.log(n)), 0.999999]
+    """Summing in blocks, in np.sum's and np.cumsum's order, and stopping the
+    prefix sum where its terms no longer move it give the whole-array value
+    bit for bit, on both sides of the threshold, at q_critical, at q where
+    the sum never stalls, and at q = 1; each call peaks under 8 MB, where the
+    whole arrays took 153-267 MB at n = 10^7.  At n = 10^7 the q = 1
+    reference alone would spend 4 s in lgamma, and q = 0.999999 is the
+    regime of q = 1 - 1/(n ln n), so both run at the smaller n only."""
+    qs = [0.3, 0.9, 1 - 1 / (n * math.log(n))] + ([0.999999, 1.0] if n < 10**7 else [])
     if n >= 16:
         qs.append(threshold_window(n, 0.0).q_critical)
     for q in qs:
+        prefix = None if q == 1.0 else _full_prefix(n, q)
         for alpha in (2 / 3, 0.55):
             k_lo, k_hi = alpha_cut_range(n, alpha)
             k_lo, k_hi = max(k_lo, 2), min(k_hi, n - 1)
             if k_lo <= k_hi:
-                got = expected_cuts_in_range(n, q, k_lo, k_hi)
-                assert repr(got) == repr(_full_prefix_cuts(n, q, k_lo, k_hi)), (q, alpha)
+                got, peak = _traced_peak(expected_cuts_in_range, n, q, k_lo, k_hi)
+                assert repr(got) == repr(_full_prefix_cuts(n, q, k_lo, k_hi, prefix)), (q, alpha)
+                assert peak < 8 * 2**20, (q, alpha, peak)
 
 
 def test_expected_cuts_prefix_memory_stops_with_the_sum():
