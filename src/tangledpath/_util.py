@@ -124,6 +124,19 @@ def scratch(name: str, shape: tuple, dtype) -> np.ndarray:
     return ws[name][:size].view(dtype).reshape(shape)
 
 
+def column(name: str, count: int, build) -> np.ndarray:
+    """``build(count)``, a vector whose entry j depends on j alone.  Under an
+    active workspace (see :func:`reusing`) the longest one built under
+    ``name`` stays there, and a prefix of it is returned."""
+    ws = getattr(_active, "ws", None)
+    if ws is None:
+        return build(count)
+    have = ws.get(name)
+    if have is None or len(have) < count:
+        ws[name] = have = build(count)
+    return have[:count]
+
+
 @contextmanager
 def reusing(ws: dict):
     """Make ``ws`` the calling thread's active workspace inside the block."""

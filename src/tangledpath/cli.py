@@ -16,7 +16,9 @@ hold, printed as ``refused: out of memory: <msg>``), 4 statistical check
 failure, 5 internal error (an exception of any other class, a bug: the first
 stderr line is ``internal error: <Class>: <msg>``, the traceback follows).
 When ``--seed`` is omitted the TANGLED_SEED environment variable is consulted
-before giving up.
+before giving up.  ``prob flush`` and ``prob cut`` require ``--k``; ``prob
+expected`` sums over the alpha cut range and refuses ``--k`` and ``--bounds``
+as usage errors, as it has neither an index nor bounds to report.
 """
 
 from __future__ import annotations
@@ -187,6 +189,8 @@ def cmd_prob(args) -> int:
     n, q = args.n, args.q
     if args.what in ("flush", "cut") and args.k is None:
         raise ValueError(f"prob {args.what} requires --k")
+    if args.what == "expected" and (args.k is not None or args.bounds):
+        raise ValueError("prob expected takes neither --k nor --bounds")
     if args.what == "flush":
         out = {
             "n": n,

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import alpha_cut_range, as_int, as_real, clamp01, scratch
+from ._util import alpha_cut_range, as_int, as_real, clamp01, column, scratch
 from .errors import CapabilityError
 from .mallows import InsertionTrace, _decoded, _positions_of
 
@@ -54,6 +54,10 @@ _EULER_TOL = 1e-15
 _SCAN_ENTRIES = 2**14
 
 _NO_TAIL = 1 << 60
+
+# The flag arrays in the order _flag_block writes them: R_k and C_k^R last,
+# side by side, so the window passes clear both in one call.
+_FLAG_SLOTS = ("flush", "cut_forward", "cut", "reverse_flush", "cut_reverse")
 
 
 def event_flag_matrix(
@@ -73,10 +77,10 @@ def event_flag_matrix(
     min_{i>k} v_i > k (see :func:`_flag_block`).
     """
     v = np.asarray(v, dtype=np.int64)
-    keys = ("flush", "reverse_flush", "cut_forward", "cut_reverse", "cut")
-    flags = dict(zip(keys, scratch("flags", (5, *v.shape), bool)))
+    out = scratch("flags", (5, *v.shape), bool)
+    flags = dict(zip(_FLAG_SLOTS, out))
     pair = (np.full(len(v), _NO_TAIL, dtype=np.int64),) * 2 if tail is None else tail
-    flags["tail"] = _flag_block(v, first, pair, list(flags.values()))
+    flags["tail"] = _flag_block(v, first, pair, out)
     if first == 0:
         flags["cut"][:, :1] = False
     if tail is None:
@@ -84,22 +88,24 @@ def event_flag_matrix(
     return flags
 
 
-def _flag_block(v: np.ndarray, first: int, tail: tuple, out: list) -> tuple:
-    """Write the five flag arrays of ``v`` into ``out``; return its tail pair.
+def _flag_block(v: np.ndarray, first: int, tail: tuple, out: np.ndarray) -> tuple:
+    """Write the five flag arrays of ``v`` into ``out``, a (5, m, ncols)
+    array in _FLAG_SLOTS order; return its tail pair.
 
-    With V the largest v_i, F_k is decided by the minimum of
-    d_i = min(i - v_i, tail d) over k < i <= k + V (later i have i - v_i > k),
-    which ceil(log2 V) passes of np.minimum on shifted copies give; R_k can
-    hold only for k < V, a prefix flagged on its own, and in the last column.
+    With V the largest v_i, F_k is decided by the tail d and the minimum of
+    d_i = i - v_i over k < i <= k + V (later i have i - v_i > k), which
+    ceil(log2 V) passes of np.minimum on shifted copies give; R_k can hold
+    only for k < V, a prefix flagged on its own, and in the last column.
     Where V spans the block, or it is small, one reversed cumulative minimum
     of d and of v is cheaper."""
-    flush, reverse_flush, cut_forward, cut_reverse, cut = out
+    flush, cut_forward, cut, reverse_flush, cut_reverse = out
     m, ncols = v.shape
     tail_d, tail_v = tail
-    i_grid = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
+    last = first + ncols
     big = int(v.max(initial=1))
     span, p = 1 << (big - 1).bit_length(), big - first - 1
     if span >= ncols or v.size < _SCAN_ENTRIES:
+        i_grid = np.arange(first + 1, last + 1, dtype=np.int64)
         dv = np.empty((2, m, ncols + 1), dtype=np.int64)
         np.subtract(i_grid, v, out=dv[0, :, :ncols])
         dv[1, :, :ncols] = v
@@ -107,32 +113,41 @@ def _flag_block(v: np.ndarray, first: int, tail: tuple, out: list) -> tuple:
         dv = np.minimum.accumulate(dv[:, :, ::-1], axis=2)[:, :, ::-1]
         np.greater_equal(dv[0, :, 1:], i_grid, out=flush)
         np.greater(dv[1, :, 1:], i_grid, out=reverse_flush)
+        np.logical_and(reverse_flush, v == i_grid, out=cut_reverse)
+        np.equal(v, 1, out=cut_forward)
         left_tail = dv[0, :, 0], dv[1, :, 0]
     elif p > 0:
-        right = _flag_block(v[:, p:], first + p, tail, [f[:, p:] for f in out])
-        return _flag_block(v[:, :p], first, right, [f[:, :p] for f in out])
+        right = _flag_block(v[:, p:], first + p, tail, out[:, :, p:])
+        return _flag_block(v[:, :p], first, right, out[:, :, :p])
     else:
-        # d in int32 below 2**31, each row padded with `span` copies of its tail
-        # clipped to the last i: the passes run flat, no window reaching a next row;
-        # the pair takes uniform_matrix's "words" buffer, free once it returned
-        dtype = np.int32 if first + ncols < 2**31 else np.int64
-        i_small = i_grid.astype(dtype)
+        # d - first, which lies in 1 - V .. ncols, in int16 or int32; each row
+        # padded with `span` copies of the last i, which breaks no F_k here:
+        # the passes run flat, no window read reaching a next row, and no
+        # pass reads the tail the one before left unwritten; the pair takes
+        # uniform_matrix's "words" buffer, free once it returned
+        dtype = np.int16 if ncols < 2**15 else np.int32 if ncols < 2**31 else np.int64
+        j_grid = column(f"k - first {dtype.__name__}", ncols,
+                        lambda c: np.arange(1, c + 1, dtype=dtype))
         a, b = scratch("words", (2, m, ncols + span), dtype)
-        np.subtract(i_small, v, out=a[:, :ncols], dtype=dtype)
-        np.minimum(a[:, :ncols], tail_d[:, None], out=a[:, :ncols])
-        a[:, ncols:] = np.minimum(tail_d, i_grid[-1])[:, None]
+        np.subtract(j_grid, v, out=a[:, :ncols], dtype=dtype)
+        a[:, ncols:] = ncols
         a, b, w = a.ravel(), b.ravel(), 1
         while w < span:  # then a[x] = min of d[x : x + 2w]
             np.minimum(a[:-w], a[w:], out=b[:-w])
-            b[-w:] = a[-w:]
             a, b, w = b, a, 2 * w
-        a = a.reshape(m, -1)
-        np.greater_equal(a[:, 1 : ncols + 1], i_small, out=flush)
-        reverse_flush[:, :-1] = False
-        np.greater(tail_v, i_grid[-1], out=reverse_flush[:, -1])
-        left_tail = a[:, :ncols:span].min(axis=1).astype(np.int64), np.minimum(v.min(1), tail_v)
-    np.logical_and(flush, v == 1, out=cut_forward)
-    np.logical_and(reverse_flush, v == i_grid, out=cut_reverse)
+        a = a.reshape(m, ncols + span)
+        np.greater_equal(a[:, 1 : ncols + 1], j_grid, out=flush)
+        # F_k also needs tail d >= k, which fails only for k > the least tail d
+        c = min(max(int(tail_d.min()) - first, 0), ncols)
+        flush[:, c:] &= (tail_d - first)[:, None] >= j_grid[c:]
+        out[3:, :, :-1] = False  # R_k and C_k^R, outside the last column
+        np.greater(tail_v, last, out=reverse_flush[:, -1])
+        np.logical_and(reverse_flush[:, -1], v[:, -1] == last, out=cut_reverse[:, -1])
+        low_d = np.add(a[:, :ncols:span].min(axis=1), first, dtype=np.int64)
+        np.equal(v, 1, out=cut_forward)
+        low_v = 1 if cut_forward.any(axis=1).all() else v.min(1)  # no v_i is below 1
+        left_tail = np.minimum(low_d, tail_d), np.minimum(low_v, tail_v)
+    cut_forward &= flush
     np.logical_or(cut_forward, cut_reverse, out=cut)
     return left_tail
 
@@ -433,7 +448,8 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
     Through prefix sums of log(1 - q^i): log Pr[F_k] = A(k) + A(n-k) - A(n)
     with A(m) = sum_{i<=m} log(1-q^i).  Summed in blocks, in np.sum's order,
     so the memory is O(block) and a stretch of equal or zero terms costs
-    O(log n); refuses with CapabilityError above 2^28 nonzero terms.
+    O(log n); refuses with CapabilityError above 2^28 nonzero terms, and
+    where k or n - k + 1 reaches 2^63.
     """
     n, k_lo, k_hi = as_int(n, "n", 1), as_int(k_lo, "k_lo"), as_int(k_hi, "k_hi")
     as_real(q, "q", 0, 1)
@@ -442,6 +458,11 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
         return 0.0
     if q == 0.0:
         return float(k_hi - k_lo + 1)  # every C_k^F certain, every C_k^R impossible
+    if max(k_hi, n - k_lo + 1) >= 2**63:
+        raise CapabilityError(
+            f"E[cuts] over k={k_lo}..{k_hi} at n={n} indexes terms past 2^63, "
+            "beyond the int64 blocks the exact sum is built in"
+        )
     if q == 1.0:
         lg, top = np.vectorize(math.lgamma), math.lgamma(n + 1)
 

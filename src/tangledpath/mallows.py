@@ -155,23 +155,32 @@ def _positions_from_uniforms(u: np.ndarray, q: float, first: int = 0) -> np.ndar
     Column j of the C-contiguous float64 (m, ncols) array u is mapped, in
     place, through the truncated geometric on {1..first+j+1}; the result, an
     int64 view of u, is at least 1 and is clamped to i against rounding.
+    Once expm1(i ln q) is -1.0 it is -1.0 at every later i, and once
+    first >= R = _position_reach(q) every v_i <= R + 1 <= i: there the
+    columns need no vector of their own, and the clamp changes nothing.
     """
     ncols = u.shape[1]
-    i_int = np.arange(first + 1, first + ncols + 1, dtype=np.int64)
     v = u.view(np.int64)
     if q == 0.0:
         v.fill(1)
         return v
+    logq = math.log(q)
+    flat = q < 1.0 and np.expm1((first + 1) * logq) == -1.0
+    clamp = q == 1.0 or first < _position_reach(q)
+    i_int = np.arange(first + 1, first + ncols + 1, dtype=np.int64) if clamp or not flat else None
     if q == 1.0:
         u *= i_int
     else:
-        logq = math.log(q)
-        u *= np.expm1(i_int * logq)  # -(1 - q^i), so u * it is -u * (1 - q^i)
+        if flat:
+            np.negative(u, out=u)
+        else:
+            u *= np.expm1(i_int * logq)  # -(1 - q^i), so u * it is -u * (1 - q^i)
         np.log1p(u, out=u)
         u /= logq
     np.floor(u, out=v, casting="unsafe")
     v += 1
-    np.minimum(v, i_int, out=v)
+    if clamp:
+        np.minimum(v, i_int, out=v)
     return v
 
 
@@ -443,13 +452,21 @@ def trace_displacements(v: np.ndarray, i: int) -> np.ndarray:
     Tracks the final position p of value i in the process output r_n: after
     its own insertion p = v_i, and each later insertion at v_j <= p pushes it
     right by one; then n + 1 - p = sigma^{-1}(i).  The scan vectorizes across
-    rows; constructing sigma(i) directly would not.
+    rows; constructing sigma(i) directly would not.  Once every row has p at
+    least the largest v_j left to scan, each later step adds exactly one, so
+    the scan stops there, checking every 64 steps: for q < 1 that is within
+    a few thousand steps of i, as v_j - 1 <= _position_reach(q).
     """
     n = v.shape[1]
     i = as_int(i, "i", 1, n)
     p = v[:, i - 1].copy()
-    for j in range(i + 1, n + 1):
-        p += v[:, j - 1] <= p
+    top = v[:, i:].max(initial=0)
+    for start in range(i + 1, n + 1, 64):
+        if p.min(initial=top) >= top:
+            p += n + 1 - start
+            break
+        for j in range(start, min(start + 64, n + 1)):
+            p += v[:, j - 1] <= p
     return np.abs((n + 1 - p) - i)
 
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import as_int, as_int64, scratch
+from ._util import as_int, as_int64, column, scratch
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -110,13 +110,19 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     return mix64_array(np.uint64(as_seed(seed)) + idx * np.uint64(GOLDEN))
 
 
+def _steps(count: int) -> np.ndarray:
+    """(j + 1) * GOLDEN for j < count, the stream's counter steps."""
+    return np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+
+
 def uniform_matrix(seeds: Sequence[int] | np.ndarray, ncols: int) -> np.ndarray:
     """Row r holds the first ``ncols`` uniforms in [0, 1) of stream ``seeds[r]``,
-    mixed in one buffer whose scratch becomes the float64 result."""
+    mixed in one buffer whose scratch becomes the float64 result.  Under an
+    active workspace the counter steps are built once, not per call."""
     ncols = as_int(ncols, "ncols", 0)
-    steps = np.arange(1, ncols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     s = seed_array(seeds)
-    words = np.add(s[:, None], steps, out=scratch("words", (len(s), ncols), np.uint64))
+    words = scratch("words", (len(s), ncols), np.uint64)
+    np.add(s[:, None], column("steps", ncols, _steps), out=words)
     out = scratch("uniforms", words.shape, np.float64)
     mix64_array(words, out.view(np.uint64))
     words >>= np.uint64(11)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 import dataclasses
 from dataclasses import dataclass
@@ -47,7 +47,7 @@ from .events import (
     flush_prob,
     threshold_window,
 )
-from ._util import alpha_cut_range, as_int, as_real, reusing, trace_order_sum
+from ._util import alpha_cut_range, as_int, as_real, reusing, scratch, trace_order_sum
 from . import mallows
 from .graph import _edge_ends, build_tangled, diameter
 from .mallows import (
@@ -332,11 +332,7 @@ def _run_cell(
         return trial_fn(derive_array(cell_seed, np.arange(*span, dtype=np.uint64)))
 
     try:
-        if cfg.thread_count == 1:
-            parts = [work(span) for span in bounds]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.thread_count) as pool:
-                parts = list(pool.map(work, bounds))
+        parts = _run_chunks(work, bounds, cfg.thread_count)
     except Exception as exc:
         # Rewriting args keeps the class (so the CLI's exit code) and puts the
         # context into str(exc), which the CLI prints; add_note (Python 3.11+)
@@ -351,6 +347,43 @@ def _run_cell(
             f"expected {cfg.trials}: refusing to drop trials silently"
         )
     return merged
+
+
+def _run_chunks(work: Callable, bounds: list, threads: int) -> list:
+    """[work(span) for span in bounds], run by the calling thread and up to
+    ``threads - 1`` helper threads, each taking the next span in turn.  The
+    first failure in trial order is raised once every thread has stopped;
+    no span starts after a failure.
+
+    The caller works rather than waiting: on the bench separator cells at 2
+    threads this ran 1.12-1.25x faster than a pool of 2 workers per cell,
+    whose waiting caller made a third thread to wake on each chunk."""
+    parts: list = [None] * len(bounds)
+    failed: list = []
+    todo = iter(enumerate(bounds))  # next() on it is atomic under the GIL
+
+    def drain() -> None:
+        for i, span in todo:
+            try:
+                parts[i] = work(span)
+            except Exception as exc:
+                failed.append((i, exc))
+                for _ in todo:  # start no more spans
+                    pass
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(threads, len(bounds)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for _ in todo:  # after an interrupt too
+            pass
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return parts
 
 
 def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
@@ -391,8 +424,9 @@ def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
 # and flag R + 1 columns for each.  Dense cells, q = 1 and flush-validate
 # keep _flag_blocks.
 # Both routes sample and flag each block under reusing(ws), a workspace the
-# chunk takes from _WORKSPACES, so its buffers (the flags a block yields too)
-# are rewritten block after block, not fresh memory the kernel maps again.
+# chunk takes from _WORKSPACES, so its buffers (the flags a block yields, the
+# window route's masks and the RNG's counter steps too) are rewritten block
+# after block, not fresh memory the kernel maps again.
 # The other cells build graphs or scan whole traces and take the whole matrix.
 
 _Run = Callable[[Callable[[np.ndarray], np.ndarray]], np.ndarray]
@@ -405,7 +439,9 @@ _CellStats = tuple[int, list[tuple[str, float, float | None, float | None]]]
 # 2**17 1.24-1.37x; 2**18 was slower than 2**17 and took peak RSS to 81-86
 # MB, and without reuse it nearly doubled the faults.  A threading.local
 # workspace left about 2.5 k faults per job, as each cell's pool threads
-# die; a free list cleared at the end of run_sweep ran 8 % slower.
+# die; a free list cleared at the end of run_sweep ran 8 % slower.  With the
+# int16 window passes, 2**16 ran the job 1.13x faster on 1 thread but 0.91x
+# on 2, with 3.2x the thread switches; 2**18 ran 0.80x and 0.91x.
 _BLOCK_ENTRIES = 2**17
 
 # Workspaces free for a chunk to take, kept for the process's life: one per
@@ -486,11 +522,19 @@ def _window_cuts(q: float, seeds: np.ndarray, k_lo: int, k_hi: int, t: np.ndarra
             w = min(width, k_hi + 1 - lo)
             with reusing(ws):
                 u = mallows.uniform_matrix(seed_array(seeds, lo - 1), w + look)
-            below = u < t[0]
-            hit = np.flatnonzero(below[:, :w] & below[:, 1 : w + 1])
+                below = np.less(u, t[0], out=scratch("below", u.shape, bool))
+                pair = scratch("pair", (m, w), bool)
+                np.logical_and(below[:, :w], below[:, 1 : w + 1], out=pair)
+                if look > 1:  # and u_{k+2} < T_2: the rounds then start on so few
+                    # hits that numpy keeps the GIL through their calls, where on
+                    # ~1000 it hands it to the other thread and back per call
+                    pair &= np.less(u[:, 2 : w + 2], t[1], out=below[:, :w])
+            hit = np.flatnonzero(pair)
             hit += hit // w * look  # flat indices into u
             u = u.ravel()
-            for j in range(2, look + 1):
+            for j in range(3, look + 1):
+                if not hit.size:
+                    break
                 hit = hit[u[hit + j] < t[j - 1]]
             if hit.size or lo + w > k_hi:  # the last block calls anyway: each chunk is traced
                 r, k = hit // (w + look), lo + hit % (w + look)
@@ -519,7 +563,8 @@ def _separator_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats
             return _window_cuts(q, seeds, k_lo, k_hi, thresholds)
         counts = np.zeros(len(seeds), dtype=np.int64)
         for lo, flags in _flag_blocks(n, q, seeds, k_lo - 1, k_hi):
-            counts += flags["cut"][:, : k_hi - lo].sum(axis=1)
+            # a block's count fits int32, which sums bools faster than int64
+            counts += flags["cut"][:, : k_hi - lo].sum(axis=1, dtype=np.int32)
         return counts
 
     counts = run(trial_fn)

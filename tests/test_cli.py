@@ -411,12 +411,12 @@ def test_prob_answers_at_n_1e13(capsys, q):
     runs of zero or equal ones, which cost O(log n); Pr[C_k^F] at the middle
     vertex lies in the strict window."""
     n, k = 10**13, 5 * 10**12
-    size = ["--n", str(n), "--q", repr(q), "--bounds"]
-    flush = run_json(capsys, "prob", "flush", "--k", str(k), *size)
+    size = ["--n", str(n), "--q", repr(q)]
+    flush = run_json(capsys, "prob", "flush", "--k", str(k), *size, "--bounds")
     assert 0 < flush["flush"] < 1 and flush["reverse_flush"] == 0.0
     expected = run_json(capsys, "prob", "expected", *size)
     assert 0 < expected["expected_cuts"] < n
-    cut = run_json(capsys, "prob", "cut", "--k", str(k), *size)
+    cut = run_json(capsys, "prob", "cut", "--k", str(k), *size, "--bounds")
     assert cut["bounds"]["relaxed"] is False
     assert cut["bounds"]["lower"] < cut["cut_F"] < cut["bounds"]["upper"]
 
@@ -432,6 +432,30 @@ def test_prob_refuses_past_the_term_cap(capsys):
         assert (code, out) == (3, "") and err.startswith("refused: "), err
         assert "exact cap of 2^28 = 268435456" in err
     assert "more than 2^28 nonzero terms" in " ".join(cli.__doc__.split())
+
+
+def test_prob_expected_refuses_k_and_bounds(capsys):
+    """prob expected has no --k and no bounds: either flag is a usage error,
+    as a missing --k is for prob flush, and the docstring says so."""
+    import tangledpath.cli as cli
+
+    for flags in (["--k", "3"], ["--bounds"], ["--k", "3", "--bounds"]):
+        code, out, err = run(capsys, "prob", "expected", "--n", "9", "--q", "0.5", *flags)
+        assert (code, out, err) == (2, "", "error: prob expected takes neither --k nor --bounds\n")
+    assert "refuses ``--k`` and ``--bounds``" in " ".join(cli.__doc__.split())
+
+
+@pytest.mark.parametrize("n", [10**19, 2 * 10**19, 10**20, 10**30])
+@pytest.mark.parametrize("q", [0.5, 1 - math.pi**2 / (6 * math.log(10**19)), 1.0])
+def test_prob_expected_past_int64_answers_or_refuses(capsys, n, q):
+    """Where k or n - k + 1 would pass 2^63, prob expected refuses (exit 3)
+    before building any int64 block; below that it answers.  It never exits
+    5, which it did from n = 2 * 10^19 on."""
+    code, out, err = run(capsys, "prob", "expected", "--n", str(n), "--q", repr(q))
+    if n <= 10**19:
+        assert code == 0 and json.loads(out)["expected_cuts"] >= 0.0, err
+    else:
+        assert (code, out) == (3, "") and "past 2^63" in err, err
 
 
 def test_prob_expected_refuses_sizes_below_one(capsys):

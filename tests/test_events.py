@@ -189,9 +189,9 @@ def test_flag_matrix_matches_reference_formula(monkeypatch, n, scan_entries):
 
 
 def test_flag_window_passes_in_int64_past_2_31(monkeypatch):
-    """Past index 2**31 the window passes hold i - v_i in int64: on an
+    """Past index 2**31 the window passes, which hold i - v_i - first, on an
     8 x 4096 block of q = 0.5 positions at first = 2**31 - 100, with a tail
-    pair, they give the scan route's five arrays and tail."""
+    pair, give the scan route's five arrays and tail."""
     first, ncols = 2**31 - 100, 4096
     seeds = derive_array(5, np.arange(8, dtype=np.uint64))
     v = sample_trace_matrix(first + ncols, 0.5, seeds, first)
@@ -203,6 +203,22 @@ def test_flag_window_passes_in_int64_past_2_31(monkeypatch):
     monkeypatch.setattr(events, "_SCAN_ENTRIES", v.size + 1)
     _assert_flags_equal(windowed, event_flag_matrix(v, first, tail), first)
     assert windowed["flush"].any() and windowed["reverse_flush"].any()
+
+
+def test_flag_window_tail_of_rows_without_a_one():
+    """A window-route block hands on the least v_i of each row as its tail:
+    1 for a row that holds one, else the row's own minimum, whether or not
+    the other rows hold a 1; with tails below, inside and above the block."""
+    first, ncols = 5000, 4500
+    v = np.random.default_rng(3).integers(2, 40, size=(4, ncols))
+    v[1, 100] = 1
+    v[3] = 7
+    assert 2 * v.max() < ncols and v.size >= events._SCAN_ENTRIES  # the window route
+    for rows in (v, v[[0, 2, 3]], v[[1]]):
+        for td, tv in ((first - 9, 1), (first + 4000, 5), (first + ncols + 3, 1 << 60)):
+            tail = (np.full(len(rows), td), np.full(len(rows), tv))
+            _assert_flags_equal(event_flag_matrix(rows, first, tail),
+                                reference_event_flags(rows, first, tail), (len(rows), td, tv))
 
 
 def test_flag_matrix_of_no_columns_is_empty():

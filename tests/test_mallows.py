@@ -43,7 +43,7 @@ from tangledpath.mallows import (
     trace_displacements,
 )
 from tangledpath._util import alpha_cut_range
-from tangledpath.rng import GOLDEN, MASK64, seed_array
+from tangledpath.rng import GOLDEN, MASK64, derive_array, seed_array
 from conftest import SplitMix64
 
 
@@ -445,6 +445,32 @@ def test_positions_need_no_lower_clamp():
             assert (np.diff(v, axis=0) >= 0).all(), (first, q)
 
 
+def test_sampler_shortcuts_change_no_bit():
+    """Past the first i with expm1(i ln q) = -1.0 the sampler negates u in
+    place of multiplying by that vector, and from i = _position_reach(q) + 1
+    on it skips the clamp to i: at column offsets on both sides of both
+    edges, for q from 1e-300 to 1 - 1e-9, on random uniforms and on the
+    extreme ones, it equals the transform with every vector and the clamp."""
+    def reference(u, q, first):
+        i = np.arange(first + 1, first + u.shape[1] + 1, dtype=np.int64)
+        logq = math.log(q)
+        x = np.log1p(u * np.expm1(i * logq)) / logq
+        return np.minimum(np.floor(x).astype(np.int64) + 1, i)
+
+    us = np.concatenate([SplitMix64(3).uniforms(4 * 40).reshape(4, 40),
+                         np.repeat([[0.0], [2.0**-53], [1 - 2.0**-52], [1 - 2.0**-53]], 40, axis=1)])
+    for q in (1e-300, 1e-9, 0.3, 0.6067, 0.9, 0.999, 1 - 1e-6, 1 - 1e-9):
+        logq = math.log(q)
+        lo, flat = 0, math.ceil(40 / -logq)  # the first i with expm1(i ln q) = -1.0
+        while flat - lo > 1:
+            mid = (lo + flat) // 2
+            lo, flat = (lo, mid) if np.expm1(mid * logq) == -1.0 else (mid, flat)
+        for edge in (flat - 1, _position_reach(q)):
+            for first in range(max(0, edge - 3), edge + 4):
+                got = _positions_from_uniforms(us.copy(), q, first)
+                assert np.array_equal(got, reference(us, q, first)), (q, first)
+
+
 def test_position_reach_bounds_the_largest_uniforms():
     """v_i - 1 <= _position_reach(q) for the largest uniforms the RNG gives,
     at indices from 1 to past 10^9 and about 2000 q from 5e-324 to the float
@@ -587,6 +613,40 @@ def test_displacement_matches_direct_construction():
         sigma = reverse(mallows_process(trace))
         pos = sigma.image.index(i) + 1
         assert fast[t] == abs(pos - i)
+
+
+def _full_scan_displacements(v, i):
+    """trace_displacements without its early stop: one step per later j."""
+    n = v.shape[1]
+    p = v[:, i - 1].copy()
+    for j in range(i + 1, n + 1):
+        p += v[:, j - 1] <= p
+    return np.abs((n + 1 - p) - i)
+
+
+def test_displacement_early_stop_matches_the_full_scan():
+    """trace_displacements, which stops once every row's position is past
+    the largest v_j left, equals the full scan row for row: on sampled
+    traces at q from 0 to 1 (q = 1 never stops early), at i near both ends,
+    and on rows that reach the largest v_j only at the last check or never,
+    where a late large v_j keeps the scan going."""
+    seeds = derive_array(8, np.arange(6, dtype=np.uint64))
+    for n, q in ((1, 0.5), (2, 0.5), (300, 0.0), (300, 0.3), (2000, 0.9), (3000, 0.99), (700, 1.0)):
+        v = sample_trace_matrix(n, q, seeds)
+        for i in sorted({1, 2, 63, 64, 65, n // 2, n - 65, n - 1, n} & set(range(1, n + 1))):
+            assert np.array_equal(trace_displacements(v, i), _full_scan_displacements(v, i)), (n, q, i)
+    n = 400
+    late = np.ones((5, n), dtype=np.int64)
+    late[0, 200] = 150  # p passes 150 only late in the scan
+    late[1, 64] = 64  # the largest v_j is the first one scanned from i = 64
+    late[2, n - 1] = n  # the last v_j is the largest: no stop before it
+    late[3, 129:] = np.minimum(np.arange(130, n + 1), 130)
+    late[4, 65] = 2
+    for rows in [late, *(late[r : r + 1] for r in range(len(late))), late[[0, 1, 3, 4]]]:
+        for i in (1, 2, 64, 65, 128, 129, n - 1, n):
+            assert np.array_equal(trace_displacements(rows, i), _full_scan_displacements(rows, i)), i
+    empty = np.ones((0, 10), dtype=np.int64)
+    assert trace_displacements(empty, 3).shape == (0,)
 
 
 def test_displacement_inversion_symmetry_exact():

@@ -33,7 +33,7 @@ from tangledpath import (
     vertex_iso,
 )
 from tangledpath.rng import derive
-from tangledpath.widths import _edge_boundary, _vertex_boundary
+from tangledpath.widths import _edge_boundary, _subset_layers, _vertex_boundary
 from conftest import (
     SplitMix64,
     _components,
@@ -405,3 +405,19 @@ def test_width_report_large_uses_bounds():
     report = build_width_report(g)
     assert report.treewidth == treewidth_bounds(g)
     assert report.cutwidth_exact is None and report.vertex_iso is None
+
+
+def test_subset_layers_are_kept_for_the_latest_n():
+    """_subset_layers(n) equals a fresh sort, with every size's subsets in
+    their run; a second call returns the same read-only arrays, and another
+    n replaces them: one n is kept at a time."""
+    for n in (1, 5, 12):
+        order, ends = _subset_layers(n)
+        fresh_order, fresh_ends = _subset_layers.__wrapped__(n)
+        assert np.array_equal(order, fresh_order) and np.array_equal(ends, fresh_ends)
+        sizes = np.bitwise_count(order.astype(np.uint32))
+        assert np.array_equal(sizes, np.repeat(np.arange(n + 1), np.diff(ends, prepend=0)))
+        again = _subset_layers(n)
+        assert again[0] is order and again[1] is ends
+        assert not order.flags.writeable and not ends.flags.writeable
+        assert _subset_layers.cache_info().currsize == 1
