@@ -19,23 +19,17 @@ from .events import (
     EventReport,
     ThresholdWindow,
     b_value,
-    bad_edge_classification,
-    chernoff_bound,
     cut_event_probs,
     cut_prob_window,
     cut_vertices_from_trace,
     detect_events,
-    dilogarithm,
-    euler_log_product,
     event_flag_matrix,
     expected_cuts,
     expected_cuts_in_range,
     flush_cheap_bound,
     flush_log_bounds,
     flush_prob,
-    janson_tail_bound,
     reverse_flush_prob,
-    sparse_flush_bound,
     sparse_flush_holds,
     threshold_window,
 )
@@ -54,24 +48,16 @@ from .mallows import (
     InsertionTrace,
     Permutation,
     TruncatedGeometric,
-    contains_consecutively,
     displacement_samples,
-    enumerate_traces,
     format_permutation,
     format_trace,
-    inversions,
-    log_partition_function,
-    mallows_pmf,
     mallows_process,
     parse_permutation,
     parse_trace,
-    partition_function,
     reverse,
     sample_trace,
     sample_trace_matrix,
-    standardize,
     trace_table,
-    tv_distance_to_uniform,
 )
 from .rng import derive, derive_array, mix64, stream_u64, uniform_matrix
 from .sweeps import (
@@ -92,7 +78,6 @@ from .sweeps import (
 from .widths import (
     EXACT_CAP,
     WidthReport,
-    boundary_subset_count,
     build_width_report,
     cutwidth_exact,
     cutwidth_identity,

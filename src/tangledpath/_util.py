@@ -35,11 +35,6 @@ def alpha_cut_range(n: int, alpha: float) -> tuple[int, int]:
     return max(1, k_lo), min(n, k_hi)
 
 
-def balanced_at_most(size: int, n: int, alpha: float) -> bool:
-    """Whether a side of ``size`` vertices respects the alpha*n balance cap."""
-    return size <= alpha * n + ALPHA_EPS
-
-
 def clamp01(x: float) -> float:
     """Clamp a probability to [0, 1], tolerating PROB_EPS of float overshoot;
     NaN is refused like a value beyond the tolerance."""

@@ -39,10 +39,9 @@ import numpy as np
 
 from ._util import alpha_cut_range, as_int, as_real, clamp01, column, scratch
 from .errors import CapabilityError
-from .mallows import InsertionTrace, _decoded, _positions_of
+from .mallows import InsertionTrace, _positions_of
 
 _PI2_6 = math.pi * math.pi / 6.0
-_EULER_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -526,41 +525,6 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dilogarithm(x: float) -> float:
-    """Li_2(x) for 0 <= x <= 1; Li_2(1) = pi^2/6.
-
-    Power series for x <= 1/2, the standard reflection through
-    Li_2(x) + Li_2(1-x) = pi^2/6 - log(x) log(1-x) above.
-    """
-    as_real(x, "x", 0, 1)
-    if x == 1.0:
-        return _PI2_6
-    if x > 0.5:
-        return _PI2_6 - math.log(x) * math.log1p(-x) - dilogarithm(1.0 - x)
-    total = 0.0
-    term = x
-    k = 1
-    while abs(term) / (k * k) > 1e-18:
-        total += term / (k * k)
-        k += 1
-        term *= x
-    return total
-
-
-def euler_log_product(q: float) -> float:
-    """sum_{i>=1} log(1 - q^i), truncated at the first |log(1-q^i)| below
-    _EULER_TOL."""
-    as_real(q, "q", 0, 1, "()")
-    total = 0.0
-    i = 1
-    while True:
-        term = math.log1p(-(q**i))
-        total += term
-        if abs(term) < _EULER_TOL:
-            return total
-        i += 1
-
-
 def flush_log_bounds(n: int, k: int, q: float) -> tuple[float, float]:
     """Sandwich for log Pr[F_k]:
 
@@ -665,76 +629,3 @@ def threshold_window(n: int, margin: float) -> ThresholdWindow:
     q_critical = 1.0 - _PI2_6 / logn
     q_nonexist = 1.0 - _PI2_6 / (logn + margin * llog)
     return ThresholdWindow(q_exist, q_critical, q_nonexist)
-
-
-# ---------------------------------------------------------------------------
-# bad edges and concentration bounds
-# ---------------------------------------------------------------------------
-
-
-def bad_edge_classification(
-    trace: InsertionTrace | Sequence[int], i: int, ell: int, L: int
-) -> tuple[list[tuple[int, int]], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Edges of the permuted path that straddle vertex i, and the A/B/C split.
-
-    A permuted-path edge {j, k} is bad for i when j < i < k.  The indices
-    above i partition into A_i = {i+1 .. i+L : v > ell} (late-insertion
-    candidates), B_i = the rest of that window, and C_i = {i+L+1 .. n}.
-    """
-    positions, _ = _positions_of(trace)
-    n = len(positions)
-    i, ell = as_int(i, "i", 1, n), as_int(ell, "ell")
-    L = as_int(L, "L", ell)
-    image = _decoded(positions)
-    bad = sorted(
-        (min(a, b), max(a, b))
-        for a, b in zip(image, image[1:])
-        if min(a, b) < i < max(a, b)
-    )
-    window = range(i + 1, min(i + L, n) + 1)
-    a_set = tuple(k for k in window if positions[k - 1] > ell)
-    b_set = tuple(k for k in window if positions[k - 1] <= ell)
-    c_set = tuple(range(i + L + 1, n + 1))
-    return bad, a_set, b_set, c_set
-
-
-def janson_tail_bound(lam: float, mu: float, p_star: float) -> float:
-    """Tail bound lam^{-1} (1-p_star)^{mu (lam - 1 - log lam)} for sums of
-    independent geometrics with success probs >= p_star and mean mu."""
-    as_real(lam, "lambda", 1)
-    as_real(mu, "mu", 0)
-    as_real(p_star, "p_star", 0, 1, "(]")
-    exponent = mu * (lam - 1.0 - math.log(lam))
-    if p_star == 1.0:
-        power = 1.0 if exponent == 0.0 else 0.0
-    else:
-        power = math.exp(exponent * math.log1p(-p_star))
-    return clamp01(power / lam)
-
-
-def chernoff_bound(mu: float, delta: float) -> float:
-    """Poisson-style upper tail (e^delta / (1+delta)^{1+delta})^mu."""
-    as_real(mu, "mu", 0)
-    as_real(delta, "delta", 0, ends="(]")
-    return clamp01(math.exp(mu * (delta - (1.0 + delta) * math.log1p(delta))))
-
-
-def sparse_flush_bound(
-    n: int, b: int, q: float, lam: float
-) -> tuple[float, float]:
-    """(ell, bound): window length ell = lam (b + q/(1-q) + log((1-q)/(1-q^b))/log q)
-    and the failure bound Pr[S(k, b, ell)^c] <= ((1-q) q^b / (1-q^b))^{lam-1-log lam}.
-
-    ell may exceed n; the event is then evaluated on the truncated window and
-    the bound still applies.
-    """
-    as_real(q, "q", 0, 1, "()")
-    b = as_int(b, "b", 1)
-    as_real(lam, "lambda", 1)
-    as_int(n, "n", 1)
-    logq = math.log(q)
-    log_1mqb = math.log(-math.expm1(b * logq))
-    ell = lam * (b + q / (1.0 - q) + (math.log1p(-q) - log_1mqb) / logq)
-    log_base = math.log1p(-q) + b * logq - log_1mqb
-    bound = clamp01(math.exp((lam - 1.0 - math.log(lam)) * log_base))
-    return ell, bound

@@ -14,7 +14,8 @@ vertex pairs and dropping repeats.  Every graph and width routine reads these
 arrays, or the scipy matrix built from them on first use and cached, whose one
 traversal, ``csgraph.breadth_first_order``, gives :func:`bfs_distances` and
 :func:`diameter` every hop distance.  The one derived tuple view is ``edges``
-(1-based, each edge once), read by :func:`format_edge_list`.
+(1-based, each edge once); :func:`format_edge_list` writes the same pairs
+from the arrays.
 
 This is the only module that imports scipy, and it does so on the first call
 that traverses a graph: the cached matrix, a BFS, the all-pairs reference, or
@@ -349,8 +350,9 @@ def articulation_points(g: TangledGraph) -> set[int]:
 
 def format_edge_list(g: TangledGraph) -> str:
     """'n=<n>' on the first line, then one sorted 'u v' pair per line."""
+    u, w = _edge_ends(g)
     lines = [f"n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(map("{} {}".format, (u + 1).tolist(), (w + 1).tolist()))
     return "\n".join(lines)
 
 

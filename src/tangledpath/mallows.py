@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class Permutation:
         object.__setattr__(self, "image", tuple(img.tolist()))
         if not np.array_equal(np.sort(img), np.arange(1, img.size + 1)):
             raise ValueError(f"not a permutation of 1..{img.size}: {self.image}")
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for pos, val in enumerate(self.image, 1):
-            inv[val - 1] = pos
-        return _unchecked(Permutation, image=tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -124,21 +118,6 @@ class TruncatedGeometric:
             return 1.0 if j == 1 else 0.0
         denom = -math.expm1(self.n * math.log(self.q))
         return (1.0 - self.q) * self.q ** (j - 1) / denom
-
-    def tail(self, x: int) -> float:
-        """P(v >= x)."""
-        x = as_int(x, "x")
-        if x <= 1:
-            return 1.0
-        if x > self.n:
-            return 0.0
-        if self.q == 1.0:
-            return (self.n - x + 1) / self.n
-        if self.q == 0.0:
-            return 0.0
-        logq = math.log(self.q)
-        denom = -math.expm1(self.n * logq)
-        return self.q ** (x - 1) * (-math.expm1((self.n - x + 1) * logq)) / denom
 
     def pmf_vector(self) -> np.ndarray:
         return np.array([self.pmf(j) for j in range(1, self.n + 1)])
@@ -282,24 +261,6 @@ def _image_of(p: Permutation | Sequence[int]) -> tuple[int, ...]:
     return tuple(img)
 
 
-def inversions(p: Permutation | Sequence[int]) -> int:
-    """Number of pairs i < j with p(i) > p(j) (ties count none), by a Fenwick
-    tree over dense ranks: O(n log n) time, O(n) memory."""
-    ranks = np.unique(np.asarray(_image_of(p)), return_inverse=True)[1].ravel() + 1
-    tree = [0] * (ranks.size + 1)
-    total = 0
-    for seen, r in enumerate(ranks.tolist()):
-        total += seen  # earlier entries, less those of rank <= r below
-        j = r
-        while j:
-            total -= tree[j]
-            j &= j - 1
-        while r < len(tree):
-            tree[r] += 1
-            r += r & -r
-    return total
-
-
 def reverse(p: Permutation | Sequence[int]) -> Permutation:
     """sigma^R with sigma^R(i) = sigma(n + 1 - i).
 
@@ -311,69 +272,9 @@ def reverse(p: Permutation | Sequence[int]) -> Permutation:
     return _unchecked(Permutation, image=img[::-1])
 
 
-def standardize(window: Sequence[int]) -> Permutation:
-    """Rank-transform distinct numbers to a permutation: (5,7,4,2,9) -> (3,4,2,1,5)."""
-    vals = list(window)
-    if len(set(vals)) != len(vals):
-        raise ValueError("window entries must be distinct")
-    rank = {v: r for r, v in enumerate(sorted(vals), 1)}
-    return _unchecked(Permutation, image=tuple(rank[v] for v in vals))
-
-
-def contains_consecutively(
-    pi: Permutation | Sequence[int], sigma: Permutation | Sequence[int]
-) -> int | None:
-    """Smallest 1-based index i with standardize(pi(i..i+k-1)) == sigma, else None."""
-    big = _image_of(pi)
-    pat = _image_of(sigma)
-    k = len(pat)
-    if k == 0 or k > len(big):
-        return None
-    for i in range(len(big) - k + 1):
-        if standardize(big[i : i + k]).image == pat:
-            return i + 1
-    return None
-
-
 # ---------------------------------------------------------------------------
 # exact distributional quantities
 # ---------------------------------------------------------------------------
-
-
-def log_partition_function(n: int, q: float) -> float:
-    """log Z_{n,q} where Z_{n,q} = prod_{i=1..n} (1 + q + ... + q^{i-1}).
-
-    Accumulated in log space so large n never overflows.
-    """
-    n = as_int(n, "n", 0)
-    as_real(q, "q", 0, 1)
-    if q == 1.0:
-        return math.lgamma(n + 1)
-    if q == 0.0:
-        return 0.0
-    logq = math.log(q)
-    log_1mq = math.log1p(-q)
-    return sum(math.log(-math.expm1(i * logq)) - log_1mq for i in range(1, n + 1))
-
-
-def partition_function(n: int, q: float) -> float:
-    logz = log_partition_function(n, q)
-    if q == 1.0:
-        return float(math.factorial(n)) if n <= 170 else math.inf
-    return math.inf if logz > 709.0 else math.exp(logz)
-
-
-def mallows_pmf(p: Permutation | Sequence[int], q: float) -> float:
-    """mu_{n,q}(p) = q^inv(p) / Z_{n,q}; point mass at the identity when q = 0.
-    A raw sequence is checked to be a permutation."""
-    img = (p if isinstance(p, Permutation) else Permutation(p)).image
-    n = len(img)
-    as_real(q, "q", 0, 1)
-    if q == 0.0:
-        return 1.0 if img == tuple(range(1, n + 1)) else 0.0
-    if q == 1.0:
-        return math.exp(-math.lgamma(n + 1))
-    return math.exp(inversions(img) * math.log(q) - log_partition_function(n, q))
 
 
 def trace_table(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -394,22 +295,6 @@ def trace_table(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     for i in range(n):
         w *= TruncatedGeometric(i + 1, q).pmf_vector()[V[:, i] - 1]
     return V, w
-
-
-def enumerate_traces(
-    n: int, q: float
-) -> Iterator[tuple[InsertionTrace, float]]:
-    """The rows of :func:`trace_table` one at a time, as (trace, weight)."""
-    V, w = trace_table(n, q)
-    for positions, weight in zip(V.tolist(), w):
-        yield _unchecked(InsertionTrace, positions=tuple(positions), q=q), weight
-
-
-def tv_distance_to_uniform(k: int, q: float) -> float:
-    """Total variation distance between the truncated geometric on {1..k} and uniform."""
-    k = as_int(k, "k", 1)
-    dist = TruncatedGeometric(k, q)
-    return 0.5 * sum(abs(dist.pmf(j) - 1.0 / k) for j in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------

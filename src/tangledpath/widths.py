@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import alpha_cut_range, as_int, balanced_at_most
+from ._util import ALPHA_EPS, alpha_cut_range, as_int
 from .errors import CapabilityError
 from .graph import TangledGraph, _component_count, _cut_sides, _edge_ends
 
@@ -347,7 +347,7 @@ def edge_iso(g: TangledGraph) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# separators and boundary counting
+# separators
 # ---------------------------------------------------------------------------
 
 
@@ -369,17 +369,9 @@ def unit_separator(g: TangledGraph, alpha: float) -> tuple[int, tuple[int, int]]
         # The sides sum to n - 1, so a is reachable iff n - 1 - a is; the most
         # even split, the largest reachable a <= (n-1)/2, fits if any split does.
         best = (reach & ((2 << (total // 2)) - 1)).bit_length() - 1
-        if balanced_at_most(total - best, n, alpha):
+        if total - best <= alpha * n + ALPHA_EPS:
             return k + 1, (best, total - best)
     return None
-
-
-def boundary_subset_count(n: int, k: int) -> int:
-    """Upper bound 2*C(n-1, k) on the number of vertex subsets of the path P_n
-    whose edge boundary has exactly k edges."""
-    n = as_int(n, "n")
-    k = as_int(k, "k", 1, n - 1)
-    return 2 * math.comb(n - 1, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,34 @@
-"""Shared graph builders, a scalar random stream, and slow-but-obvious
-reference oracles.
+"""Shared graph builders, a scalar random stream, slow-but-obvious
+reference oracles, and the reference code only the tests read.
 
 The oracles here are deliberately written in the most literal style possible
 (double loops over definitions, exhaustive subset or ordering enumeration) so
-that agreement with the fast library implementations is meaningful.
+that agreement with the fast library implementations is meaningful.  The
+Mallows pmf, the pattern search and the analytic bounds at the end are the
+package's own definitions, kept here because no library code, CLI command,
+sweep or benchmark calls them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from tangledpath._util import as_int, as_real, clamp01
+from tangledpath.mallows import (
+    InsertionTrace,
+    Permutation,
+    TruncatedGeometric,
+    _decoded,
+    _image_of,
+    _positions_of,
+    _unchecked,
+    trace_table,
+)
 from tangledpath.rng import GOLDEN, MASK64, mix64, stream_u64
 
 
@@ -429,3 +445,185 @@ def reference_iso(n, boundary):
     per_size = np.full(n + 1, np.iinfo(np.int64).max)
     np.minimum.at(per_size, sizes, boundary)
     return min(Fraction(int(per_size[s]), s) for s in range(1, n // 2 + 1))
+
+
+# ---------------------------------------------------------------------------
+# the Mallows law and consecutive patterns
+# ---------------------------------------------------------------------------
+
+
+def inversions(p: Permutation | Sequence[int]) -> int:
+    """Number of pairs i < j with p(i) > p(j) (ties count none), by a Fenwick
+    tree over dense ranks: O(n log n) time, O(n) memory."""
+    ranks = np.unique(np.asarray(_image_of(p)), return_inverse=True)[1].ravel() + 1
+    tree = [0] * (ranks.size + 1)
+    total = 0
+    for seen, r in enumerate(ranks.tolist()):
+        total += seen  # earlier entries, less those of rank <= r below
+        j = r
+        while j:
+            total -= tree[j]
+            j &= j - 1
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
+    return total
+
+
+def standardize(window: Sequence[int]) -> Permutation:
+    """Rank-transform distinct numbers to a permutation: (5,7,4,2,9) -> (3,4,2,1,5)."""
+    vals = list(window)
+    if len(set(vals)) != len(vals):
+        raise ValueError("window entries must be distinct")
+    rank = {v: r for r, v in enumerate(sorted(vals), 1)}
+    return _unchecked(Permutation, image=tuple(rank[v] for v in vals))
+
+
+def contains_consecutively(
+    pi: Permutation | Sequence[int], sigma: Permutation | Sequence[int]
+) -> int | None:
+    """Smallest 1-based index i with standardize(pi(i..i+k-1)) == sigma, else None."""
+    big = _image_of(pi)
+    pat = _image_of(sigma)
+    k = len(pat)
+    if k == 0 or k > len(big):
+        return None
+    for i in range(len(big) - k + 1):
+        if standardize(big[i : i + k]).image == pat:
+            return i + 1
+    return None
+
+
+def log_partition_function(n: int, q: float) -> float:
+    """log Z_{n,q} where Z_{n,q} = prod_{i=1..n} (1 + q + ... + q^{i-1}).
+
+    Accumulated in log space so large n never overflows.
+    """
+    n = as_int(n, "n", 0)
+    as_real(q, "q", 0, 1)
+    if q == 1.0:
+        return math.lgamma(n + 1)
+    if q == 0.0:
+        return 0.0
+    logq = math.log(q)
+    log_1mq = math.log1p(-q)
+    return sum(math.log(-math.expm1(i * logq)) - log_1mq for i in range(1, n + 1))
+
+
+def mallows_pmf(p: Permutation | Sequence[int], q: float) -> float:
+    """mu_{n,q}(p) = q^inv(p) / Z_{n,q}; point mass at the identity when q = 0.
+    A raw sequence is checked to be a permutation."""
+    img = (p if isinstance(p, Permutation) else Permutation(p)).image
+    n = len(img)
+    as_real(q, "q", 0, 1)
+    if q == 0.0:
+        return 1.0 if img == tuple(range(1, n + 1)) else 0.0
+    if q == 1.0:
+        return math.exp(-math.lgamma(n + 1))
+    return math.exp(inversions(img) * math.log(q) - log_partition_function(n, q))
+
+
+def enumerate_traces(
+    n: int, q: float
+) -> Iterator[tuple[InsertionTrace, float]]:
+    """The rows of :func:`trace_table` one at a time, as (trace, weight)."""
+    V, w = trace_table(n, q)
+    for positions, weight in zip(V.tolist(), w):
+        yield _unchecked(InsertionTrace, positions=tuple(positions), q=q), weight
+
+
+def tv_distance_to_uniform(k: int, q: float) -> float:
+    """Total variation distance between the truncated geometric on {1..k} and uniform."""
+    k = as_int(k, "k", 1)
+    dist = TruncatedGeometric(k, q)
+    return 0.5 * sum(abs(dist.pmf(j) - 1.0 / k) for j in range(1, k + 1))
+
+
+# ---------------------------------------------------------------------------
+# analytic bounds and the bad-edge split
+# ---------------------------------------------------------------------------
+
+
+_EULER_TOL = 1e-15
+
+
+def euler_log_product(q: float) -> float:
+    """sum_{i>=1} log(1 - q^i), truncated at the first |log(1-q^i)| below
+    _EULER_TOL."""
+    as_real(q, "q", 0, 1, "()")
+    total = 0.0
+    i = 1
+    while True:
+        term = math.log1p(-(q**i))
+        total += term
+        if abs(term) < _EULER_TOL:
+            return total
+        i += 1
+
+
+def bad_edge_classification(
+    trace: InsertionTrace | Sequence[int], i: int, ell: int, L: int
+) -> tuple[list[tuple[int, int]], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Edges of the permuted path that straddle vertex i, and the A/B/C split.
+
+    A permuted-path edge {j, k} is bad for i when j < i < k.  The indices
+    above i partition into A_i = {i+1 .. i+L : v > ell} (late-insertion
+    candidates), B_i = the rest of that window, and C_i = {i+L+1 .. n}.
+    """
+    positions, _ = _positions_of(trace)
+    n = len(positions)
+    i, ell = as_int(i, "i", 1, n), as_int(ell, "ell")
+    L = as_int(L, "L", ell)
+    image = _decoded(positions)
+    bad = sorted(
+        (min(a, b), max(a, b))
+        for a, b in zip(image, image[1:])
+        if min(a, b) < i < max(a, b)
+    )
+    window = range(i + 1, min(i + L, n) + 1)
+    a_set = tuple(k for k in window if positions[k - 1] > ell)
+    b_set = tuple(k for k in window if positions[k - 1] <= ell)
+    c_set = tuple(range(i + L + 1, n + 1))
+    return bad, a_set, b_set, c_set
+
+
+def janson_tail_bound(lam: float, mu: float, p_star: float) -> float:
+    """Tail bound lam^{-1} (1-p_star)^{mu (lam - 1 - log lam)} for sums of
+    independent geometrics with success probs >= p_star and mean mu."""
+    as_real(lam, "lambda", 1)
+    as_real(mu, "mu", 0)
+    as_real(p_star, "p_star", 0, 1, "(]")
+    exponent = mu * (lam - 1.0 - math.log(lam))
+    if p_star == 1.0:
+        power = 1.0 if exponent == 0.0 else 0.0
+    else:
+        power = math.exp(exponent * math.log1p(-p_star))
+    return clamp01(power / lam)
+
+
+def chernoff_bound(mu: float, delta: float) -> float:
+    """Poisson-style upper tail (e^delta / (1+delta)^{1+delta})^mu."""
+    as_real(mu, "mu", 0)
+    as_real(delta, "delta", 0, ends="(]")
+    return clamp01(math.exp(mu * (delta - (1.0 + delta) * math.log1p(delta))))
+
+
+def sparse_flush_bound(
+    n: int, b: int, q: float, lam: float
+) -> tuple[float, float]:
+    """(ell, bound): window length ell = lam (b + q/(1-q) + log((1-q)/(1-q^b))/log q)
+    and the failure bound Pr[S(k, b, ell)^c] <= ((1-q) q^b / (1-q^b))^{lam-1-log lam}.
+
+    ell may exceed n; the event is then evaluated on the truncated window and
+    the bound still applies.
+    """
+    as_real(q, "q", 0, 1, "()")
+    b = as_int(b, "b", 1)
+    as_real(lam, "lambda", 1)
+    as_int(n, "n", 1)
+    logq = math.log(q)
+    log_1mqb = math.log(-math.expm1(b * logq))
+    ell = lam * (b + q / (1.0 - q) + (math.log1p(-q) - log_1mqb) / logq)
+    log_base = math.log1p(-q) + b * logq - log_1mqb
+    bound = clamp01(math.exp((lam - 1.0 - math.log(lam)) * log_base))
+    return ell, bound

@@ -21,9 +21,7 @@ import pytest
 from tangledpath import (
     InsertionTrace,
     articulation_points,
-    bad_edge_classification,
     build_tangled,
-    contains_consecutively,
     cut_event_probs,
     cut_vertices_from_trace,
     cutwidth_exact,
@@ -31,30 +29,34 @@ from tangledpath import (
     detect_events,
     diameter,
     displacement_samples,
-    enumerate_traces,
-    euler_log_product,
     event_flag_matrix,
     expected_cuts,
     flush_cheap_bound,
     flush_log_bounds,
     flush_prob,
-    mallows_pmf,
     mallows_process,
     parse_trace,
     reverse,
     reverse_flush_prob,
     sample_trace,
     sample_trace_matrix,
-    standardize,
     threshold_window,
     treewidth_exact,
-    tv_distance_to_uniform,
     vertex_iso,
 )
 from tangledpath.events import alpha_cut_range
 from tangledpath.rng import derive, derive_array
 from tangledpath.sweeps import make_config, render_csv, run_sweep
-from conftest import SplitMix64
+from conftest import (
+    SplitMix64,
+    bad_edge_classification,
+    contains_consecutively,
+    enumerate_traces,
+    euler_log_product,
+    mallows_pmf,
+    standardize,
+    tv_distance_to_uniform,
+)
 
 MASTER = 20260823
 REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"

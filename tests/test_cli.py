@@ -1,20 +1,23 @@
 """End-to-end CLI checks through main(argv), asserting JSON output and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tangledpath import (
     cut_prob_window,
     cut_vertices_from_trace,
     detect_events,
-    enumerate_traces,
     flush_prob,
     mallows_process,
     parse_trace,
 )
 from tangledpath.cli import main
+from conftest import enumerate_traces
 
 
 def run(capsys, *argv):
@@ -517,3 +520,43 @@ def test_sweep_threads_flag_and_plot_out(capsys, tmp_path):
     assert code == 0, err
     assert out.read_text() == serial
     assert json.loads(out.with_suffix(".json").read_text())["metadata"]["thread_count"] == 2
+
+
+_EDGE_NS = (0, 1, 2, 3, 16, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 10**30)
+_EDGE_QS = ("0", "5e-324", "0.5", repr(1 - 2**-53), "1", "nan", "inf", "-0.0")
+_EDGE_ALPHAS = ("0.5", repr(2 / 3), "1", "0.9999999999")
+
+
+@st.composite
+def _edge_argv(draw):
+    """A `prob` or `oracle enumerate` argument list at the edge values: n and
+    q from their lists, k and flush@K at and past the ends of 1..n, any
+    alpha, with and without --bounds."""
+    n = draw(st.sampled_from(_EDGE_NS))
+    q = draw(st.sampled_from(_EDGE_QS))
+    k = draw(st.sampled_from((None, -1, 0, 1, n // 2, n - 1, n, n + 1)))
+    if draw(st.booleans()):
+        event = draw(st.sampled_from((None, "cut", f"flush@{k}", "flush@x", "bogus")))
+        return ["oracle", "enumerate", "--n", str(n), "--q", q] + (
+            [] if event is None else ["--event", event])
+    what = draw(st.sampled_from(("flush", "cut", "expected")))
+    argv = ["prob", what, "--n", str(n), "--q", q]
+    if k is not None and (what != "expected" or draw(st.booleans())):
+        argv += ["--k", str(k)]
+    if draw(st.booleans()):
+        argv += ["--alpha", draw(st.sampled_from(_EDGE_ALPHAS))]
+    return argv + ["--bounds"] * draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_edge_argv())
+def test_no_edge_input_is_an_internal_error(argv):
+    """Exit 5 marks a bug: every edge-value argument list exits 0, is refused
+    as bad input (2) or refused as beyond a capability (3)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag it cannot parse
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())

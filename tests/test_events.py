@@ -13,33 +13,25 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import spence
 
 from tangledpath import (
     CapabilityError,
     InsertionTrace,
     b_value,
-    bad_edge_classification,
-    chernoff_bound,
     cut_event_probs,
     cut_prob_window,
     cut_vertices_from_trace,
     detect_events,
-    dilogarithm,
-    enumerate_traces,
-    euler_log_product,
     event_flag_matrix,
     expected_cuts,
     expected_cuts_in_range,
     flush_cheap_bound,
     flush_log_bounds,
     flush_prob,
-    janson_tail_bound,
     mallows_process,
     parse_trace,
     reverse_flush_prob,
     sample_trace_matrix,
-    sparse_flush_bound,
     sparse_flush_holds,
     threshold_window,
 )
@@ -59,6 +51,15 @@ from conftest import (
     naive_local_flush,
     naive_reverse_flush,
     naive_sparse_flush,
+    bad_edge_classification,
+    chernoff_bound,
+    enumerate_traces,
+    euler_log_product,
+    janson_tail_bound,
+    log_partition_function,
+    mallows_pmf,
+    sparse_flush_bound,
+    tv_distance_to_uniform,
 )
 
 
@@ -503,11 +504,9 @@ _SIZE_CALLS = [
     ("n", lambda x: tp.sample_trace(x, 0.5, 7), 6),
     ("n", lambda x: tp.TruncatedGeometric(x, 0.5), 4),
     ("j", lambda x: tp.TruncatedGeometric(6, 0.5).pmf(x), 2),
-    ("x", lambda x: tp.TruncatedGeometric(6, 0.5).tail(x), 2),
-    ("n", lambda x: tp.log_partition_function(x, 0.5), 6),
-    ("n", lambda x: tp.partition_function(x, 1.0), 6),
+    ("n", lambda x: log_partition_function(x, 0.5), 6),
     ("n", lambda x: tp.trace_table(x, 0.5), 4),
-    ("k", lambda x: tp.tv_distance_to_uniform(x, 0.5), 6),
+    ("k", lambda x: tv_distance_to_uniform(x, 0.5), 6),
     ("n", lambda x: tp.displacement_samples(x, 0.5, 3, 10, 1), 8),
     ("i", lambda x: tp.displacement_samples(8, 0.5, x, 10, 1), 3),
     ("trials", lambda x: tp.displacement_samples(8, 0.5, 3, x, 1), 10),
@@ -540,8 +539,6 @@ _SIZE_CALLS = [
     ("L", lambda x: bad_edge_classification(_P, 3, 1, x), 2),
     ("vertex count", lambda x: tp.make_graph(x, [(1, 2)]), 3),
     ("source", lambda x: tp.bfs_distances(tp.make_graph(3, [(1, 2), (2, 3)]), x), 2),
-    ("n", lambda x: tp.boundary_subset_count(x, 2), 6),
-    ("k", lambda x: tp.boundary_subset_count(6, x), 2),
     ("n_list entry", lambda x: tp.SweepConfig("separator", (x,), (0.5,)), 10),
     ("trials", lambda x: tp.SweepConfig("separator", (10,), (0.5,), trials=x), 10),
     ("thread_count", lambda x: tp.SweepConfig("separator", (10,), (0.5,), thread_count=x), 2),
@@ -615,8 +612,8 @@ _REAL_CALLS = [
     ("q", lambda x: sample_trace_matrix(5, x, [1]), (_NAN, -0.1, 1.5)),
     ("q", lambda x: InsertionTrace([1, 2], x), (_NAN, -0.1, 1.5)),
     ("q", lambda x: tp.TruncatedGeometric(3, x), (_NAN, -0.1, 1.5)),
-    ("q", lambda x: tp.log_partition_function(3, x), (_NAN, -0.1, 1.5)),
-    ("q", lambda x: tp.mallows_pmf((2, 1), x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: log_partition_function(3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: mallows_pmf((2, 1), x), (_NAN, -0.1, 1.5)),
     ("q", lambda x: flush_prob(10, 3, x), (_NAN, -0.1, 1.5)),
     ("q", lambda x: reverse_flush_prob(10, 3, x), (_NAN, -0.1, 1.5)),
     ("q", lambda x: cut_event_probs(10, 3, x), (_NAN, -0.1, 1.5)),
@@ -626,7 +623,6 @@ _REAL_CALLS = [
     ("q", lambda x: flush_log_bounds(10, 3, x), (_NAN, 0.0, 1.0)),
     ("q", lambda x: flush_cheap_bound(10, 3, x), (_NAN, 0.0, 1.0)),
     ("q", lambda x: sparse_flush_bound(10, 2, x, 2.0), (_NAN, 0.0, 1.0)),
-    ("x", lambda x: dilogarithm(x), (_NAN, -0.1, 1.1)),
     ("alpha", lambda x: expected_cuts(10, 0.5, x), (_NAN, 0.5, 1.0, 0.4)),
     ("alpha", lambda x: tp.unit_separator(tp.make_graph(3, [(1, 2)]), x), (_NAN, 0.5, 1.0)),
     ("alpha", lambda x: tp.SweepConfig("separator", (10,), (0.5,), alpha=x), (_NAN, 0.5, 1.0)),
@@ -865,12 +861,6 @@ def test_expected_cuts_exponent_past_int64(q):
 
 
 # --- analytic bounds ---
-
-
-def test_dilogarithm_against_scipy():
-    assert dilogarithm(1.0) == pytest.approx(math.pi**2 / 6, abs=1e-10)
-    for x in (0.0, 0.05, 0.3, 0.5, 0.9, 0.999):
-        assert dilogarithm(x) == pytest.approx(spence(1.0 - x), abs=1e-12)
 
 
 def test_euler_maclaurin_sandwich():

@@ -23,7 +23,6 @@ from tangledpath import (
     build_width_report,
     cut_vertices_from_trace,
     diameter,
-    enumerate_traces,
     format_edge_list,
     make_graph,
     mallows_process,
@@ -40,6 +39,7 @@ from conftest import (
     brute_distance_matrix,
     complete_graph,
     cycle_graph,
+    enumerate_traces,
     grid_graph,
     path_graph,
     petersen_graph,
@@ -547,6 +547,19 @@ def test_edge_list_round_trip():
     assert text.splitlines()[0] == "n=10"
     h = parse_edge_list(text)
     assert h.n == g.n and h.edges == g.edges
+
+
+def test_edge_list_writes_the_edges_view():
+    """format_edge_list, which reads the CSR arrays, writes exactly the lines
+    of the g.edges pairs: on random graphs, tangled graphs and at n = 1."""
+    graphs = [make_graph(*random_graph(n, density, seed))
+              for n, density, seed in ((2, 1.0, 1), (9, 0.3, 2), (40, 0.1, 3))]
+    graphs += [build_tangled(mallows_process(sample_trace(n, q, seed)))
+               for n, q, seed in ((1, 0.5, 4), (300, 0.9, 5), (300, 1.0, 6))]
+    for g in graphs:
+        want = "\n".join([f"n={g.n}"] + [f"{u} {w}" for u, w in g.edges])
+        assert format_edge_list(g) == want
+    assert format_edge_list(make_graph(1, [])) == "n=1"
 
 
 def test_parse_edge_list_rejects_bad_header():

@@ -1,8 +1,8 @@
 """Source hygiene: every imported name in src/ and tests/ is used, every
-top-level private function or class in src/ is referenced, every library
-function the benchmark's tracer wraps still exists, the src/ line count
-README quotes is the tree's, and README's quick start and `tangled`
-examples print what they say."""
+top-level private function or class in src/ is referenced, every exported
+name is read outside the tests, every library function the benchmark's
+tracer wraps still exists, the src/ line count README quotes is the tree's,
+and README's quick start and `tangled` examples print what they say."""
 
 import ast
 import contextlib
@@ -69,6 +69,30 @@ def test_no_unreferenced_private_helpers():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
             and refs[node.name] == _references(node)[node.name]]
     assert not dead, "private helpers nothing references:\n" + "\n".join(dead)
+
+
+def test_every_export_has_a_reader():
+    # The package exports a name only while its own code outside that name's
+    # definition, a bench script or README's code reads it; reference code
+    # that only the tests read lives in tests/conftest.py.
+    init = ast.parse((ROOT / "src" / "tangledpath" / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert exported
+    reads, own = Counter(), Counter()
+    for p in sorted((ROOT / "src").rglob("*.py")):
+        if p.name != "__init__.py":
+            tree = ast.parse(p.read_text(), filename=str(p))
+            reads += _references(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    own[node.name] += _references(node)[node.name]
+    for p in sorted((ROOT / "bench").glob("*.py")):
+        reads += _references(ast.parse(p.read_text(), filename=str(p)))
+    readme = (ROOT / "README.md").read_text()
+    quoted = set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))))
+    unread = [name for name in exported if reads[name] <= own[name] and name not in quoted]
+    assert not unread, "exported names nothing but the tests reads:\n" + "\n".join(unread)
 
 
 def test_bench_wrap_points_exist():

@@ -16,24 +16,16 @@ from tangledpath import (
     InsertionTrace,
     Permutation,
     TruncatedGeometric,
-    contains_consecutively,
     displacement_samples,
-    enumerate_traces,
     format_permutation,
     format_trace,
-    inversions,
-    log_partition_function,
-    mallows_pmf,
     mallows_process,
     parse_permutation,
     parse_trace,
-    partition_function,
     reverse,
     sample_trace,
     sample_trace_matrix,
-    standardize,
     trace_table,
-    tv_distance_to_uniform,
 )
 from tangledpath.errors import CapabilityError
 from tangledpath.mallows import (
@@ -44,7 +36,16 @@ from tangledpath.mallows import (
 )
 from tangledpath._util import alpha_cut_range
 from tangledpath.rng import GOLDEN, MASK64, derive_array, seed_array
-from conftest import SplitMix64
+from conftest import (
+    SplitMix64,
+    contains_consecutively,
+    enumerate_traces,
+    inversions,
+    log_partition_function,
+    mallows_pmf,
+    standardize,
+    tv_distance_to_uniform,
+)
 
 
 def test_process_table_example():
@@ -143,8 +144,6 @@ def test_permutation_validation():
     with pytest.raises(ValueError, match="not a permutation"):
         Permutation([2**64 - 1, -1])  # numpy infers float64, the entries are ints
     assert type(Permutation(np.array([2, 1])).image[0]) is int
-    p = Permutation((3, 1, 2))
-    assert p.inverse().image == (2, 3, 1)
 
 
 def test_raw_sequence_statistics_refuse_non_integer_entries():
@@ -189,7 +188,6 @@ def test_unchecked_values_equal_checked_ones():
         same(t, InsertionTrace(t.positions, q))
         sigma = mallows_process(t)
         same(sigma, Permutation(sigma.image))
-        same(sigma.inverse(), Permutation(sigma.inverse().image))
         same(reverse(sigma), Permutation(sigma.image[::-1]))
         same(reverse(list(sigma.image)), reverse(sigma))
         same(standardize([10 * x for x in sigma.image]), sigma)
@@ -266,17 +264,16 @@ def test_containment_window_is_order_isomorphic(perm, width, start):
 
 def test_partition_function_small():
     q = 0.5
-    assert math.isclose(partition_function(3, q), 1 * (1 + q) * (1 + q + q * q))
-    assert partition_function(3, 1.0) == 6.0
-    assert partition_function(4, 0.0) == 1.0
+    assert math.isclose(math.exp(log_partition_function(3, q)), 1 * (1 + q) * (1 + q + q * q))
+    assert math.isclose(math.exp(log_partition_function(3, 1.0)), 6.0)
+    assert math.exp(log_partition_function(4, 0.0)) == 1.0
 
 
 def test_log_partition_consistent():
+    # Z_{n,q} = prod_{i=1..n} (1 + q + ... + q^{i-1}), multiplied out
     for n, q in [(2, 0.3), (5, 0.8), (8, 0.99), (6, 1.0)]:
-        assert math.isclose(
-            log_partition_function(n, q), math.log(partition_function(n, q)),
-            rel_tol=1e-12,
-        )
+        z = math.prod(sum(q**j for j in range(i)) for i in range(1, n + 1))
+        assert math.isclose(log_partition_function(n, q), math.log(z), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2, 0.7, 1.0])
@@ -365,17 +362,6 @@ def test_tg_endpoints():
     assert TruncatedGeometric(5, 0.0).pmf(1) == 1.0
     assert TruncatedGeometric(5, 0.0).pmf(2) == 0.0
     assert math.isclose(TruncatedGeometric(5, 1.0).pmf(3), 0.2)
-
-
-@given(
-    st.integers(min_value=1, max_value=9),
-    st.floats(min_value=0.05, max_value=0.999),
-)
-def test_tg_tail_is_pmf_suffix_sum(n, q):
-    dist = TruncatedGeometric(n, q)
-    for x in range(1, n + 1):
-        suffix = sum(dist.pmf(j) for j in range(x, n + 1))
-        assert math.isclose(dist.tail(x), suffix, abs_tol=1e-10)
 
 
 def test_tv_to_uniform_golden():

@@ -16,17 +16,14 @@ from tangledpath import (
     CapabilityError,
     build_tangled,
     build_width_report,
-    boundary_subset_count,
     cutwidth_exact,
     cut_vertices_from_trace,
     cutwidth_identity,
     edge_iso,
-    enumerate_traces,
     make_graph,
     mallows_process,
     parse_trace,
     sample_trace,
-    standardize,
     treewidth_bounds,
     treewidth_exact,
     unit_separator,
@@ -43,6 +40,7 @@ from conftest import (
     brute_vertex_iso,
     complete_graph,
     cycle_graph,
+    enumerate_traces,
     grid_graph,
     path_graph,
     petersen_graph,
@@ -54,6 +52,7 @@ from conftest import (
     reference_iso,
     reference_treewidth,
     reference_vertex_boundary,
+    standardize,
     star_graph,
 )
 
@@ -366,22 +365,27 @@ def test_unit_separator_alpha_validation():
         unit_separator(make_graph(*path_graph(5)), 0.4)
 
 
-def test_boundary_subset_count_formula():
-    assert boundary_subset_count(3, 1) == 4
-    assert boundary_subset_count(5, 4) == 2
-    with pytest.raises(ValueError):
-        boundary_subset_count(5, 5)
-
-
-@pytest.mark.parametrize("n", [2, 4, 7, 10])
-def test_boundary_subset_count_matches_enumeration(n):
+def _path_subsets_by_boundary(n):
     """Count subsets of the path's vertices by exact edge-boundary size."""
     by_boundary = {}
     for bits in range(1 << n):
         cuts = sum(1 for i in range(n - 1) if ((bits >> i) & 1) != ((bits >> (i + 1)) & 1))
         by_boundary[cuts] = by_boundary.get(cuts, 0) + 1
+    return by_boundary
+
+
+def test_boundary_subset_count_formula():
+    # {1}, {3}, {1, 2}, {2, 3} on P_3; {1, 3, 5} and {2, 4} on P_5
+    assert _path_subsets_by_boundary(3)[1] == 4 == 2 * math.comb(2, 1)
+    assert _path_subsets_by_boundary(5)[4] == 2 == 2 * math.comb(4, 4)
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 10])
+def test_boundary_subset_count_matches_enumeration(n):
+    """A path P_n has 2 * C(n - 1, k) vertex subsets with k boundary edges."""
+    by_boundary = _path_subsets_by_boundary(n)
     for k in range(1, n):
-        assert boundary_subset_count(n, k) == by_boundary.get(k, 0)
+        assert 2 * math.comb(n - 1, k) == by_boundary.get(k, 0)
 
 
 # ---------------------------------------------------------------------------
