@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,11 +28,11 @@ def alpha_cut_range(n: int, alpha: float) -> tuple[int, int]:
     """The inclusive index range ceil((1-alpha) n) .. floor(alpha n), snapped.
 
     Requires 1/2 < alpha < 1 so that both sides of a cut at k in the range have
-    at most alpha*n vertices.
+    at most alpha*n vertices.  The products are exact in alpha's binary value.
     """
-    as_real(alpha, "alpha", 0.5, 1, "()")
-    k_lo = math.ceil((1.0 - alpha) * n - ALPHA_EPS)
-    k_hi = math.floor(alpha * n + ALPHA_EPS)
+    a, eps = Fraction(as_real(alpha, "alpha", 0.5, 1, "()")), Fraction(ALPHA_EPS)
+    k_lo = math.ceil((1 - a) * n - eps)
+    k_hi = math.floor(a * n + eps)
     return max(1, k_lo), min(n, k_hi)
 
 

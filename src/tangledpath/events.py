@@ -448,7 +448,7 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
     with A(m) = sum_{i<=m} log(1-q^i).  Summed in blocks, in np.sum's order,
     so the memory is O(block) and a stretch of equal or zero terms costs
     O(log n); refuses with CapabilityError above 2^28 nonzero terms, and
-    where k or n - k + 1 reaches 2^63.
+    where k or n - k + 1 reaches 2^63 - 1, as k + 1 would pass int64.
     """
     n, k_lo, k_hi = as_int(n, "n", 1), as_int(k_lo, "k_lo"), as_int(k_hi, "k_hi")
     as_real(q, "q", 0, 1)
@@ -457,7 +457,7 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
         return 0.0
     if q == 0.0:
         return float(k_hi - k_lo + 1)  # every C_k^F certain, every C_k^R impossible
-    if max(k_hi, n - k_lo + 1) >= 2**63:
+    if max(k_hi, n - k_lo + 1) >= 2**63 - 1:
         raise CapabilityError(
             f"E[cuts] over k={k_lo}..{k_hi} at n={n} indexes terms past 2^63, "
             "beyond the int64 blocks the exact sum is built in"

@@ -18,11 +18,11 @@ traversal, ``csgraph.breadth_first_order``, gives :func:`bfs_distances` and
 from the arrays.
 
 This is the only module that imports scipy, and it does so on the first call
-that traverses a graph: the cached matrix, a BFS, the all-pairs reference, or
-the component count that :mod:`tangledpath.widths` reads.  Building a graph
-and :func:`articulation_points` are numpy and plain Python, so trace-only
-work (sampling, events, exact probabilities, the separator, flush-validate
-and displacement sweeps) never loads scipy.  On a 2-vCPU x86 machine,
+that traverses a graph: the cached matrix, a BFS or the all-pairs reference.
+Building a graph, :func:`articulation_points` and every width routine are
+numpy and plain Python, so trace-only work (sampling, events, exact
+probabilities, the separator, flush-validate and displacement sweeps) and
+the width and expansion sweeps never load scipy.  On a 2-vCPU x86 machine,
 ``import tangledpath`` takes about 29 MB of peak RSS and 0.15 s without it,
 against about 61 MB and 0.5 s with it.
 
@@ -208,15 +208,6 @@ def _levels(g: TangledGraph, source: int) -> tuple[np.ndarray, list[int]]:
     while s < order.size:
         starts.append(s := ends[s])
     return order, starts
-
-
-def _component_count(g: TangledGraph) -> int:
-    """Number of connected components, found in C on the cached matrix.  The
-    CSR holds both directions of every edge, so its strong components are the
-    components, found without the transpose the weak route builds."""
-    from scipy.sparse.csgraph import connected_components
-
-    return connected_components(g._csr, connection="strong")[0]
 
 
 def bfs_distances(g: TangledGraph, source: int) -> list[int]:

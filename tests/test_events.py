@@ -9,10 +9,11 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tangledpath import (
     CapabilityError,
@@ -41,6 +42,7 @@ from tangledpath._util import alpha_cut_range, as_real, clamp01
 from tangledpath.mallows import trace_displacements
 from tangledpath.rng import derive, derive_array
 from tangledpath.sweeps import _BLOCK_ENTRIES
+from test_cli import _EDGE_ALPHAS, _EDGE_NS, _EDGE_QS
 from conftest import (
     SplitMix64,
     reference_event_flags,
@@ -1010,3 +1012,61 @@ def test_sparse_flush_bound_monte_carlo_spec_scale():
         assert bool(holds[i]) == sparse_flush_holds(tuple(batch[i]), k, b, int(ell))
     fails = int(np.sum(~holds))
     assert fails / trials <= bound + 4 * math.sqrt(max(fails, 1)) / trials
+
+
+@pytest.mark.parametrize("n, want", [
+    (3, (1, 2)),
+    (9, (3, 6)),
+    (2**53 + 1, (3002399751580332, 6004799503160661)),
+    (10**17 + 1, (33333333333333338, 66666666666666663)),
+    (10**19, (3333333333333333704, 6666666666666666296)),
+])
+def test_alpha_cut_range_is_exact_past_2_53(n, want):
+    """At n = 3 and 9 the ALPHA_EPS snap decides the ends (the exact products
+    at n = 3 give an empty range); past 2^53 the ends are ceil((1 - a) n) and
+    floor(a n) for the binary value a of 2/3, which float products rounded."""
+    assert alpha_cut_range(n, 2 / 3) == want
+    if n > 2**53:
+        a = Fraction(2 / 3)
+        assert want == (math.ceil((1 - a) * n), math.floor(a * n))
+
+
+# Each public probability or bound function, called on the edge values of the
+# `prob` harness in test_cli: n, q (also as a margin), two k and an alpha.
+_EDGE_CALLS = {
+    "flush_prob": lambda n, q, k, k2, alpha: flush_prob(n, k, q),
+    "reverse_flush_prob": lambda n, q, k, k2, alpha: reverse_flush_prob(n, k, q),
+    "cut_event_probs": lambda n, q, k, k2, alpha: cut_event_probs(n, k, q),
+    "expected_cuts": lambda n, q, k, k2, alpha: expected_cuts(n, q, alpha),
+    "expected_cuts_in_range": lambda n, q, k, k2, alpha: expected_cuts_in_range(n, q, k, k2),
+    "flush_log_bounds": lambda n, q, k, k2, alpha: flush_log_bounds(n, k, q),
+    "flush_cheap_bound": lambda n, q, k, k2, alpha: flush_cheap_bound(n, k, q),
+    "cut_prob_window": lambda n, q, k, k2, alpha: cut_prob_window(n, k, q, alpha, relaxed=True),
+    "threshold_window": lambda n, q, k, k2, alpha: threshold_window(n, q),
+    "b_value": lambda n, q, k, k2, alpha: b_value(n, q),
+}
+
+
+@st.composite
+def _edge_call(draw):
+    """A function name and its arguments at the harness's edge values: k and
+    k2 at and past the ends of 1..n."""
+    n = draw(st.sampled_from(_EDGE_NS))
+    ks = st.sampled_from((-1, 0, 1, n // 2, n - 1, n, n + 1))
+    q = float(draw(st.sampled_from(_EDGE_QS)))
+    alpha = float(draw(st.sampled_from(_EDGE_ALPHAS)))
+    return draw(st.sampled_from(sorted(_EDGE_CALLS))), (n, q, draw(ks), draw(ks), alpha)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_edge_call())
+@example(("expected_cuts_in_range", (2**63 - 1, 0.5, 1, 2**63 - 1, 2 / 3)))
+def test_no_edge_value_escapes_the_public_functions(call):
+    """The twin of the CLI's no-exit-5 harness: each call returns, or refuses
+    with ValueError (bad input) or CapabilityError (beyond a cap).  The pinned
+    example once passed the 2^63 guard and raised TypeError from int64 blocks."""
+    name, args = call
+    try:
+        _EDGE_CALLS[name](*args)
+    except (ValueError, CapabilityError):
+        pass

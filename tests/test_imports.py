@@ -73,10 +73,40 @@ def test_trace_only_work_never_loads_scipy():
     assert loaded_after
 
 
+def test_width_work_never_loads_scipy():
+    """The width and expansion cells on both sides of the exact cap, the
+    exact width report, the treewidth bounds, the unit separator and
+    `tangled analyze` without diam run on numpy alone."""
+    loaded = _run_fresh("""
+        import contextlib, io, json, sys
+        from tangledpath import (
+            build_tangled, build_width_report, mallows_process, sample_trace,
+            treewidth_bounds, unit_separator,
+        )
+        from tangledpath.cli import main
+        from tangledpath.sweeps import make_config, run_sweep
+
+        g = build_tangled(mallows_process(sample_trace(12, 0.9, seed=1)))
+        build_width_report(g, exact=True)
+        unit_separator(g, 2 / 3)
+        treewidth_bounds(build_tangled(mallows_process(sample_trace(200, 0.9, seed=2))))
+        for experiment in ("width", "expansion"):
+            run_sweep(make_config(experiment=experiment, n_list=[12, 40], q_grid=[0.5, 0.9],
+                                  trials=6, thread_count=2))
+        with contextlib.redirect_stdout(io.StringIO()):
+            argv = ["analyze", "--n", "16", "--q", "0.9", "--seed", "1",
+                    "--metrics", "tw,cw,cwid,iso,cuts"]
+            assert main(argv) == 0
+        print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+    """)
+    assert loaded == []
+
+
 @pytest.mark.parametrize("experiment", ["diameter", "width"])
 def test_first_scipy_import_inside_sweep_threads(experiment):
-    """A graph cell's first traversal, and so the scipy import, happens in
-    two worker threads at once; its CSV equals the one-thread run's, and the
+    """A diameter cell's first traversal, and so the scipy import, happens in
+    two worker threads at once; a width cell, which loads no scipy, runs in
+    the same two threads.  Each CSV equals the one-thread run's, and the
     golden digest holds in the same process."""
     digest, raw = next((d, raw) for d, raw in GOLDEN_CSV_DIGESTS.items()
                        if raw["experiment"] == experiment)

@@ -108,6 +108,35 @@ def test_treewidth_on_forests_and_disjoint_cycles():
         assert treewidth_exact(make_graph(n + c, edges + cycle)) == 2, (n, edges, c)
 
 
+def test_treewidth_on_every_graph_with_five_vertices():
+    """All 1024 graphs on five labelled vertices, isolated vertices and
+    forests among them: the series reduction's cycle flag decides forests,
+    and the cores meet the subset-DP reference."""
+    pairs = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+    for mask in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+        assert treewidth_exact(make_graph(5, edges)) == reference_treewidth(5, edges), edges
+
+
+# treewidth_bounds on _tangled(n, q, 3).  Min-fill ties break by vertex order,
+# so a change of that order moves the upper ends.
+_BOUNDS_GOLDEN = {
+    (40, 0.5): (2, 4), (40, 0.9): (3, 11), (40, 0.99): (3, 13),
+    (120, 0.5): (3, 4), (120, 0.9): (3, 13), (120, 0.99): (3, 32),
+    (300, 0.5): (3, 4), (300, 0.9): (3, 16), (300, 0.99): (3, 83),
+}
+
+
+def test_treewidth_bounds_goldens():
+    for (n, q), want in _BOUNDS_GOLDEN.items():
+        assert treewidth_bounds(_tangled(n, q, 3)) == want, (n, q)
+    two_pieces = (9, [(1, 2), (2, 3), (1, 3), (5, 6), (6, 7), (7, 8), (8, 5), (5, 7), (6, 8)])
+    for graph, want in ((random_graph(30, 0.08, 1), (2, 4)), (random_graph(60, 0.05, 2), (3, 10)),
+                        (random_forest(50, 0.7, 3), (1, 1)), (random_graph(40, 0.3, 4), (8, 22)),
+                        (two_pieces, (3, 3))):
+        assert treewidth_bounds(make_graph(*graph)) == want, graph
+
+
 def test_treewidth_cap():
     with pytest.raises(CapabilityError):
         treewidth_exact(make_graph(*path_graph(21)))
