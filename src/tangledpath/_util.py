@@ -28,9 +28,11 @@ def alpha_cut_range(n: int, alpha: float) -> tuple[int, int]:
     """The inclusive index range ceil((1-alpha) n) .. floor(alpha n), snapped.
 
     Requires 1/2 < alpha < 1 so that both sides of a cut at k in the range have
-    at most alpha*n vertices.  The products are exact in alpha's binary value.
+    at most alpha*n vertices.  Past n = 2^53, where a float product rounds by
+    more than the snap, the products are exact in alpha's binary value.
     """
-    a, eps = Fraction(as_real(alpha, "alpha", 0.5, 1, "()")), Fraction(ALPHA_EPS)
+    as_real(alpha, "alpha", 0.5, 1, "()")
+    a, eps = (alpha, ALPHA_EPS) if n <= 2**53 else (Fraction(alpha), Fraction(ALPHA_EPS))
     k_lo = math.ceil((1 - a) * n - eps)
     k_hi = math.floor(a * n + eps)
     return max(1, k_lo), min(n, k_hi)

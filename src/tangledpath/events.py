@@ -459,8 +459,8 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
         return float(k_hi - k_lo + 1)  # every C_k^F certain, every C_k^R impossible
     if max(k_hi, n - k_lo + 1) >= 2**63 - 1:
         raise CapabilityError(
-            f"E[cuts] over k={k_lo}..{k_hi} at n={n} indexes terms past 2^63, "
-            "beyond the int64 blocks the exact sum is built in"
+            f"E[cuts] over k={k_lo}..{k_hi} at n={n} indexes terms at or past "
+            "2^63 - 1, where k + 1 overflows the int64 blocks the exact sum is built in"
         )
     if q == 1.0:
         lg, top = np.vectorize(math.lgamma), math.lgamma(n + 1)

@@ -76,9 +76,8 @@ def _series_reduce(adj: list[int]) -> tuple[bool, list[list[int]]]:
     degree-2 vertex whose neighbors are already adjacent.  So the graph has a
     cycle iff that step happens or a core is left.  Returns that flag and the
     components of the residue, each of minimum degree >= 3, as masks over its
-    own vertices in increasing order.
+    own vertices in increasing order.  Consumes ``adj``.
     """
-    adj = adj.copy()
     alive = (1 << len(adj)) - 1
     cycles = 0
     queue = [v for v, m in enumerate(adj) if m.bit_count() <= 2]

@@ -627,3 +627,13 @@ def sparse_flush_bound(
     log_base = math.log1p(-q) + b * logq - log_1mqb
     bound = clamp01(math.exp((lam - 1.0 - math.log(lam)) * log_base))
     return ell, bound
+
+
+# ---------------------------------------------------------------------------
+# edge values shared by the CLI and public-function input harnesses: sizes at
+# the float and int64 limits, q as CLI text, alpha at and inside its ends
+# ---------------------------------------------------------------------------
+
+EDGE_NS = (0, 1, 2, 3, 16, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 10**30)
+EDGE_QS = ("0", "5e-324", "0.5", repr(1 - 2**-53), "1", "nan", "inf", "-0.0")
+EDGE_ALPHAS = ("0.5", repr(2 / 3), "1", "0.9999999999")

@@ -17,7 +17,7 @@ from tangledpath import (
     parse_trace,
 )
 from tangledpath.cli import main
-from conftest import enumerate_traces
+from conftest import EDGE_ALPHAS, EDGE_NS, EDGE_QS, enumerate_traces
 
 
 def run(capsys, *argv):
@@ -522,18 +522,13 @@ def test_sweep_threads_flag_and_plot_out(capsys, tmp_path):
     assert json.loads(out.with_suffix(".json").read_text())["metadata"]["thread_count"] == 2
 
 
-_EDGE_NS = (0, 1, 2, 3, 16, 2**53 - 1, 2**53 + 1, 2**63 - 1, 2**63 + 1, 10**30)
-_EDGE_QS = ("0", "5e-324", "0.5", repr(1 - 2**-53), "1", "nan", "inf", "-0.0")
-_EDGE_ALPHAS = ("0.5", repr(2 / 3), "1", "0.9999999999")
-
-
 @st.composite
 def _edge_argv(draw):
     """A `prob` or `oracle enumerate` argument list at the edge values: n and
     q from their lists, k and flush@K at and past the ends of 1..n, any
     alpha, with and without --bounds."""
-    n = draw(st.sampled_from(_EDGE_NS))
-    q = draw(st.sampled_from(_EDGE_QS))
+    n = draw(st.sampled_from(EDGE_NS))
+    q = draw(st.sampled_from(EDGE_QS))
     k = draw(st.sampled_from((None, -1, 0, 1, n // 2, n - 1, n, n + 1)))
     if draw(st.booleans()):
         event = draw(st.sampled_from((None, "cut", f"flush@{k}", "flush@x", "bogus")))
@@ -544,7 +539,7 @@ def _edge_argv(draw):
     if k is not None and (what != "expected" or draw(st.booleans())):
         argv += ["--k", str(k)]
     if draw(st.booleans()):
-        argv += ["--alpha", draw(st.sampled_from(_EDGE_ALPHAS))]
+        argv += ["--alpha", draw(st.sampled_from(EDGE_ALPHAS))]
     return argv + ["--bounds"] * draw(st.booleans())
 
 

@@ -42,8 +42,10 @@ from tangledpath._util import alpha_cut_range, as_real, clamp01
 from tangledpath.mallows import trace_displacements
 from tangledpath.rng import derive, derive_array
 from tangledpath.sweeps import _BLOCK_ENTRIES
-from test_cli import _EDGE_ALPHAS, _EDGE_NS, _EDGE_QS
 from conftest import (
+    EDGE_ALPHAS,
+    EDGE_NS,
+    EDGE_QS,
     SplitMix64,
     reference_event_flags,
     naive_cut_forward,
@@ -1017,22 +1019,32 @@ def test_sparse_flush_bound_monte_carlo_spec_scale():
 @pytest.mark.parametrize("n, want", [
     (3, (1, 2)),
     (9, (3, 6)),
+    (3 * 10**7, (10**7, 2 * 10**7)),
+    (3 * 10**8, (10**8 + 1, 2 * 10**8)),
+    (2**53, (3002399751580331, 6004799503160661)),
     (2**53 + 1, (3002399751580332, 6004799503160661)),
     (10**17 + 1, (33333333333333338, 66666666666666663)),
     (10**19, (3333333333333333704, 6666666666666666296)),
 ])
 def test_alpha_cut_range_is_exact_past_2_53(n, want):
-    """At n = 3 and 9 the ALPHA_EPS snap decides the ends (the exact products
-    at n = 3 give an empty range); past 2^53 the ends are ceil((1 - a) n) and
-    floor(a n) for the binary value a of 2/3, which float products rounded."""
+    """Up to 2^53 the ends are the float products' ends, snapped by ALPHA_EPS:
+    at n = 3 and 9 the snap decides them, and at n = 3 * 10^7 the float
+    product of 2/3 lands on 2 * 10^7, where the exact product in its binary
+    value lies 1.1e-9 below.  Past 2^53 they are ceil((1 - a) n) and
+    floor(a n) for that binary value a = 6004799503160661 / 2^53, which float
+    products rounded."""
     assert alpha_cut_range(n, 2 / 3) == want
-    if n > 2**53:
-        a = Fraction(2 / 3)
-        assert want == (math.ceil((1 - a) * n), math.floor(a * n))
+    if n <= 2**53:
+        assert want == (math.ceil((1 - 2 / 3) * n - 1e-9), math.floor(2 / 3 * n + 1e-9))
+    else:
+        num = 6004799503160661
+        assert Fraction(2 / 3) == Fraction(num, 2**53)
+        assert want == (-(-(2**53 - num) * n // 2**53), num * n // 2**53)
 
 
-# Each public probability or bound function, called on the edge values of the
-# `prob` harness in test_cli: n, q (also as a margin), two k and an alpha.
+# Each public probability or bound function, called on the edge values the
+# `prob` harness in test_cli draws from (conftest's EDGE_NS, EDGE_QS and
+# EDGE_ALPHAS): n, q (also as a margin), two k and an alpha.
 _EDGE_CALLS = {
     "flush_prob": lambda n, q, k, k2, alpha: flush_prob(n, k, q),
     "reverse_flush_prob": lambda n, q, k, k2, alpha: reverse_flush_prob(n, k, q),
@@ -1051,10 +1063,10 @@ _EDGE_CALLS = {
 def _edge_call(draw):
     """A function name and its arguments at the harness's edge values: k and
     k2 at and past the ends of 1..n."""
-    n = draw(st.sampled_from(_EDGE_NS))
+    n = draw(st.sampled_from(EDGE_NS))
     ks = st.sampled_from((-1, 0, 1, n // 2, n - 1, n, n + 1))
-    q = float(draw(st.sampled_from(_EDGE_QS)))
-    alpha = float(draw(st.sampled_from(_EDGE_ALPHAS)))
+    q = float(draw(st.sampled_from(EDGE_QS)))
+    alpha = float(draw(st.sampled_from(EDGE_ALPHAS)))
     return draw(st.sampled_from(sorted(_EDGE_CALLS))), (n, q, draw(ks), draw(ks), alpha)
 
 
