@@ -23,6 +23,9 @@ ALPHA_EPS = 1e-9
 # this slack (values further outside [0, 1] indicate a bug and are not hidden).
 PROB_EPS = 1e-12
 
+# The largest n whose n + 1, where int64 index vectors end, still fits int64.
+INDEX_MAX = 2**63 - 2
+
 
 def alpha_cut_range(n: int, alpha: float) -> tuple[int, int]:
     """The inclusive index range ceil((1-alpha) n) .. floor(alpha n), snapped.

@@ -50,6 +50,7 @@ from ._util import alpha_cut_range, as_int, trace_order_sum
 from .graph import articulation_points, build_tangled, diameter, format_edge_list
 from .mallows import (
     InsertionTrace,
+    Permutation,
     format_permutation,
     format_trace,
     mallows_process,
@@ -95,8 +96,8 @@ def _resolve_seed(seed: int | None) -> int:
         raise ValueError(f"TANGLED_SEED={env!r} is not an integer") from exc
 
 
-def _load_instance(args) -> tuple[InsertionTrace | None, tuple[int, ...]]:
-    """Resolve the instance source flags to (trace or None, permutation).
+def _load_instance(args) -> InsertionTrace | Permutation:
+    """Resolve the instance source flags to a trace, or for --perm a permutation.
 
     Exactly one of --perm, --trace, --n must be given; --trace needs --q and
     --n needs --q plus a seed.  Conflicting combinations are rejected before
@@ -108,18 +109,16 @@ def _load_instance(args) -> tuple[InsertionTrace | None, tuple[int, ...]]:
     if args.perm is not None:
         if args.q is not None or args.seed is not None:
             raise ValueError("--perm conflicts with --q/--seed")
-        return None, parse_permutation(args.perm)
+        return parse_permutation(args.perm)
     if args.trace is not None:
         if args.seed is not None:
             raise ValueError("--trace conflicts with --seed")
         if args.q is None:
             raise ValueError("--trace requires --q")
-        trace = parse_trace(args.trace, args.q)
-        return trace, mallows_process(trace)
+        return parse_trace(args.trace, args.q)
     if args.q is None:
         raise ValueError("--n requires --q")
-    trace = sample_trace(args.n, args.q, _resolve_seed(args.seed))
-    return trace, mallows_process(trace)
+    return sample_trace(args.n, args.q, _resolve_seed(args.seed))
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -148,7 +147,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    _, sigma = _load_instance(args)
+    sigma = _load_instance(args)
+    sigma = mallows_process(sigma) if isinstance(sigma, InsertionTrace) else sigma
     print(format_edge_list(build_tangled(sigma)))
     return 0
 
@@ -160,8 +160,9 @@ def cmd_analyze(args) -> int:
         raise ValueError(
             f"unknown metrics {bad}; choose from {','.join(ANALYZE_METRICS)}"
         )
-    trace, sigma = _load_instance(args)
-    g = build_tangled(sigma)
+    instance = _load_instance(args)
+    trace = instance if isinstance(instance, InsertionTrace) else None
+    g = build_tangled(instance if trace is None else mallows_process(trace))
     out: dict = {"n": g.n, "edges": g.indices.size // 2}
     for m in metrics:
         if m == "tw":
@@ -211,8 +212,8 @@ def cmd_prob(args) -> int:
         pf, pr = cut_event_probs(n, args.k, q)
         out = {"n": n, "k": args.k, "q": q, "cut_F": pf, "cut_R": pr}
         if args.bounds:
-            w = cut_prob_window(n, args.k, q, args.alpha, relaxed=True)
-            out["bounds"] = {"lower": w.lower, "upper": w.upper, "relaxed": w.relaxed}
+            w = cut_prob_window(n, args.k, q, args.alpha)
+            out["bounds"] = {"lower": w.lower, "upper": w.upper, "relaxed": w.lower is None}
     else:  # expected
         k_lo, k_hi = alpha_cut_range(n, args.alpha)
         out = {
@@ -228,8 +229,8 @@ def cmd_prob(args) -> int:
 
 
 def cmd_events(args) -> int:
-    trace, _ = _load_instance(args)
-    if trace is None:
+    trace = _load_instance(args)
+    if not isinstance(trace, InsertionTrace):
         raise ValueError("events needs a trace source (--trace or --n), not --perm")
     sparse = []
     for spec in args.sparse or ():

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import alpha_cut_range, as_int, as_real, clamp01, column, scratch
+from ._util import INDEX_MAX, alpha_cut_range, as_int, as_real, clamp01, column, scratch
 from .errors import CapabilityError
 from .mallows import InsertionTrace, _positions_of
 
@@ -457,7 +457,7 @@ def expected_cuts_in_range(n: int, q: float, k_lo: int, k_hi: int) -> float:
         return 0.0
     if q == 0.0:
         return float(k_hi - k_lo + 1)  # every C_k^F certain, every C_k^R impossible
-    if max(k_hi, n - k_lo + 1) >= 2**63 - 1:
+    if max(k_hi, n - k_lo + 1) > INDEX_MAX:
         raise CapabilityError(
             f"E[cuts] over k={k_lo}..{k_hi} at n={n} indexes terms at or past "
             "2^63 - 1, where k + 1 overflows the int64 blocks the exact sum is built in"
@@ -560,22 +560,20 @@ def flush_cheap_bound(n: int, k: int, q: float) -> float:
 
 @dataclass(frozen=True)
 class CutProbWindow:
-    """Closed-form window for Pr[C_k^F]; ``lower`` is None in relaxed mode."""
+    """Closed-form window for Pr[C_k^F]; ``lower`` is None below the size
+    hypothesis."""
 
     lower: float | None
     upper: float
-    relaxed: bool
 
 
-def cut_prob_window(
-    n: int, k: int, q: float, alpha: float, relaxed: bool = False
-) -> CutProbWindow:
+def cut_prob_window(n: int, k: int, q: float, alpha: float) -> CutProbWindow:
     """The k-independent window [e^{-1/6} w, e^5 w], w = sqrt(1-q) exp(-pi^2/(6(1-q))).
 
-    Hypotheses checked: k inside the alpha cut range, 1 <= 1/(1-q) <= n^{4/5},
-    and n >= (100/(1-alpha))^5.  The size hypothesis is astronomically large
-    for interesting alpha; ``relaxed=True`` skips it explicitly and then only
-    the upper end is claimed (lower is returned as None).
+    Hypotheses checked: k inside the alpha cut range and 1 <= 1/(1-q) <=
+    n^{4/5}.  The size hypothesis n >= (100/(1-alpha))^5 is astronomically
+    large for interesting alpha; below it only the upper end is claimed
+    (lower is returned as None).
     """
     n, k = as_int(n, "n", 1), as_int(k, "k")
     k_lo, k_hi = alpha_cut_range(n, alpha)
@@ -590,15 +588,9 @@ def cut_prob_window(
         raise CapabilityError(
             f"window needs 1 <= 1/(1-q) <= n^(4/5); got {inv1mq:.4g} vs {n ** 0.8:.4g}"
         )
-    n_min = (100.0 / (1.0 - alpha)) ** 5
-    if n < n_min and not relaxed:
-        raise CapabilityError(
-            f"window hypothesis n >= (100/(1-alpha))^5 = {n_min:.3g} fails for "
-            f"n={n}; pass relaxed=True to claim the upper bound only"
-        )
     w = math.sqrt(1.0 - q) * math.exp(-_PI2_6 * inv1mq)
-    lower = None if (relaxed and n < n_min) else math.exp(-1.0 / 6.0) * w
-    return CutProbWindow(lower=lower, upper=math.exp(5.0) * w, relaxed=relaxed and n < n_min)
+    lower = math.exp(-1.0 / 6.0) * w if n >= (100.0 / (1.0 - alpha)) ** 5 else None
+    return CutProbWindow(lower=lower, upper=math.exp(5.0) * w)
 
 
 @dataclass(frozen=True)

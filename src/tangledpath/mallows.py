@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import as_int, as_int64, as_real
+from ._util import INDEX_MAX, as_int, as_int64, as_real
 from .errors import CapabilityError
 from .rng import derive_array, seed_array, uniform_matrix
 
@@ -183,7 +183,7 @@ def sample_trace_matrix(
     result is the whole matrix's columns ``first ..`` bit for bit, and
     columns lo .. hi-1 are ``sample_trace_matrix(hi, q, seeds, lo)``.
     """
-    n = as_int(n, "n", 1)
+    n = as_int(n, "n", 1, INDEX_MAX)
     as_real(q, "q", 0, 1)
     first = as_int(first, "first", 0, n - 1)
     return _positions_from_uniforms(uniform_matrix(seed_array(seeds, first), n - first), q, first)
@@ -314,7 +314,7 @@ def displacement_samples(
 
     Batches hold at most 2**20 // n traces, so memory is flat in n.  Only
     v_i .. v_n move value i: a batch samples those columns alone and scans
-    them as a trace of length n - i + 1 at index 1, with the same result.
+    them as a trace of length n - i + 1, with the same result.
     """
     n = as_int(n, "n", 1)
     i = as_int(i, "i", 1, n)
@@ -326,33 +326,33 @@ def displacement_samples(
         m = min(chunk, trials - done)
         seeds = derive_array(seed, np.arange(done, done + m, dtype=np.uint64))
         v = sample_trace_matrix(n, q, seeds, i - 1)
-        out[done : done + m] = trace_displacements(v, 1)
+        out[done : done + m] = trace_displacements(v)
         done += m
     return out
 
 
-def trace_displacements(v: np.ndarray, i: int) -> np.ndarray:
-    """|sigma^{-1}(i) - i| for each row of an (m, n) trace matrix ``v``.
+def trace_displacements(v: np.ndarray) -> np.ndarray:
+    """|sigma^{-1}(1) - 1| for each row of an (m, n) trace matrix ``v``, so
+    |sigma^{-1}(i) - i| on columns i .. N of longer traces: only they move i.
 
-    Tracks the final position p of value i in the process output r_n: after
-    its own insertion p = v_i, and each later insertion at v_j <= p pushes it
-    right by one; then n + 1 - p = sigma^{-1}(i).  The scan vectorizes across
-    rows; constructing sigma(i) directly would not.  Once every row has p at
-    least the largest v_j left to scan, each later step adds exactly one, so
-    the scan stops there, checking every 64 steps: for q < 1 that is within
-    a few thousand steps of i, as v_j - 1 <= _position_reach(q).
+    Tracks the final position p of the first value: after its own insertion
+    p = v_1, and each later insertion at v_j <= p pushes it right by one;
+    then n + 1 - p = sigma^{-1}(1) (on a slice v_1 can pass n).  The scan
+    vectorizes across rows; constructing sigma directly would not.  Once
+    every row has p at least the largest v_j left to scan, each later step
+    adds exactly one, so the scan stops there, checking every 64 steps: for
+    q < 1 that is within a few thousand steps, as v_j - 1 <= _position_reach(q).
     """
     n = v.shape[1]
-    i = as_int(i, "i", 1, n)
-    p = v[:, i - 1].copy()
-    top = v[:, i:].max(initial=0)
-    for start in range(i + 1, n + 1, 64):
+    p = v[:, 0].copy()
+    top = v[:, 1:].max(initial=0)
+    for start in range(2, n + 1, 64):
         if p.min(initial=top) >= top:
             p += n + 1 - start
             break
         for j in range(start, min(start + 64, n + 1)):
             p += v[:, j - 1] <= p
-    return np.abs((n + 1 - p) - i)
+    return np.abs(n - p)
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,20 @@ q grids accept plain floats or window tokens resolved per n through
 threshold_window: "critical", "critical-3margin" (the existence side q_exist),
 "critical+3margin" (the non-existence side q_nonexist), and
 "critical+-3margin" (both; the spellings ±, +-, and an optional * before
-"margin" are accepted).
+"margin" are accepted).  A config resolves them when it is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import time
 from contextlib import contextmanager
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 from pathlib import Path
 from typing import Callable
@@ -47,7 +48,7 @@ from .events import (
     flush_prob,
     threshold_window,
 )
-from ._util import alpha_cut_range, as_int, as_real, reusing, scratch, trace_order_sum
+from ._util import INDEX_MAX, alpha_cut_range, as_int, as_real, reusing, scratch, trace_order_sum
 from . import mallows
 from .graph import _edge_ends, build_tangled, diameter
 from .mallows import (
@@ -74,7 +75,8 @@ BAND_SLACK = 1e-9
 class SweepConfig:
     """Everything a sweep needs; immutable so cells can share it freely.
 
-    ``q_grid`` entries are floats or window tokens (see module docstring).
+    ``q_grid`` entries are floats or window tokens (see module docstring),
+    resolved at every n into :attr:`cells` when the config is built.
     The extras beyond the common fields: ``k_fracs`` picks flush-validate k
     values as fractions of n, ``i_frac``/``t_list`` shape displacement cells,
     ``bisections`` sizes the large-n expansion estimate, and ``exhaustive``
@@ -115,7 +117,7 @@ class SweepConfig:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
         for n in self.n_list:  # the expansion cell bisects, so needs n >= 2
-            as_int(n, "n_list entry", 2 if self.experiment == "expansion" else 1)
+            as_int(n, "n_list entry", 2 if self.experiment == "expansion" else 1, INDEX_MAX)
         for q in self.q_grid:
             if not isinstance(q, str):
                 as_real(q, "q", 0, 1)
@@ -131,36 +133,32 @@ class SweepConfig:
             as_int(t, "t_list entry", 1)
         if self.exhaustive and self.experiment != "flush-validate":
             raise ValueError("exhaustive applies only to flush-validate")
+        self.cells  # refuses a token that cannot resolve at some n
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, int, float], ...]:
+        """(cell_index, n, q) in deterministic order; window tokens resolved per n."""
+        grid = [(n, q) for n in self.n_list for t in self.q_grid for q in resolve_q_token(t, n)]
+        return tuple((index, n, q) for index, (n, q) in enumerate(grid))
+
+
+# A normalized window token: a side, a margin float() reads (empty for 1),
+# and any run of * or x before "margin".
+_Q_TOKEN = re.compile(r"critical(?:(\+-|-\+|±|[+-])(.*?)[*x]*margin)?", re.DOTALL)
 
 
 def resolve_q_token(token: float | str, n: int) -> list[float]:
     """Expand one q_grid entry for a given n; floats pass through."""
     if not isinstance(token, str):
         return [float(token)]
-    s = token.strip().lower().replace(" ", "").replace("·", "*")
-    if not s.startswith("critical"):
+    match = _Q_TOKEN.fullmatch(token.strip().lower().replace(" ", "").replace("·", "*"))
+    if match is None:
         raise ValueError(f"unrecognized q token {token!r}")
-    rest = s[len("critical") :]
-    if rest == "":
+    side, count = match.groups()
+    if side is None:
         return [threshold_window(n, 0.0).q_critical]
-    if rest.startswith(("+-", "-+")):
-        side, rest = "both", rest[2:]
-    elif rest.startswith("±"):
-        side, rest = "both", rest[1:]
-    elif rest[0] in "+-":
-        side, rest = rest[0], rest[1:]
-    else:
-        raise ValueError(f"unrecognized q token {token!r}")
-    if not rest.endswith("margin"):
-        raise ValueError(f"unrecognized q token {token!r}")
-    num = rest[: -len("margin")].rstrip("*x")
-    margin = float(num) if num else 1.0
-    w = threshold_window(n, margin)
-    if side == "-":
-        return [w.q_exist]
-    if side == "+":
-        return [w.q_nonexist]
-    return [w.q_exist, w.q_nonexist]
+    w = threshold_window(n, float(count) if count else 1.0)
+    return {"-": [w.q_exist], "+": [w.q_nonexist]}.get(side, [w.q_exist, w.q_nonexist])
 
 
 def _parse_number(text: str) -> int | float:
@@ -318,7 +316,7 @@ def _run_cell(
 ) -> np.ndarray:
     """Run all trials of one cell, chunked across worker threads.
 
-    ``cell`` is a (cell_index, n, q) triple from :func:`_cells`.  ``trial_fn``
+    ``cell`` is a (cell_index, n, q) triple of ``cfg.cells``.  ``trial_fn``
     maps a vector of per-trial seeds to an array with one row per trial.
     Chunk results are concatenated in trial order, so the outcome is
     independent of thread count; a trial failure aborts the sweep, keeping its
@@ -384,12 +382,6 @@ def _run_chunks(work: Callable, bounds: list, threads: int) -> list:
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return parts
-
-
-def _cells(cfg: SweepConfig) -> list[tuple[int, int, float]]:
-    """(cell_index, n, q) in deterministic order; window tokens expanded per n."""
-    grid = [(n, q) for n in cfg.n_list for token in cfg.q_grid for q in resolve_q_token(token, n)]
-    return [(index, n, q) for index, (n, q) in enumerate(grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -616,20 +608,21 @@ def _flush_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
 
 
 def _diameter_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellStats:
-    """Graph diameters with the |cut_set|+1 lower-bound companion.
+    """Graph diameters with the cut-count lower-bound companion.
 
     Stats: ``diameter`` (exact n-1 reference at q=0), ``cut_lower_bound``
-    (mean of |cut_set|+1), ``diameter_over_n`` (Theorem-scale ratio,
-    observational), and ``diambound_violations`` (fraction of trials with
-    diameter < |cut_set|+1; exact reference 0, so any violation fails the
-    band).  A trial's record is the pair (diameter, |cut_set|+1).
+    (mean of b = min(|cut_set|+1, n-1), a lower bound on the distance from 1
+    to n), ``diameter_over_n`` (Theorem-scale ratio, observational), and
+    ``diambound_violations`` (fraction of trials with diameter < b; exact
+    reference 0, so any violation fails the band).  A trial's record is the
+    pair (diameter, b).
     """
 
     def trial_fn(seeds: np.ndarray) -> np.ndarray:
         v = sample_trace_matrix(n, q, seeds)
         cuts = event_flag_matrix(v)["cut"].sum(axis=1)
         diams = [diameter(build_tangled(mallows_process(r))) for r in v]
-        return np.column_stack((diams, cuts + 1))
+        return np.column_stack((diams, np.minimum(cuts + 1, n - 1)))
 
     diams, lower = run(trial_fn).T
     mean, se = _mean_stderr(diams)
@@ -738,7 +731,7 @@ def _displacement_cell(cfg: SweepConfig, run: _Run, n: int, q: float) -> _CellSt
     with the 2 q^t reference bound reported alongside each tail row; like
     displacement_samples, a trial samples and scans only v_i .. v_n."""
     i = max(1, math.floor(cfg.i_frac * n + 0.5))
-    disp = run(lambda seeds: trace_displacements(sample_trace_matrix(n, q, seeds, i - 1), 1))
+    disp = run(lambda seeds: trace_displacements(sample_trace_matrix(n, q, seeds, i - 1)))
     stats = []
     for t in cfg.t_list:
         stats += [
@@ -763,7 +756,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     sorted by (n, q, stat) with the sweep metadata."""
     cell_fn = _EXPERIMENTS[cfg.experiment]
     rows: list[SweepRow] = []
-    for cell in _cells(cfg):
+    for cell in cfg.cells:
         _, n, q = cell
         start = time.perf_counter()
         trials, stats = cell_fn(cfg, partial(_run_cell, cfg, cell), n, q)

@@ -179,11 +179,19 @@ def test_prob_flush_requires_k(capsys):
     assert code == 2 and "--k" in err
 
 
-def test_events_figure_trace(capsys):
+def test_events_figure_trace(capsys, monkeypatch):
+    """`events` reads the trace alone: it never decodes the permutation."""
+    import tangledpath.cli as cli
+
+    def decode(trace):
+        raise RuntimeError("events decoded a permutation")
+
+    monkeypatch.setattr(cli, "mallows_process", decode)
     doc = run_json(capsys, "events", "--trace", "1 1 3 2 1 1 1 3 2", "--q", "0.5")
     assert doc["cut_set"] == [5]
     assert 5 in doc["flush"]
     assert doc["cut_forward"] == [5]
+    assert run_json(capsys, "events", "--n", "1000", "--q", "1", "--seed", "1")["n"] == 1000
 
 
 def test_events_sparse_flag(capsys):
@@ -520,6 +528,44 @@ def test_sweep_threads_flag_and_plot_out(capsys, tmp_path):
     assert code == 0, err
     assert out.read_text() == serial
     assert json.loads(out.with_suffix(".json").read_text())["metadata"]["thread_count"] == 2
+
+
+def test_diameter_sweep_at_n_one(capsys, tmp_path):
+    """At n = 1 the cut bound min(|cuts| + 1, n - 1) is 0, as is the
+    diameter, so a diameter sweep over n = 1, 2, 3 passes its own check."""
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("experiment = diameter\nn_list = 1, 2, 3\nq_grid = 0, 0.5, 1\ntrials = 5\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    at_one = {r[5]: float(r[6]) for r in rows if r[1] == "1" and r[5] != "diameter_over_n"}
+    assert at_one == {"diameter": 0.0, "cut_lower_bound": 0.0, "diambound_violations": 0.0}
+
+
+_SWEEP_NS = tuple(n for n in EDGE_NS if abs(n - 2**53) != 1)
+_SWEEP_EXPERIMENTS = ("separator", "width", "diameter", "expansion", "flush-validate",
+                      "displacement")
+
+
+def test_no_edge_sweep_is_an_internal_error(tmp_path):
+    """The sweep twin of the harness below: each experiment, at one edge n
+    and one edge q or window token with two trials, exits 0, 2, 3 or 4 (a
+    band check on two trials can fail honestly), never 5; a diameter sweep
+    at n = 1 exits 0 at every q in [0, 1].  n = 2^53 +- 1 is left out: a
+    separator cell there samples about n/3 columns, a time limit, not a
+    fault."""
+    cfg = tmp_path / "s.cfg"
+    for experiment in _SWEEP_EXPERIMENTS:
+        for n in _SWEEP_NS:
+            for q in (*EDGE_QS, "critical", "critical+-3margin"):
+                cfg.write_text(f"experiment = {experiment}\nn_list = {n}\nq_grid = {q}\n"
+                               "trials = 2\n")
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(["sweep", "--config", str(cfg)])
+                assert code in (0, 2, 3, 4), (experiment, n, q, err.getvalue())
+                if experiment == "diameter" and n == 1 and q[0] in "015-":
+                    assert code == 0, (q, err.getvalue())
 
 
 @st.composite

@@ -39,7 +39,6 @@ from tangledpath import (
 import tangledpath as tp
 import tangledpath.events as events
 from tangledpath._util import alpha_cut_range, as_real, clamp01
-from tangledpath.mallows import trace_displacements
 from tangledpath.rng import derive, derive_array
 from tangledpath.sweeps import _BLOCK_ENTRIES
 from conftest import (
@@ -515,15 +514,14 @@ _SIZE_CALLS = [
     ("i", lambda x: tp.displacement_samples(8, 0.5, x, 10, 1), 3),
     ("trials", lambda x: tp.displacement_samples(8, 0.5, 3, x, 1), 10),
     ("seed", lambda x: tp.displacement_samples(8, 0.5, 3, 10, x), 1),
-    ("i", lambda x: trace_displacements(np.ones((2, 8), dtype=np.int64), x), 3),
     ("n", lambda x: b_value(x, 0.5), 100),
     ("n", lambda x: flush_log_bounds(x, 3, 0.5), 10),
     ("k", lambda x: flush_log_bounds(10, x, 0.5), 3),
     ("n", lambda x: flush_cheap_bound(x, 3, 0.5), 10),
     ("k", lambda x: flush_cheap_bound(10, x, 0.5), 3),
     ("n", lambda x: threshold_window(x, 1.0), 100),
-    ("n", lambda x: cut_prob_window(x, 40, 0.5, 2 / 3, relaxed=True), 100),
-    ("k", lambda x: cut_prob_window(100, x, 0.5, 2 / 3, relaxed=True), 40),
+    ("n", lambda x: cut_prob_window(x, 40, 0.5, 2 / 3), 100),
+    ("k", lambda x: cut_prob_window(100, x, 0.5, 2 / 3), 40),
     ("n", lambda x: sparse_flush_bound(x, 2, 0.5, 2.0), 10),
     ("b", lambda x: sparse_flush_bound(10, x, 0.5, 2.0), 2),
     ("k", lambda x: sparse_flush_holds(_P, x, 2, 3), 2),
@@ -633,7 +631,7 @@ _REAL_CALLS = [
     ("margin", lambda x: threshold_window(100, x), (_NAN, -1.0)),
     ("n", lambda x: expected_cuts(x, 0.5, 2 / 3), (0, -5)),
     ("n", lambda x: expected_cuts_in_range(x, 0.5, 1, 1), (0, -5)),
-    ("n", lambda x: cut_prob_window(x, 1, 0.5, 2 / 3, relaxed=True), (0, -5)),
+    ("n", lambda x: cut_prob_window(x, 1, 0.5, 2 / 3), (0, -5)),
     ("lambda", lambda x: sparse_flush_bound(10, 2, 0.5, x), (_NAN, 0.5)),
     ("lambda", lambda x: janson_tail_bound(x, 1.0, 0.5), (_NAN, 0.5)),
     ("mu", lambda x: janson_tail_bound(2.0, x, 0.5), (_NAN, -1.0)),
@@ -895,30 +893,28 @@ def test_flush_log_bounds_require_interior_q():
 
 def test_cut_prob_window_strict_and_relaxed():
     n, alpha = 10**4, 2 / 3
-    with pytest.raises(CapabilityError):
-        cut_prob_window(n, n // 2, 0.5, alpha)  # n >= (100/(1-alpha))^5 fails
-    win = cut_prob_window(n, n // 2, 0.5, alpha, relaxed=True)
-    assert win.relaxed and win.lower is None
+    win = cut_prob_window(n, n // 2, 0.5, alpha)  # below n >= (100/(1-alpha))^5
+    assert win.lower is None
     pf, _ = cut_event_probs(n, n // 2, 0.5)
     assert pf <= win.upper
     w = math.sqrt(1 - 0.5) * math.exp(-math.pi**2 / (6 * (1 - 0.5)))
     assert win.upper == pytest.approx(math.e**5 * w, rel=1e-12)
     for q in (0.0, 1.0):
         with pytest.raises(CapabilityError, match="window needs 0 < q < 1"):
-            cut_prob_window(n, n // 2, q, alpha, relaxed=True)
+            cut_prob_window(n, n // 2, q, alpha)
     with pytest.raises(CapabilityError, match=r"window needs 1 <= 1/\(1-q\) <= n\^\(4/5\)"):
-        cut_prob_window(n, n // 2, 1 - 1e-4, alpha, relaxed=True)  # 10^4 > n^(4/5) = 1585
+        cut_prob_window(n, n // 2, 1 - 1e-4, alpha)  # 10^4 > n^(4/5) = 1585
 
 
 def test_cut_prob_window_is_k_free():
-    a = cut_prob_window(10**4, 4000, 0.7, 2 / 3, relaxed=True)
-    b = cut_prob_window(10**4, 5000, 0.7, 2 / 3, relaxed=True)
+    a = cut_prob_window(10**4, 4000, 0.7, 2 / 3)
+    b = cut_prob_window(10**4, 5000, 0.7, 2 / 3)
     assert a.upper == b.upper
 
 
 def test_cut_prob_window_rejects_out_of_range_k():
     with pytest.raises(CapabilityError):
-        cut_prob_window(10**4, 10, 0.5, 2 / 3, relaxed=True)
+        cut_prob_window(10**4, 10, 0.5, 2 / 3)
 
 
 def test_threshold_window_goldens():
@@ -1053,7 +1049,7 @@ _EDGE_CALLS = {
     "expected_cuts_in_range": lambda n, q, k, k2, alpha: expected_cuts_in_range(n, q, k, k2),
     "flush_log_bounds": lambda n, q, k, k2, alpha: flush_log_bounds(n, k, q),
     "flush_cheap_bound": lambda n, q, k, k2, alpha: flush_cheap_bound(n, k, q),
-    "cut_prob_window": lambda n, q, k, k2, alpha: cut_prob_window(n, k, q, alpha, relaxed=True),
+    "cut_prob_window": lambda n, q, k, k2, alpha: cut_prob_window(n, k, q, alpha),
     "threshold_window": lambda n, q, k, k2, alpha: threshold_window(n, q),
     "b_value": lambda n, q, k, k2, alpha: b_value(n, q),
 }

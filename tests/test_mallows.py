@@ -89,7 +89,7 @@ def test_blocked_decode_large_n_against_displacements():
         image = mallows_process(v[0]).image
         slot = {value: k for k, value in enumerate(image, 1)}
         for i in (1, 2, 777, n // 2, n - 1, n):
-            assert abs((n + 1 - slot[i]) - i) == trace_displacements(v, i)[0], (q, i)
+            assert abs((n + 1 - slot[i]) - i) == trace_displacements(v[:, i - 1 :])[0], (q, i)
 
 
 def test_process_is_a_bijection_onto_sn():
@@ -610,6 +610,18 @@ def _full_scan_displacements(v, i):
     return np.abs((n + 1 - p) - i)
 
 
+def test_samplers_refuse_n_past_the_int64_indices():
+    """The sampler's index vectors end at n + 1, which fits int64 up to
+    n = 2^63 - 2: past it both public samplers refuse n with ValueError,
+    where an OverflowError from np.arange once escaped."""
+    for call in (lambda: sample_trace_matrix(10**20, 1.0, [1], 10**20 - 5),
+                 lambda: displacement_samples(10**20, 1.0, 10**20 - 3, 2, 1),
+                 lambda: sample_trace_matrix(2**63 - 1, 0.5, [1], 2**63 - 3)):
+        with pytest.raises(ValueError, match=r"^n=\d+ outside \[1, 9223372036854775806\]"):
+            call()
+    assert sample_trace_matrix(2**63 - 2, 1.0, [1], 2**63 - 4).shape == (1, 2)
+
+
 def test_displacement_early_stop_matches_the_full_scan():
     """trace_displacements, which stops once every row's position is past
     the largest v_j left, equals the full scan row for row: on sampled
@@ -620,7 +632,8 @@ def test_displacement_early_stop_matches_the_full_scan():
     for n, q in ((1, 0.5), (2, 0.5), (300, 0.0), (300, 0.3), (2000, 0.9), (3000, 0.99), (700, 1.0)):
         v = sample_trace_matrix(n, q, seeds)
         for i in sorted({1, 2, 63, 64, 65, n // 2, n - 65, n - 1, n} & set(range(1, n + 1))):
-            assert np.array_equal(trace_displacements(v, i), _full_scan_displacements(v, i)), (n, q, i)
+            got = trace_displacements(v[:, i - 1 :])
+            assert np.array_equal(got, _full_scan_displacements(v, i)), (n, q, i)
     n = 400
     late = np.ones((5, n), dtype=np.int64)
     late[0, 200] = 150  # p passes 150 only late in the scan
@@ -630,9 +643,10 @@ def test_displacement_early_stop_matches_the_full_scan():
     late[4, 65] = 2
     for rows in [late, *(late[r : r + 1] for r in range(len(late))), late[[0, 1, 3, 4]]]:
         for i in (1, 2, 64, 65, 128, 129, n - 1, n):
-            assert np.array_equal(trace_displacements(rows, i), _full_scan_displacements(rows, i)), i
+            got = trace_displacements(rows[:, i - 1 :])
+            assert np.array_equal(got, _full_scan_displacements(rows, i)), i
     empty = np.ones((0, 10), dtype=np.int64)
-    assert trace_displacements(empty, 3).shape == (0,)
+    assert trace_displacements(empty[:, 2:]).shape == (0,)
 
 
 def test_displacement_inversion_symmetry_exact():

@@ -83,7 +83,7 @@ def test_parse_json_config():
         json.dumps(
             {
                 "experiment": "width",
-                "n_list": [12],
+                "n_list": [16],
                 "q_grid": ["critical"],
                 "trials": 5,
             }
@@ -127,6 +127,9 @@ def test_config_rejects_bad_values():
         ("master_seed = abc", "master_seed"),
         ("alpha = abc", "alpha"),
         ("n_list = 50.7", "n_list"),
+        ("n_list = 9223372036854775807", "n_list entry=9223372036854775807 outside"),
+        ("q_grid = critical-+3margin", "margin 3.0 too large at n=24"),
+        ("q_grid = 0.5, critical+3 margin x", "unrecognized q token"),
         ("t_list = 2.9", "t_list"),
         ("thread_count = 2.5", "thread_count"),
         ("bisections = 1e100000", "bisections"),
@@ -202,6 +205,21 @@ def test_config_stores_lists_as_tuples():
     cfg = sweeps.SweepConfig("flush-validate", [30, np.int64(40)], [0, "critical"], k_fracs=[1])
     assert (cfg.n_list, cfg.q_grid, cfg.k_fracs) == ((30, 40), (0.0, "critical"), (1.0,))
     assert type(cfg.n_list[1]) is int and hash(cfg) == hash(dataclasses.replace(cfg))
+
+
+def test_config_resolves_its_tokens_when_built(monkeypatch):
+    """Each (n, token) pair resolves once, when the config is built: a token
+    that cannot resolve at some n (here n < 16) refuses the config, and
+    run_sweep walks the resolved cells without resolving again."""
+    with pytest.raises(ValueError, match="n=12 outside"):
+        make_config(experiment="width", n_list=[16, 12], q_grid=["critical"])
+    cfg = make_config(experiment="separator", n_list=[16, 3000], q_grid=[0.5, "critical+-1margin"],
+                      trials=2)
+    windows = [threshold_window(n, 1.0) for n in (16, 3000)]
+    assert cfg.cells == tuple((i, n, q) for i, (n, q) in enumerate(
+        (n, q) for n, w in zip((16, 3000), windows) for q in (0.5, w.q_exist, w.q_nonexist)))
+    monkeypatch.setattr(sweeps, "threshold_window", lambda *a: pytest.fail("resolved again"))
+    assert [(r.n, r.q) for r in run_sweep(cfg).rows][::2] == sorted(c[1:] for c in cfg.cells)
 
 
 def test_config_from_file(tmp_path):
