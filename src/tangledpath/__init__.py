@@ -47,14 +47,12 @@ from .mallows import (
     ENUMERATION_CAP,
     InsertionTrace,
     Permutation,
-    TruncatedGeometric,
     displacement_samples,
     format_permutation,
     format_trace,
     mallows_process,
     parse_permutation,
     parse_trace,
-    reverse,
     sample_trace,
     sample_trace_matrix,
     trace_table,

@@ -39,7 +39,6 @@ from .events import (
     cut_vertices_from_trace,
     detect_events,
     event_flag_matrix,
-    expected_cuts,
     expected_cuts_in_range,
     flush_cheap_bound,
     flush_log_bounds,
@@ -222,7 +221,7 @@ def cmd_prob(args) -> int:
             "alpha": args.alpha,
             "k_lo": k_lo,
             "k_hi": k_hi,
-            "expected_cuts": expected_cuts(n, q, args.alpha),
+            "expected_cuts": expected_cuts_in_range(n, q, k_lo, k_hi),
         }
     _emit(out)
     return 0

@@ -179,7 +179,11 @@ def sparse_flush_holds(
     threshold can never block a later match that some other selection would
     have allowed.  A raw sequence is checked as a trace.
     """
-    positions, _ = _positions_of(trace)
+    return _sparse_holds(_positions_of(trace)[0], k, b, ell)
+
+
+def _sparse_holds(positions: Sequence[int], k: int, b: int, ell: int) -> bool:
+    """:func:`sparse_flush_holds` on checked ``positions``."""
     n = len(positions)
     b, ell, k = as_int(b, "b", 1), as_int(ell, "ell", 0), as_int(k, "k", 1, n)
     need = 1
@@ -256,7 +260,7 @@ def detect_events(
         cut_set=tuple((np.flatnonzero(flags["cut"]) + 1).tolist()),
         local_flush=local_flush,
         b=bval,
-        sparse={(k, b, ell): sparse_flush_holds(trace, k, b, ell) for k, b, ell in sparse},
+        sparse={(k, b, ell): _sparse_holds(positions, k, b, ell) for k, b, ell in sparse},
     )
 
 
@@ -435,8 +439,9 @@ def cut_event_probs(n: int, k: int, q: float) -> tuple[float, float]:
 
 def expected_cuts(n: int, q: float, alpha: float) -> float:
     """E[X_n(alpha)] = sum over k in [ceil((1-alpha)n), floor(alpha n)] of
-    Pr[C_k^F] + Pr[C_k^R].  At small n the range can hold an end vertex
-    (k = 1 for n = 2, 3 at alpha = 2/3), whose events are no cut vertex."""
+    Pr[C_k^F] + Pr[C_k^R].  The range holds vertex 1, which is no cut vertex,
+    exactly when (1-alpha)n <= 1, up to the alpha snap (n <= 20 at alpha =
+    0.95); its events then count too, so this exceeds the expected cut count."""
     k_lo, k_hi = alpha_cut_range(as_int(n, "n", 1), alpha)
     return expected_cuts_in_range(n, q, k_lo, k_hi)
 

@@ -13,9 +13,9 @@ sorted, no duplicates), built in numpy by sorting the keys a*n + b of the
 vertex pairs and dropping repeats.  Every graph and width routine reads these
 arrays, or the scipy matrix built from them on first use and cached, whose one
 traversal, ``csgraph.breadth_first_order``, gives :func:`bfs_distances` and
-:func:`diameter` every hop distance.  The one derived tuple view is ``edges``
-(1-based, each edge once); :func:`format_edge_list` writes the same pairs
-from the arrays.
+:func:`diameter` every hop distance.  A graph keeps no other view of its
+edges: :func:`format_edge_list` writes each edge once, 1-based, straight from
+the arrays.
 
 This is the only module that imports scipy, and it does so on the first call
 that traverses a graph: the cached matrix, a BFS or the all-pairs reference.
@@ -97,12 +97,6 @@ class TangledGraph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge once, as (u, w) with u < w, in increasing order."""
-        u, w = _edge_ends(self)
-        return tuple(zip((u + 1).tolist(), (w + 1).tolist()))
 
     @cached_property
     def _csr(self) -> csr_matrix:

@@ -6,7 +6,7 @@ q^{i-1}).  This module builds Mallows samples constructively: independent
 truncated-geometric positions v_1, ..., v_n (v_i between 1 and i) drive an
 insertion process in which value i is placed at position v_i from the left,
 shifting later entries right.  The process output r_n read right-to-left is
-Mallows distributed, i.e. reverse(r_n) ~ mu_{n,q}.
+Mallows distributed, i.e. r_n^R ~ mu_{n,q}.
 
 Conventions used throughout:
 
@@ -92,35 +92,6 @@ def _positions_of(trace: InsertionTrace | Sequence[int]) -> tuple[tuple[int, ...
         i = int(bad.argmax()) + 1
         raise ValueError(f"position v_{i}={v[i - 1]} outside [1, {i}]")
     return tuple(v.tolist()), None
-
-
-@dataclass(frozen=True)
-class TruncatedGeometric:
-    """The law of a single insertion position: P(j) = (1-q) q^(j-1) / (1-q^n).
-
-    q = 1 is the uniform law on {1..n}; q = 0 is the point mass at 1.
-    """
-
-    n: int
-    q: float
-
-    def __post_init__(self) -> None:
-        as_int(self.n, "n", 1)
-        as_real(self.q, "q", 0, 1)
-
-    def pmf(self, j: int) -> float:
-        j = as_int(j, "j")
-        if not 1 <= j <= self.n:
-            return 0.0
-        if self.q == 1.0:
-            return 1.0 / self.n
-        if self.q == 0.0:
-            return 1.0 if j == 1 else 0.0
-        denom = -math.expm1(self.n * math.log(self.q))
-        return (1.0 - self.q) * self.q ** (j - 1) / denom
-
-    def pmf_vector(self) -> np.ndarray:
-        return np.array([self.pmf(j) for j in range(1, self.n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,27 +223,6 @@ def _decoded(positions: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# permutation statistics
-# ---------------------------------------------------------------------------
-
-
-def _image_of(p: Permutation | Sequence[int]) -> tuple[int, ...]:
-    img = p.image if isinstance(p, Permutation) else as_int64(p, "permutation entries").tolist()
-    return tuple(img)
-
-
-def reverse(p: Permutation | Sequence[int]) -> Permutation:
-    """sigma^R with sigma^R(i) = sigma(n + 1 - i).
-
-    inv(sigma^R) = C(n, 2) - inv(sigma), so reversal swaps the roles of q and
-    1/q under the Mallows measure; it is how process outputs r_n turn into
-    mu_{n,q} samples.  A raw sequence is checked to be a permutation.
-    """
-    img = (p if isinstance(p, Permutation) else Permutation(p)).image
-    return _unchecked(Permutation, image=img[::-1])
-
-
-# ---------------------------------------------------------------------------
 # exact distributional quantities
 # ---------------------------------------------------------------------------
 
@@ -282,18 +232,27 @@ def trace_table(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     probabilities ``w``; refuses n > 9.
 
     Rows run in lexicographic order (v_n varies fastest).  Each weight is the
-    product of truncated-geometric masses taken in index order, and the
-    weights sum to 1 up to float roundoff.
+    product of the truncated-geometric masses (1-q) q^(j-1) / (1-q^i) of v_i = j
+    in index order, by Python's ``q ** j`` (numpy's array power differs in the
+    last bit), and the weights sum to 1 up to float roundoff.
     """
     n = as_int(n, "n", 1)
     if n > ENUMERATION_CAP:
         raise CapabilityError(
             f"exact trace enumeration supports n <= {ENUMERATION_CAP}, got n={n}"
         )
+    as_real(q, "q", 0, 1)
     V = np.indices(range(1, n + 1)).reshape(n, -1).T + 1
     w = np.ones(len(V))
-    for i in range(n):
-        w *= TruncatedGeometric(i + 1, q).pmf_vector()[V[:, i] - 1]
+    for i in range(1, n + 1):
+        if q == 1.0:
+            pmf = [1.0 / i] * i
+        elif q == 0.0:
+            pmf = [1.0] + [0.0] * (i - 1)
+        else:
+            denom = -math.expm1(i * math.log(q))
+            pmf = [(1.0 - q) * q ** j / denom for j in range(i)]
+        w *= np.array(pmf)[V[:, i - 1] - 1]
     return V, w
 
 
@@ -361,7 +320,9 @@ def trace_displacements(v: np.ndarray) -> np.ndarray:
 
 
 def format_permutation(p: Permutation | Sequence[int]) -> str:
-    return "σ = " + " ".join(str(x) for x in _image_of(p))
+    """'σ = ' and the image; a raw sequence is checked to be a permutation."""
+    img = (p if isinstance(p, Permutation) else Permutation(p)).image
+    return "σ = " + " ".join(str(x) for x in img)
 
 
 def format_trace(trace: InsertionTrace | Sequence[int]) -> str:

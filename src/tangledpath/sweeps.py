@@ -65,6 +65,10 @@ from .widths import EXACT_CAP, cutwidth_identity, treewidth_exact, vertex_iso
 # the tolerance used for exact-oracle comparisons elsewhere.
 BAND_SLACK = 1e-9
 
+# The most threads a sweep runs on.  Each chunk run at once keeps a separator
+# workspace of up to 4.4 MB for the process's life, about 280 MB at 64.
+MAX_THREADS = 64
+
 
 # ---------------------------------------------------------------------------
 # config
@@ -122,7 +126,7 @@ class SweepConfig:
             if not isinstance(q, str):
                 as_real(q, "q", 0, 1)
         as_int(self.trials, "trials", 1)
-        as_int(self.thread_count, "thread_count", 1)
+        as_int(self.thread_count, "thread_count", 1, MAX_THREADS)
         as_seed(self.master_seed, "master_seed")
         alpha_cut_range(1, self.alpha)  # refuses alpha outside (1/2, 1)
         as_int(self.bisections, "bisections", 1)
@@ -350,8 +354,8 @@ def _run_cell(
 def _run_chunks(work: Callable, bounds: list, threads: int) -> list:
     """[work(span) for span in bounds], run by the calling thread and up to
     ``threads - 1`` helper threads, each taking the next span in turn.  The
-    first failure in trial order is raised once every thread has stopped;
-    no span starts after a failure.
+    first failure in trial order, or a helper's failure to start, is raised
+    once every thread has stopped; no span starts after a failure.
 
     The caller works rather than waiting: on the bench separator cells at 2
     threads this ran 1.12-1.25x faster than a pool of 2 workers per cell,
@@ -370,15 +374,16 @@ def _run_chunks(work: Callable, bounds: list, threads: int) -> list:
                     pass
 
     helpers = [threading.Thread(target=drain) for _ in range(min(threads, len(bounds)) - 1)]
-    for helper in helpers:
-        helper.start()
     try:
+        for helper in helpers:
+            helper.start()
         drain()
     finally:
-        for _ in todo:  # after an interrupt too
+        for _ in todo:  # after an interrupt or a failed start too
             pass
         for helper in helpers:
-            helper.join()
+            if helper.ident is not None:  # it started
+                helper.join()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return parts

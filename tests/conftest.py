@@ -4,27 +4,28 @@ reference oracles, and the reference code only the tests read.
 The oracles here are deliberately written in the most literal style possible
 (double loops over definitions, exhaustive subset or ordering enumeration) so
 that agreement with the fast library implementations is meaningful.  The
-Mallows pmf, the pattern search and the analytic bounds at the end are the
-package's own definitions, kept here because no library code, CLI command,
-sweep or benchmark calls them.
+Mallows pmf, the truncated geometric, reversal, the pattern search and the
+analytic bounds at the end are the package's own definitions, kept here
+because no library code, CLI command, sweep or benchmark calls them;
+``edge_pairs`` is the tests' view of a graph's edges.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from tangledpath._util import as_int, as_real, clamp01
+from tangledpath._util import as_int, as_int64, as_real, clamp01
+from tangledpath.graph import TangledGraph, _edge_ends
 from tangledpath.mallows import (
     InsertionTrace,
     Permutation,
-    TruncatedGeometric,
     _decoded,
-    _image_of,
     _positions_of,
     _unchecked,
     trace_table,
@@ -69,6 +70,12 @@ class SplitMix64:
 # ---------------------------------------------------------------------------
 # graph builders (n, edge list) in the library's 1-based convention
 # ---------------------------------------------------------------------------
+
+
+def edge_pairs(g: TangledGraph) -> tuple[tuple[int, int], ...]:
+    """Every edge of g once, as 1-based (u, w) with u < w, in increasing order."""
+    u, w = _edge_ends(g)
+    return tuple(zip((u + 1).tolist(), (w + 1).tolist()))
 
 
 def path_graph(n):
@@ -448,8 +455,53 @@ def reference_iso(n, boundary):
 
 
 # ---------------------------------------------------------------------------
-# the Mallows law and consecutive patterns
+# the Mallows law, the truncated geometric, reversal and consecutive patterns
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TruncatedGeometric:
+    """The law of a single insertion position: P(j) = (1-q) q^(j-1) / (1-q^n).
+
+    q = 1 is the uniform law on {1..n}; q = 0 is the point mass at 1.
+    """
+
+    n: int
+    q: float
+
+    def __post_init__(self) -> None:
+        as_int(self.n, "n", 1)
+        as_real(self.q, "q", 0, 1)
+
+    def pmf(self, j: int) -> float:
+        j = as_int(j, "j")
+        if not 1 <= j <= self.n:
+            return 0.0
+        if self.q == 1.0:
+            return 1.0 / self.n
+        if self.q == 0.0:
+            return 1.0 if j == 1 else 0.0
+        denom = -math.expm1(self.n * math.log(self.q))
+        return (1.0 - self.q) * self.q ** (j - 1) / denom
+
+    def pmf_vector(self) -> np.ndarray:
+        return np.array([self.pmf(j) for j in range(1, self.n + 1)])
+
+
+def _image_of(p: Permutation | Sequence[int]) -> tuple[int, ...]:
+    img = p.image if isinstance(p, Permutation) else as_int64(p, "permutation entries").tolist()
+    return tuple(img)
+
+
+def reverse(p: Permutation | Sequence[int]) -> Permutation:
+    """sigma^R with sigma^R(i) = sigma(n + 1 - i).
+
+    inv(sigma^R) = C(n, 2) - inv(sigma), so reversal swaps the roles of q and
+    1/q under the Mallows measure; it is how process outputs r_n turn into
+    mu_{n,q} samples.  A raw sequence is checked to be a permutation.
+    """
+    img = (p if isinstance(p, Permutation) else Permutation(p)).image
+    return _unchecked(Permutation, image=img[::-1])
 
 
 def inversions(p: Permutation | Sequence[int]) -> int:

@@ -46,6 +46,7 @@ from conftest import (
     EDGE_NS,
     EDGE_QS,
     SplitMix64,
+    TruncatedGeometric,
     reference_event_flags,
     naive_cut_forward,
     naive_cut_reverse,
@@ -324,6 +325,29 @@ def test_local_and_sparse_refused_at_degenerate_q():
     assert detect_events([1, 1, 2]).local_flush is None
 
 
+def test_detect_events_reads_the_trace_once(monkeypatch):
+    """detect_events evaluates its sparse triples on the positions it has
+    already read, with the results of the public per-triple calls; a raw
+    list, which carries no q, is refused after that one read."""
+    t = parse_trace("1,2,1,3,2,5,1,4,2,1,3,1", 0.6)
+    triples = [(2, 3, 10), (5, 1, 0), (7, 2, 5)]
+    reads, read = [], events._positions_of
+
+    def counting(trace):
+        reads.append(trace)
+        return read(trace)
+
+    monkeypatch.setattr(events, "_positions_of", counting)
+    rep = detect_events(t, sparse=triples)
+    assert reads == [t]
+    with pytest.raises(ValueError, match="carrying q"):
+        detect_events(list(t.positions), sparse=triples)
+    assert len(reads) == 2
+    monkeypatch.undo()
+    assert rep.sparse == {x: sparse_flush_holds(t, *x) for x in triples}
+    assert list(rep.sparse.values()) == [True, False, True]
+
+
 def test_bad_edge_classification_figure():
     t = parse_trace("1,1,2,4,2,1,3,1,5,1,2,3,1,2,1", 0.5)
     bad, a, b, c = bad_edge_classification(t, 3, 3, 8)
@@ -505,8 +529,8 @@ _SIZE_CALLS = [
     ("n", lambda x: sample_trace_matrix(x, 0.5, [1, 2]), 6),
     ("first", lambda x: sample_trace_matrix(9, 0.5, [1, 2], x), 3),
     ("n", lambda x: tp.sample_trace(x, 0.5, 7), 6),
-    ("n", lambda x: tp.TruncatedGeometric(x, 0.5), 4),
-    ("j", lambda x: tp.TruncatedGeometric(6, 0.5).pmf(x), 2),
+    ("n", lambda x: TruncatedGeometric(x, 0.5), 4),
+    ("j", lambda x: TruncatedGeometric(6, 0.5).pmf(x), 2),
     ("n", lambda x: log_partition_function(x, 0.5), 6),
     ("n", lambda x: tp.trace_table(x, 0.5), 4),
     ("k", lambda x: tv_distance_to_uniform(x, 0.5), 6),
@@ -613,7 +637,8 @@ _REAL_CALLS = [
     # NaN, one beyond each end, and each open end itself)
     ("q", lambda x: sample_trace_matrix(5, x, [1]), (_NAN, -0.1, 1.5)),
     ("q", lambda x: InsertionTrace([1, 2], x), (_NAN, -0.1, 1.5)),
-    ("q", lambda x: tp.TruncatedGeometric(3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: TruncatedGeometric(3, x), (_NAN, -0.1, 1.5)),
+    ("q", lambda x: tp.trace_table(3, x), (_NAN, -0.1, 1.5)),
     ("q", lambda x: log_partition_function(3, x), (_NAN, -0.1, 1.5)),
     ("q", lambda x: mallows_pmf((2, 1), x), (_NAN, -0.1, 1.5)),
     ("q", lambda x: flush_prob(10, 3, x), (_NAN, -0.1, 1.5)),

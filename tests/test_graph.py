@@ -27,7 +27,6 @@ from tangledpath import (
     make_graph,
     mallows_process,
     parse_edge_list,
-    reverse,
     sample_trace,
 )
 from tangledpath import graph as graph_layer
@@ -39,25 +38,27 @@ from conftest import (
     brute_distance_matrix,
     complete_graph,
     cycle_graph,
+    edge_pairs,
     enumerate_traces,
     grid_graph,
     path_graph,
     petersen_graph,
     random_connected_graph,
     random_graph,
+    reverse,
     star_graph,
 )
 
 
 def test_identity_gives_plain_path():
     g = build_tangled((1, 2, 3, 4, 5))
-    assert g.edges == ((1, 2), (2, 3), (3, 4), (4, 5))
+    assert edge_pairs(g) == ((1, 2), (2, 3), (3, 4), (4, 5))
 
 
 def test_union_with_permuted_path():
     # sigma = (2,4,1,3): permuted-path edges {24, 14, 13} fill P4 up to K4
     g = build_tangled((2, 4, 1, 3))
-    assert g.edges == tuple(
+    assert edge_pairs(g) == tuple(
         (i, j) for i in range(1, 5) for j in range(i + 1, 5)
     )
 
@@ -83,7 +84,7 @@ def test_build_tangled_matches_validated_edge_list(perm):
     ref = make_graph(n, path_edges + sigma_edges)
     for sigma in (perm, Permutation(tuple(perm))):
         g = build_tangled(sigma)
-        assert (g.n, g.edges) == (ref.n, ref.edges)
+        assert (g.n, edge_pairs(g)) == (ref.n, edge_pairs(ref))
         assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
 
 
@@ -98,9 +99,9 @@ def _assert_csr_invariants(g):
     assert (np.diff(keys) > 0).all()  # rows sorted, no duplicate arcs
     assert (tails != indices).all() and ((indices >= 0) & (indices < g.n)).all()
     assert set(zip(tails.tolist(), indices.tolist())) == set(zip(indices.tolist(), tails.tolist()))
-    assert 2 * len(g.edges) == indices.size
+    assert 2 * len(edge_pairs(g)) == indices.size
     up = tails < indices
-    assert g.edges == tuple(zip((tails[up] + 1).tolist(), (indices[up] + 1).tolist()))
+    assert edge_pairs(g) == tuple(zip((tails[up] + 1).tolist(), (indices[up] + 1).tolist()))
 
 
 def test_csr_invariants_and_equality_across_constructors():
@@ -136,7 +137,7 @@ def test_build_tangled_rejects_non_permutation():
 
 @given(st.permutations(list(range(1, 10))))
 def test_reversal_gives_same_graph(perm):
-    assert build_tangled(perm).edges == build_tangled(reverse(perm)).edges
+    assert edge_pairs(build_tangled(perm)) == edge_pairs(build_tangled(reverse(perm)))
 
 
 def test_graph_equality_follows_content():
@@ -147,7 +148,7 @@ def test_graph_equality_follows_content():
     for n, q, seed in ((1, 0.5, 1), (7, 0.3, 42), (12, 0.4, 5)):
         trace = sample_trace(n, q, seed)
         g = build_tangled(mallows_process(trace))
-        same = (build_tangled(mallows_process(list(trace.positions))), make_graph(n, g.edges))
+        same = (build_tangled(mallows_process(list(trace.positions))), make_graph(n, edge_pairs(g)))
         for h in same:
             assert h == g and hash(h) == hash(g)
         assert len({g, *same}) == 1
@@ -218,7 +219,7 @@ def test_make_graph_validation():
         make_graph(3, [(1, 2), (2.0, 3)])
     with pytest.raises(ValueError):
         make_graph(0, [])
-    assert make_graph(3, []).edges == ()
+    assert edge_pairs(make_graph(3, [])) == ()
     # A fractional or bool vertex count is refused, not truncated by int().
     for n in (3.7, 3.0, True):
         with pytest.raises(ValueError, match="vertex count must be an integer"):
@@ -309,7 +310,7 @@ def test_diameter_matches_networkx():
     graphs = [random_connected_graph(4 + seed % 20, seed % 9, 700 + seed) for seed in range(30)]
     for seed, q in enumerate((0.3, 0.8, 0.95, 1.0)):
         g = build_tangled(mallows_process(sample_trace(40, q, seed)))
-        graphs.append((g.n, list(g.edges)))
+        graphs.append((g.n, list(edge_pairs(g))))
     for n, edges in graphs:
         ref = nx.Graph(edges)
         ref.add_nodes_from(range(1, n + 1))
@@ -546,18 +547,20 @@ def test_edge_list_round_trip():
     text = format_edge_list(g)
     assert text.splitlines()[0] == "n=10"
     h = parse_edge_list(text)
-    assert h.n == g.n and h.edges == g.edges
+    assert h.n == g.n and edge_pairs(h) == edge_pairs(g)
 
 
 def test_edge_list_writes_the_edges_view():
     """format_edge_list, which reads the CSR arrays, writes exactly the lines
-    of the g.edges pairs: on random graphs, tangled graphs and at n = 1."""
+    of edge_pairs(g), itself checked against the arrays row by row: on
+    random graphs, tangled graphs and at n = 1."""
     graphs = [make_graph(*random_graph(n, density, seed))
               for n, density, seed in ((2, 1.0, 1), (9, 0.3, 2), (40, 0.1, 3))]
     graphs += [build_tangled(mallows_process(sample_trace(n, q, seed)))
                for n, q, seed in ((1, 0.5, 4), (300, 0.9, 5), (300, 1.0, 6))]
     for g in graphs:
-        want = "\n".join([f"n={g.n}"] + [f"{u} {w}" for u, w in g.edges])
+        _assert_csr_invariants(g)
+        want = "\n".join([f"n={g.n}"] + [f"{u} {w}" for u, w in edge_pairs(g)])
         assert format_edge_list(g) == want
     assert format_edge_list(make_graph(1, [])) == "n=1"
 

@@ -43,14 +43,31 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
-def _references(node: ast.AST) -> Counter:
-    """Names a node's subtree reads: bare names, attributes and names
-    imported from another module."""
+def _modules(tree: ast.AST) -> set[str]:
+    """Names a file binds to a module: by ``import``, by ``from . import m``
+    or by ``m = import_module(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "import_module":
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _references(node: ast.AST, modules: set[str]) -> Counter:
+    """Names a node's subtree reads: bare names, names imported from another
+    module, and attributes read off a name in ``modules``; ``x.name`` on any
+    other x is some object's attribute, such as a list's ``reverse``."""
     refs: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             refs[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in modules:
             refs[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             refs.update(alias.name for alias in sub.names)
@@ -63,11 +80,12 @@ def test_no_unreferenced_private_helpers():
     files = sorted((ROOT / "src").rglob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in files}
     assert trees
-    refs = sum((_references(t) for t in trees.values()), Counter())
+    modules = {p: _modules(tree) for p, tree in trees.items()}
+    refs = sum((_references(t, modules[p]) for p, t in trees.items()), Counter())
     dead = [f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
             for p, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
-            and refs[node.name] == _references(node)[node.name]]
+            and refs[node.name] == _references(node, modules[p])[node.name]]
     assert not dead, "private helpers nothing references:\n" + "\n".join(dead)
 
 
@@ -83,12 +101,14 @@ def test_every_export_has_a_reader():
     for p in sorted((ROOT / "src").rglob("*.py")):
         if p.name != "__init__.py":
             tree = ast.parse(p.read_text(), filename=str(p))
-            reads += _references(tree)
+            modules = _modules(tree)
+            reads += _references(tree, modules)
             for node in ast.walk(tree):
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    own[node.name] += _references(node)[node.name]
+                    own[node.name] += _references(node, modules)[node.name]
     for p in sorted((ROOT / "bench").glob("*.py")):
-        reads += _references(ast.parse(p.read_text(), filename=str(p)))
+        tree = ast.parse(p.read_text(), filename=str(p))
+        reads += _references(tree, _modules(tree))
     readme = (ROOT / "README.md").read_text()
     quoted = set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))))
     unread = [name for name in exported if reads[name] <= own[name] and name not in quoted]

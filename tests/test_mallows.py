@@ -15,14 +15,12 @@ import tangledpath.sweeps as sweeps
 from tangledpath import (
     InsertionTrace,
     Permutation,
-    TruncatedGeometric,
     displacement_samples,
     format_permutation,
     format_trace,
     mallows_process,
     parse_permutation,
     parse_trace,
-    reverse,
     sample_trace,
     sample_trace_matrix,
     trace_table,
@@ -38,11 +36,13 @@ from tangledpath._util import alpha_cut_range
 from tangledpath.rng import GOLDEN, MASK64, derive_array, seed_array
 from conftest import (
     SplitMix64,
+    TruncatedGeometric,
     contains_consecutively,
     enumerate_traces,
     inversions,
     log_partition_function,
     mallows_pmf,
+    reverse,
     standardize,
     tv_distance_to_uniform,
 )
@@ -326,9 +326,9 @@ def test_enumeration_cap():
 
 def test_trace_table_matches_per_trace_products():
     """Rows in lexicographic order; each weight the running product of the
-    per-index masses, bit for bit."""
+    per-index masses of the reference truncated geometric, bit for bit."""
     for n in range(1, 8):
-        for q in (0.0, 0.3, 1.0):
+        for q in (0.0, 5e-324, 0.3, 0.9, 1 - 2**-53, 1.0):
             V, w = trace_table(n, q)
             pmfs = [TruncatedGeometric(i, q).pmf_vector() for i in range(1, n + 1)]
             rows, weights = [], []
@@ -693,6 +693,8 @@ def test_displacement_two_point_mean():
 
 def test_format_parse_round_trip():
     assert format_permutation((3, 5, 1, 4, 6, 2)) == "σ = 3 5 1 4 6 2"
+    with pytest.raises(ValueError, match="not a permutation"):
+        format_permutation([1, 1])  # a raw sequence is checked, as Permutation checks it
     assert parse_permutation("σ = 3 5 1 4 6 2").image == (3, 5, 1, 4, 6, 2)
     assert parse_permutation("3, 5, 1, 4, 6, 2").image == (3, 5, 1, 4, 6, 2)
     trace = InsertionTrace(positions=(1, 2, 1, 3, 2, 5), q=0.5)

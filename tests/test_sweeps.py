@@ -132,6 +132,7 @@ def test_config_rejects_bad_values():
         ("q_grid = 0.5, critical+3 margin x", "unrecognized q token"),
         ("t_list = 2.9", "t_list"),
         ("thread_count = 2.5", "thread_count"),
+        ("thread_count = 65", "thread_count=65 outside"),
         ("bisections = 1e100000", "bisections"),
         ("q_grid = true", "q_grid"),
         ("exhaustive = true", "exhaustive"),
@@ -371,6 +372,43 @@ def test_run_chunks_runs_each_span_once_under_fast_switching():
         sys.setswitchinterval(interval)
     assert not runner.is_alive() and sorted(taken) == list(range(len(spans)))
     assert np.array_equal(np.concatenate(got[0]), np.arange(len(spans)))
+
+
+def test_a_helper_that_fails_to_start_leaves_no_thread_running(monkeypatch, tmp_path, capsys):
+    """A helper thread that cannot start ends the sweep only once the helpers
+    already started have stopped: with the second start failing at 3
+    threads, the one running helper takes no more chunks and is joined
+    before main returns."""
+    starts, real_start = [], threading.Thread.start
+
+    def start(self):
+        starts.append(self)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("experiment = separator\nn_list = 2000\nq_grid = 0.6\ntrials = 640\n"
+                   "thread_count = 3\n")
+    assert main(["sweep", "--config", str(cfg)]) == 5
+    assert len(starts) == 2 and not starts[0].is_alive()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError") and "can't start new thread" in err
+
+
+def test_thread_count_is_bounded_before_any_thread_starts(monkeypatch, tmp_path, capsys):
+    """thread_count above MAX_THREADS (64) is refused when the config is
+    built, in Python and through --threads, before any thread starts."""
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread started"))
+    with pytest.raises(ValueError, match=r"^thread_count=65 outside \[1, 64\]$"):
+        make_config(experiment="separator", n_list=[100], q_grid=[0.5], thread_count=65)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("experiment = separator\nn_list = 100\nq_grid = 0.5\ntrials = 4\n")
+    assert main(["sweep", "--config", str(cfg), "--threads", "65"]) == 2
+    assert "thread_count=65 outside" in capsys.readouterr().err
+    assert make_config(experiment="separator", n_list=[100], q_grid=[0.5],
+                       thread_count=sweeps.MAX_THREADS).thread_count == 64
 
 
 def test_seed_changes_results():

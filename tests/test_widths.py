@@ -40,6 +40,7 @@ from conftest import (
     brute_vertex_iso,
     complete_graph,
     cycle_graph,
+    edge_pairs,
     enumerate_traces,
     grid_graph,
     path_graph,
@@ -83,7 +84,7 @@ def test_treewidth_matches_reference_dp():
         assert treewidth_exact(make_graph(n, edges)) == reference_treewidth(n, edges)
     for seed in range(20):
         g = _tangled(12, 0.6, seed)
-        assert treewidth_exact(g) == reference_treewidth(g.n, list(g.edges))
+        assert treewidth_exact(g) == reference_treewidth(g.n, list(edge_pairs(g)))
     for seed in range(40):  # n <= 10, possibly disconnected, isolated vertices
         n, edges = random_graph(1 + seed % 10, (seed % 5) / 6, 8100 + seed)
         assert treewidth_exact(make_graph(n, edges)) == reference_treewidth(n, edges)
@@ -198,7 +199,7 @@ def test_cutwidth_matches_brute():
 
 
 def _assert_subset_dps_match_reference(g):
-    n, edges = g.n, g.edges
+    n, edges = g.n, edge_pairs(g)
     eb, vb = reference_edge_boundary(n, edges), reference_vertex_boundary(n, edges)
     assert np.array_equal(_edge_boundary(g), eb), edges
     assert np.array_equal(_vertex_boundary(g), vb), edges
@@ -214,13 +215,14 @@ def test_subset_dps_match_masked_references():
     n <= 7, seeded tangled graphs at n = 8 and 9, and random graphs of
     n <= 12, edgeless, disconnected and complete ones included."""
     traces = (t for n in range(1, 8) for t, _ in enumerate_traces(n, 1.0))
-    graphs = list({g.edges: g for g in (build_tangled(mallows_process(t)) for t in traces)}.values())
+    graphs = list({edge_pairs(g): g
+                   for g in (build_tangled(mallows_process(t)) for t in traces)}.values())
     graphs += [_tangled(n, q, derive(15, n, s)) for n in (8, 9) for q in (0.5, 0.9, 1.0)
                for s in range(8)]
     graphs += [make_graph(*random_graph(n, d, 9100 + 13 * n + s))
                for n in range(1, 13) for s, d in enumerate((0.0, 0.15, 0.4, 0.7, 1.0))]
-    assert any(not g.edges for g in graphs)
-    assert any(len(g.edges) == g.n * (g.n - 1) // 2 == 66 for g in graphs)
+    assert any(not edge_pairs(g) for g in graphs)
+    assert any(len(edge_pairs(g)) == g.n * (g.n - 1) // 2 == 66 for g in graphs)
     for g in graphs:
         _assert_subset_dps_match_reference(g)
 
@@ -249,7 +251,7 @@ def test_cutwidth_identity_profile():
     width, profile = cutwidth_identity(g)
     assert len(profile) == g.n - 1
     for i in range(1, g.n):
-        manual = sum(1 for u, v in g.edges if u <= i < v)
+        manual = sum(1 for u, v in edge_pairs(g) if u <= i < v)
         assert profile[i - 1] == manual
     assert width == max(profile)
     assert cutwidth_exact(_tangled(12, 0.5, 8)) <= cutwidth_identity(_tangled(12, 0.5, 8))[0]
@@ -307,7 +309,7 @@ def test_width_chain_on_tangled_instances():
         cw = cutwidth_exact(g)
         cwid, _ = cutwidth_identity(g)
         lower = math.ceil(iso * n / (3 * (1 + iso))) - 1
-        assert lower <= tw <= cw <= cwid <= len(g.edges)
+        assert lower <= tw <= cw <= cwid <= len(edge_pairs(g))
 
 
 def test_iso_times_n_does_not_lower_bound_treewidth():
@@ -377,7 +379,8 @@ def test_unit_separator_matches_component_oracle():
                 edges.append((prev, n))
                 prev = n
         graphs.append((n, edges))
-    graphs += [(g.n, list(g.edges)) for g in (_tangled(n, 0.6, 8400 + n) for n in range(3, 11))]
+    graphs += [(g.n, list(edge_pairs(g)))
+               for g in (_tangled(n, 0.6, 8400 + n) for n in range(3, 11))]
     three_way = 0
     for n, edges in graphs:
         g = make_graph(n, edges)
@@ -425,7 +428,7 @@ def test_boundary_subset_count_matches_enumeration(n):
 def test_width_report_round_trip():
     g = _tangled(10, 0.5, 4)
     report = build_width_report(g, exact=True)
-    assert report.edge_count == len(g.edges)
+    assert report.edge_count == len(edge_pairs(g))
     assert report.treewidth == treewidth_exact(g)
     assert report.cutwidth_identity == cutwidth_identity(g)[0]
     assert report.cutwidth_exact == cutwidth_exact(g)
