@@ -354,8 +354,9 @@ def _run_cell(
 def _run_chunks(work: Callable, bounds: list, threads: int) -> list:
     """[work(span) for span in bounds], run by the calling thread and up to
     ``threads - 1`` helper threads, each taking the next span in turn.  The
-    first failure in trial order, or a helper's failure to start, is raised
-    once every thread has stopped; no span starts after a failure.
+    first failure in trial order is raised once every thread has stopped; no
+    span starts after a failure.  If a helper cannot start (a thread limit),
+    no more are started and the threads already running take every span.
 
     The caller works rather than waiting: on the bench separator cells at 2
     threads this ran 1.12-1.25x faster than a pool of 2 workers per cell,
@@ -376,10 +377,13 @@ def _run_chunks(work: Callable, bounds: list, threads: int) -> list:
     helpers = [threading.Thread(target=drain) for _ in range(min(threads, len(bounds)) - 1)]
     try:
         for helper in helpers:
-            helper.start()
+            try:
+                helper.start()
+            except RuntimeError:
+                break
         drain()
     finally:
-        for _ in todo:  # after an interrupt or a failed start too
+        for _ in todo:  # after an interrupt too
             pass
         for helper in helpers:
             if helper.ident is not None:  # it started

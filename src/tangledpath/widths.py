@@ -13,7 +13,7 @@ treewidth is false in general: the 8-cycle has iso 1/2, so the left side is
 Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
 ``build_tangled``, ``make_graph`` or ``parse_edge_list`` and reads its CSR
 arrays: one bitmask of neighbors per vertex off the rows for the treewidth
-search, its heuristics and forest test, and the subset boundaries; the
+reduction, search and heuristics, and the subset boundaries; the
 edge-end arrays for the identity-layout profile.  :func:`unit_separator`
 takes the sides of every cut vertex from the one lowpoint DFS in
 :mod:`tangledpath.graph`.  No routine here loads scipy.
@@ -67,35 +67,31 @@ def _bits(m: int):
         m ^= b
 
 
-def _series_reduce(adj: list[int]) -> tuple[bool, list[list[int]]]:
-    """Strip degree <= 2 vertices (valid once tw >= 2) and split into cores.
+def _reduce(adj: list[int]) -> tuple[int, list[list[int]]]:
+    """(low, cores): low <= tw(G) = max(low, tw of every core).
 
-    Degree-0/1 removal never changes treewidth; contracting a degree-2 vertex
-    preserves it as long as the graph has a cycle (treewidth >= 2).  Every
-    step keeps |E| - n + (components) but one, which lowers it by one: a
-    degree-2 vertex whose neighbors are already adjacent.  So the graph has a
-    cycle iff that step happens or a core is left.  Returns that flag and the
-    components of the residue, each of minimum degree >= 3, as masks over its
-    own vertices in increasing order.  Consumes ``adj``.
+    low starts at the degeneracy.  Passes eliminate, making its neighbors a
+    clique, each v whose neighbors form a clique (low rises to deg v), or all
+    but one do and deg v <= low: the residue is then a minor of G (Bodlaender,
+    Koster and van den Eijkhof, 2005).  The cores are the components left, as
+    masks over their own vertices in increasing order.  Consumes ``adj``.
     """
-    alive = (1 << len(adj)) - 1
-    cycles = 0
-    queue = [v for v, m in enumerate(adj) if m.bit_count() <= 2]
-    while queue:
-        v = queue.pop()
-        m = adj[v]
-        if not alive >> v & 1 or m.bit_count() > 2:
-            continue
-        alive ^= 1 << v
-        ends = list(_bits(m))
-        for a in ends:
-            adj[a] ^= 1 << v
-        if len(ends) == 2:
-            a, b = ends
-            cycles += adj[a] >> b & 1
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        queue.extend(a for a in ends if adj[a].bit_count() <= 2)
+
+    def clique(m: int) -> bool:
+        return all(m & ~adj[a] == 1 << a for a in _bits(m))
+
+    low, alive, before = _degeneracy(adj), (1 << len(adj)) - 1, 0
+    while alive != before:  # until a pass eliminates nothing
+        before = alive
+        for v in _bits(alive):
+            m = adj[v]
+            if clique(m):
+                low = max(low, m.bit_count())
+            elif m.bit_count() > low or not any(clique(m ^ 1 << a) for a in _bits(m)):
+                continue
+            alive ^= 1 << v
+            for a in _bits(m):
+                adj[a] = (adj[a] | m) & ~(1 << a | 1 << v)
 
     cores: list[list[int]] = []
     while alive:
@@ -109,7 +105,7 @@ def _series_reduce(adj: list[int]) -> tuple[bool, list[list[int]]]:
         alive ^= comp
         index = {v: i for i, v in enumerate(_bits(comp))}
         cores.append([sum(1 << index[w] for w in _bits(adj[v])) for v in index])
-    return bool(cycles or cores), cores
+    return low, cores
 
 
 def _degeneracy(adj: list[int]) -> int:
@@ -205,21 +201,16 @@ def _tw_decide(adj: list[int], t: int) -> bool:
 def treewidth_exact(g: TangledGraph) -> int:
     """Exact treewidth for n <= 20.
 
-    Degree <= 2 reductions shrink the graph and tell a forest, answered
-    directly; each residual core is solved by iterative deepening on the
-    elimination-order decision problem (memoized over vertex subsets).
+    _reduce shrinks the graph to cores and a lower bound; each core is solved
+    by iterative deepening on the elimination-order decision problem
+    (memoized over vertex subsets), from that bound up to min-fill's width.
     """
     _require_small(g.n, "treewidth_exact")
-    if g.indices.size == 0:
-        return 0
-    cycle, cores = _series_reduce(_adjacency(g))
-    if not cycle:
-        return 1
-    best = 2
+    low, cores = _reduce(_adjacency(g))
     for adj in cores:  # the least width the search decides, else min-fill's
-        lb, ub = max(3, _degeneracy(adj)), _minfill_width(adj)
-        best = max(best, next((t for t in range(lb, ub) if _tw_decide(adj, t)), ub))
-    return best
+        ub = _minfill_width(adj)
+        low = max(low, next((t for t in range(low, ub) if _tw_decide(adj, t)), ub))
+    return low
 
 
 def treewidth_bounds(g: TangledGraph) -> tuple[int, int]:

@@ -30,7 +30,13 @@ from tangledpath import (
     vertex_iso,
 )
 from tangledpath.rng import derive
-from tangledpath.widths import _edge_boundary, _subset_layers, _vertex_boundary
+from tangledpath.widths import (
+    _adjacency,
+    _edge_boundary,
+    _reduce,
+    _subset_layers,
+    _vertex_boundary,
+)
 from conftest import (
     SplitMix64,
     _components,
@@ -88,6 +94,9 @@ def test_treewidth_matches_reference_dp():
     for seed in range(40):  # n <= 10, possibly disconnected, isolated vertices
         n, edges = random_graph(1 + seed % 10, (seed % 5) / 6, 8100 + seed)
         assert treewidth_exact(make_graph(n, edges)) == reference_treewidth(n, edges)
+    for seed in range(40):  # n <= 12, dense and rich in triangles
+        n, edges = random_graph(5 + seed % 8, 0.3 + (seed % 5) / 10, 8200 + seed)
+        assert treewidth_exact(make_graph(n, edges)) == reference_treewidth(n, edges)
 
 
 def test_treewidth_matches_brute_orders():
@@ -109,9 +118,23 @@ def test_treewidth_on_forests_and_disjoint_cycles():
         assert treewidth_exact(make_graph(n + c, edges + cycle)) == 2, (n, edges, c)
 
 
+def test_reduce_pins_its_bound_and_cores():
+    """_reduce's lower bound and core sizes on standard graphs: forests,
+    cycles, cliques and wheels reduce to nothing; the 3x3 grid keeps its
+    centre and edge midpoints, and the triangle-free Petersen graph is
+    left whole.  A reduction that removes nothing would still give right
+    treewidths, only slowly."""
+    wheel = (6, [(1, v) for v in range(2, 7)] + [(u + 1, v + 1) for u, v in cycle_graph(5)[1]])
+    for graph, want in ((path_graph(10), (1, [])), (star_graph(5), (1, [])), ((3, []), (0, [])),
+                        (cycle_graph(6), (2, [])), (complete_graph(5), (4, [])), (wheel, (3, [])),
+                        (grid_graph(3, 3), (2, [5])), (petersen_graph(), (3, [10]))):
+        low, cores = _reduce(_adjacency(make_graph(*graph)))
+        assert (low, [len(c) for c in cores]) == want, graph
+
+
 def test_treewidth_on_every_graph_with_five_vertices():
     """All 1024 graphs on five labelled vertices, isolated vertices and
-    forests among them: the series reduction's cycle flag decides forests,
+    forests among them: the reduction leaves forests and cycles no core,
     and the cores meet the subset-DP reference."""
     pairs = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
     for mask in range(1 << len(pairs)):
