@@ -46,7 +46,7 @@ from .events import (
     reverse_flush_prob,
 )
 from ._util import alpha_cut_range, as_int, trace_order_sum
-from .graph import articulation_points, build_tangled, diameter, format_edge_list
+from .graph import _edge_list_blocks, articulation_points, build_tangled, diameter
 from .mallows import (
     InsertionTrace,
     Permutation,
@@ -148,7 +148,8 @@ def cmd_sample(args) -> int:
 def cmd_graph(args) -> int:
     sigma = _load_instance(args)
     sigma = mallows_process(sigma) if isinstance(sigma, InsertionTrace) else sigma
-    print(format_edge_list(build_tangled(sigma)))
+    sys.stdout.writelines(_edge_list_blocks(build_tangled(sigma)))
+    sys.stdout.write("\n")
     return 0
 
 

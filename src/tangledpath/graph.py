@@ -333,12 +333,19 @@ def articulation_points(g: TangledGraph) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+def _edge_list_blocks(g: TangledGraph):
+    """:func:`format_edge_list`'s text in pieces: the 'n=<n>' line, then
+    the '\nu v' lines of 2^16 edges at a time."""
+    u, w = _edge_ends(g)
+    yield f"n={g.n}"
+    for a in range(0, u.size, 1 << 16):
+        b = a + (1 << 16)
+        yield "".join(map("\n{} {}".format, (u[a:b] + 1).tolist(), (w[a:b] + 1).tolist()))
+
+
 def format_edge_list(g: TangledGraph) -> str:
     """'n=<n>' on the first line, then one sorted 'u v' pair per line."""
-    u, w = _edge_ends(g)
-    lines = [f"n={g.n}"]
-    lines.extend(map("{} {}".format, (u + 1).tolist(), (w + 1).tolist()))
-    return "\n".join(lines)
+    return "".join(_edge_list_blocks(g))
 
 
 def parse_edge_list(text: str) -> TangledGraph:

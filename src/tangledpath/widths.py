@@ -14,9 +14,11 @@ Every routine takes a :class:`~tangledpath.graph.TangledGraph` from
 ``build_tangled``, ``make_graph`` or ``parse_edge_list`` and reads its CSR
 arrays: one bitmask of neighbors per vertex off the rows for the treewidth
 reduction, search and heuristics, and the subset boundaries; the
-edge-end arrays for the identity-layout profile.  :func:`unit_separator`
-takes the sides of every cut vertex from the one lowpoint DFS in
-:mod:`tangledpath.graph`.  No routine here loads scipy.
+edge-end arrays for the identity-layout profile.  The reduction, min-fill
+and the exact search eliminate a vertex by one step, :func:`_eliminate`,
+and a search state holds the graph left after its eliminated set.
+:func:`unit_separator` takes the sides of every cut vertex from the one
+lowpoint DFS in :mod:`tangledpath.graph`.  No routine here loads scipy.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ EXACT_CAP = 20
 
 # treewidth_bounds runs min-fill, which is cubic-ish with fill-in; this soft cap
 # keeps the "any n" contract honest about what finishes at a desk.  On one 2-vCPU
-# x86 core it took 0.27 s at n = 300, q = 0.99 and 10.3 s at n = 1024, q = 1.
+# x86 core it took 0.28 s at n = 300, q = 0.99 and 9.3 s at n = 1024, q = 1.
 BOUNDS_CAP = 1024
 
 
@@ -67,6 +69,14 @@ def _bits(m: int):
         m ^= b
 
 
+def _eliminate(adj: list[int], v: int) -> None:
+    """Eliminate v in place: its neighbors become a clique and drop v.
+    ``adj[v]`` itself is left as it was."""
+    m = adj[v]
+    for a in _bits(m):
+        adj[a] = (adj[a] | m) & ~(1 << a | 1 << v)
+
+
 def _reduce(adj: list[int]) -> tuple[int, list[list[int]]]:
     """(low, cores): low <= tw(G) = max(low, tw of every core).
 
@@ -90,8 +100,7 @@ def _reduce(adj: list[int]) -> tuple[int, list[list[int]]]:
             elif m.bit_count() > low or not any(clique(m ^ 1 << a) for a in _bits(m)):
                 continue
             alive ^= 1 << v
-            for a in _bits(m):
-                adj[a] = (adj[a] | m) & ~(1 << a | 1 << v)
+            _eliminate(adj, v)
 
     cores: list[list[int]] = []
     while alive:
@@ -132,70 +141,46 @@ def _minfill_width(adj: list[int]) -> int:
     width = 0
     while work:
         v = min(work, key=key)
-        m = work.pop(v)
-        width = max(width, m.bit_count())
-        for a in _bits(m):
-            work[a] = (work[a] | m) & ~(1 << a | 1 << v)
+        width = max(width, work[v].bit_count())
+        _eliminate(work, v)
+        del work[v]
     return width
-
-
-def _elimination_cost(adj: list[int], elim: int, v: int) -> int:
-    """Degree of v after eliminating the set ``elim``: neighbors reachable from
-    v through eliminated vertices only.  Equivalent to v's clique size in the
-    fill graph, without maintaining fill edges."""
-    comp = 1 << v
-    reach = adj[v]
-    while True:
-        grow = reach & elim & ~comp
-        if not grow:
-            break
-        comp |= grow
-        m = grow
-        while m:
-            b = m & -m
-            reach |= adj[b.bit_length() - 1]
-            m ^= b
-    return (reach & ~elim & ~(1 << v)).bit_count()
 
 
 def _tw_decide(adj: list[int], t: int) -> bool:
     """Is there an elimination order of width <= t?  Memoized depth-first
-    search over eliminated-subset states."""
-    n = len(adj)
-    full = (1 << n) - 1
+    search over eliminated sets.  A state carries the graph left after
+    eliminating its set, which does not depend on the order (Bodlaender,
+    Fomin, Koster, Kratsch and Thilikos, 2012), so a vertex costs its degree
+    there.  A vertex of degree <= 1 is simplicial, and eliminating it first
+    never hurts: it is then the only child tried."""
+    full = (1 << len(adj)) - 1
     failed: set[int] = set()
 
-    def dfs(elim: int, remaining: int) -> bool:
+    def dfs(g: list[int], elim: int, remaining: int) -> bool:
         if remaining <= t + 1:
             return True
-        if elim in failed:
-            return False
-        rest = full & ~elim
         costs: list[tuple[int, int]] = []
-        m = rest
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            c = _elimination_cost(adj, elim, v)
+        for v in _bits(full & ~elim):
+            c = g[v].bit_count()
             if c <= 1:
-                # A vertex of fill-degree <= 1 is simplicial; eliminating it
-                # first never hurts, so commit without branching.
-                ok = dfs(elim | (1 << v), remaining - 1)
-                if not ok:
-                    failed.add(elim)
-                return ok
+                costs = [(c, v)]
+                break
             costs.append((c, v))
         costs.sort()
         for c, v in costs:
             if c > t:
                 break
-            if dfs(elim | (1 << v), remaining - 1):
+            if elim | 1 << v in failed:
+                continue
+            child = g.copy()
+            _eliminate(child, v)
+            if dfs(child, elim | 1 << v, remaining - 1):
                 return True
         failed.add(elim)
         return False
 
-    return dfs(0, n)
+    return dfs(adj, 0, len(adj))
 
 
 def treewidth_exact(g: TangledGraph) -> int:
@@ -219,8 +204,6 @@ def treewidth_bounds(g: TangledGraph) -> tuple[int, int]:
         raise CapabilityError(
             f"treewidth_bounds supports n <= {BOUNDS_CAP}; got n={g.n}"
         )
-    if g.indices.size == 0:
-        return 0, 0
     adj = _adjacency(g)
     return _degeneracy(adj), _minfill_width(adj)
 

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tangledpath import (
+    build_tangled,
     cut_prob_window,
     cut_vertices_from_trace,
     detect_events,
     flush_prob,
+    format_edge_list,
     mallows_process,
     parse_trace,
+    sample_trace,
 )
 from tangledpath.cli import main
 from conftest import EDGE_ALPHAS, EDGE_NS, EDGE_QS, enumerate_traces
@@ -96,6 +99,15 @@ def test_graph_output_ends_in_a_newline(capsys):
     for perm in ("1", "2 4 1 3"):
         code, out, _ = run(capsys, "graph", "--perm", perm)
         assert code == 0 and out.endswith("\n") and not out.endswith("\n\n")
+
+
+def test_graph_writes_format_edge_list_in_blocks(capsys):
+    """tangled graph writes the edge list a block of edges at a time; past
+    one block the bytes are still format_edge_list's and one newline."""
+    code, out, _ = run(capsys, "graph", "--n", "150000", "--q", "0.5", "--seed", "3")
+    g = build_tangled(mallows_process(sample_trace(150000, 0.5, 3)))
+    assert code == 0 and g.indices.size // 2 > 2 << 16
+    assert out == format_edge_list(g) + "\n"
 
 
 def test_graph_complete_on_four(capsys):

@@ -35,6 +35,7 @@ from tangledpath.widths import (
     _edge_boundary,
     _reduce,
     _subset_layers,
+    _tw_decide,
     _vertex_boundary,
 )
 from conftest import (
@@ -123,13 +124,39 @@ def test_reduce_pins_its_bound_and_cores():
     cycles, cliques and wheels reduce to nothing; the 3x3 grid keeps its
     centre and edge midpoints, and the triangle-free Petersen graph is
     left whole.  A reduction that removes nothing would still give right
-    treewidths, only slowly."""
+    treewidths, only slowly.
+
+    Then pairs of graphs that differ only at x, the one neighbour of v
+    outside a clique; joining x to that clique makes v simplicial.  On K33
+    (low 3, no vertex reducible) v = 7 sees the edge 1-4 and x = 2: deg v =
+    3 <= low, so v goes either way, and the rest falls after it.  With the
+    triangle 7-8-9 hung on 1, 2, 3, v = 10 sees it and x = 4: deg v = 4 =
+    low + 1, so v stays unless x joins the triangle, and then low is 4."""
     wheel = (6, [(1, v) for v in range(2, 7)] + [(u + 1, v + 1) for u, v in cycle_graph(5)[1]])
+    k33 = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]
+    hung = k33 + [(7, 8), (7, 9), (8, 9), (1, 7), (2, 8), (3, 9), (7, 10), (8, 10), (9, 10)]
     for graph, want in ((path_graph(10), (1, [])), (star_graph(5), (1, [])), ((3, []), (0, [])),
                         (cycle_graph(6), (2, [])), (complete_graph(5), (4, [])), (wheel, (3, [])),
-                        (grid_graph(3, 3), (2, [5])), (petersen_graph(), (3, [10]))):
+                        (grid_graph(3, 3), (2, [5])), (petersen_graph(), (3, [10])),
+                        ((7, k33 + [(1, 7), (4, 7), (2, 7)]), (3, [])),
+                        ((7, k33 + [(1, 7), (4, 7), (2, 7), (1, 2)]), (3, [])),
+                        ((10, hung + [(4, 10)]), (3, [10])),
+                        ((10, hung + [(4, 10), (4, 7), (4, 8), (4, 9)]), (4, []))):
         low, cores = _reduce(_adjacency(make_graph(*graph)))
         assert (low, [len(c) for c in cores]) == want, graph
+        assert treewidth_exact(make_graph(*graph)) == reference_treewidth(*graph), graph
+
+
+def test_tw_decide_accepts_the_treewidth_and_refuses_one_less():
+    """The search straight on the unreduced graph: no order of width tw - 1,
+    one of width tw.  treewidth_exact skips the round at tw when min-fill is
+    already optimal, so only this checks the search's yes."""
+    pairs = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+    graphs = [(5, [e for i, e in enumerate(pairs) if mask >> i & 1]) for mask in range(1 << len(pairs))]
+    graphs += [random_graph(2 + seed % 11, 0.1 + (seed % 7) / 10, 8400 + seed) for seed in range(200)]
+    for n, edges in graphs:
+        tw, adj = reference_treewidth(n, edges), _adjacency(make_graph(n, edges))
+        assert (_tw_decide(adj, tw - 1), _tw_decide(adj, tw)) == (False, True), (n, edges)
 
 
 def test_treewidth_on_every_graph_with_five_vertices():
